@@ -19,12 +19,10 @@ from scipy.stats import beta as beta_dist
 
 from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
 from .errors import BudgetError
-from .geometry import PointList, chebyshev_radius, pairwise_sq_dists
 from .rng import CHUNK, check_seed, chunk_rng
 
-SUBSET_BUDGET = 10**8
-WINDOW_BUDGET = 10**7
-COMBO_CHUNK = 200_000
+SUBSET_BUDGET = 10**8  # candidate lists
+WINDOW_BUDGET = 10**7  # points or tiles held at once
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,8 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     exp(n * rate_margin).
 
     M defaults to round(lambda_n * e^(n*margin) * (2K)^n); pass M explicitly
-    to override.  Refuses parameter sets whose C(M, L) would exceed the
-    enumeration budget.
+    to override.  Refuses parameter sets whose M would exceed WINDOW_BUDGET
+    points.
     """
     n, L = int(n), int(L)
     if rate_margin > 0:
@@ -130,10 +128,10 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
             raise ValueError(
                 f"computed code size rounds to {M}; relax rate_margin or parameters"
             )
-        if math.comb(M, L) > SUBSET_BUDGET:
+        if M > WINDOW_BUDGET:
             raise BudgetError(
-                f"C(M, L) = C({M}, {L}) exceeds the {SUBSET_BUDGET:.0e} subset "
-                "budget; pass a smaller explicit M"
+                f"M = {M} points (C(M, L) = C({M}, {L}) lists) exceeds the "
+                f"{WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M"
             )
     else:
         M = int(M)
@@ -143,66 +141,105 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     return FiniteCode(points=pts, n=n, L=L, N=float(N), K=float(K), seed=seed)
 
 
-def _combo_batches(M, L):
-    it = itertools.combinations(range(M), L)
-    while True:
-        batch = list(itertools.islice(it, COMBO_CHUNK))
-        if not batch:
-            return
-        yield np.array(batch, dtype=np.intp)
+def _avg_sq_radii(points, lists):
+    """Average squared radius of each row of ``lists``, as the mean pairwise
+    squared distance (1/L^2) * sum_{i<j} |x_i - x_j|^2.  Differences are taken
+    before squaring, so coincident points give exactly 0 and translated
+    copies lose no precision."""
+    L = lists.shape[1]
+    total = np.zeros(len(lists))
+    for a, b in itertools.combinations(range(L), 2):
+        d = points[lists[:, a]] - points[lists[:, b]]
+        total += np.einsum("ij,ij->i", d, d)
+    return total / (L * L)
 
 
-def _scan_subsets(D2, M, L, threshold):
-    """Collect (indices, avg_sq_radius <= threshold) subsets in lexicographic
-    order, plus the overall minimizer."""
-    if L == 2:
-        iu, ju = np.triu_indices(M, 1)
-        avg = D2[iu, ju] / 4.0
-        if len(avg) == 0:
-            return [], (math.inf, None)
-        i = int(np.argmin(avg))
-        best = (float(avg[i]), (int(iu[i]), int(ju[i])))
-        sel = np.flatnonzero(avg <= threshold)
-        return [(int(iu[k]), int(ju[k])) for k in sel], best
-    pair_cols = list(itertools.combinations(range(L), 2))
-    best = (math.inf, None)
-    bad = []
-    for C in _combo_batches(M, L):
-        S = np.zeros(len(C))
-        for a, b in pair_cols:
-            S += D2[C[:, a], C[:, b]]
-        avg = S / (L * L)
-        i = int(np.argmin(avg))
-        if avg[i] < best[0]:
-            best = (float(avg[i]), tuple(int(v) for v in C[i]))
-        for row in np.flatnonzero(avg <= threshold):
-            bad.append(tuple(int(v) for v in C[row]))
-    return bad, best
+def _near_lists(points, L, t):
+    """Every L-subset of ``points`` with average squared radius <= t, as index
+    rows in lexicographic order, with their average squared radii.
+
+    A list with average squared radius <= t has every pair at
+    d^2 <= 2L*t, since L*avg = sum_i |x_i - c|^2 >= |x_i - c|^2 + |x_j - c|^2
+    >= d^2/2.  So the lists are among the L-cliques of the near-pair graph
+    at that radius (with a small relative margin against rounding).  Each
+    clique is grown from its lowest vertex along forward edges i < j, as in
+    the ordered clique listing of Chiba & Nishizeki (1985); index order makes
+    the output lexicographic without a sort.  The exact average radius then
+    filters the cliques.  Refuses inputs whose candidate cliques, summed over
+    the clique sizes 2..L, exceed SUBSET_BUDGET.
+    """
+    M = len(points)
+    if M < L:
+        return np.empty((0, L), dtype=np.intp), np.empty(0)
+    r = math.sqrt(2.0 * L * t) * (1.0 + 1e-6)
+    pairs = cKDTree(points).query_pairs(r, output_type="ndarray").astype(np.intp)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    starts = np.searchsorted(pairs[:, 0], np.arange(M + 1))
+    keys = pairs[:, 0] * M + pairs[:, 1]
+    lists = pairs
+    candidates = len(pairs)
+    for k in range(2, L):
+        last = lists[:, -1]
+        deg = starts[last + 1] - starts[last]
+        candidates += int(deg.sum())
+        if candidates > SUBSET_BUDGET:
+            raise BudgetError(
+                f"{candidates} candidate cliques of {M} points exceed the "
+                f"{SUBSET_BUDGET:.0e} subset budget"
+            )
+        rows = np.repeat(np.arange(len(lists)), deg)
+        offset = np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)
+        w = pairs[starts[last][rows] + offset, 1]
+        ok = np.ones(len(rows), dtype=bool)
+        for a in range(k - 1):
+            key = lists[rows, a] * M + w
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            ok &= keys[at] == key
+        lists = np.column_stack([lists[rows[ok]], w[ok]])
+    avg = _avg_sq_radii(points, lists)
+    keep = avg <= t
+    return lists[keep], avg[keep]
+
+
+def _min_list(points, L):
+    """Smallest average squared radius over the L-subsets of ``points`` and the
+    lexicographically first subset attaining it.
+
+    Each point with its L-1 nearest neighbours is an L-subset, so the smallest
+    of their radii is an upper bound t on the minimum, and _near_lists at t
+    holds the minimiser."""
+    if len(points) < L:
+        return math.inf, None
+    _, nn = cKDTree(points).query(points, k=L)
+    t = float(_avg_sq_radii(points, np.sort(nn, axis=1)).min())
+    lists, avg = _near_lists(points, L, t)
+    i = int(np.argmin(avg))
+    return float(avg[i]), tuple(int(v) for v in lists[i])
 
 
 def find_bad_lists(code: FiniteCode) -> list[tuple[int, ...]]:
     """Index tuples of every L-subset with average squared radius <= n*N,
-    in lexicographic order."""
-    M, L = code.M, code.L
-    if M < L:
-        return []
-    if math.comb(M, L) > SUBSET_BUDGET:
-        raise BudgetError(f"C({M}, {L}) exceeds the {SUBSET_BUDGET:.0e} subset budget")
-    D2 = pairwise_sq_dists(code.points)
-    bad, _ = _scan_subsets(D2, M, L, code.n * code.N)
-    return bad
+    in lexicographic order.
+
+    Every pair of such a list lies at squared distance d^2 <= 2L*n*N, so the
+    lists are found exactly as the L-cliques of that near-pair graph whose
+    average squared radius is <= n*N; the cost follows the number of close
+    pairs, not C(M, L).  Raises BudgetError when the candidate cliques exceed
+    SUBSET_BUDGET.
+    """
+    lists, _ = _near_lists(code.points, code.L, code.n * code.N)
+    return [tuple(int(v) for v in row) for row in lists]
 
 
 def min_avg_subset(code: FiniteCode) -> tuple[float, tuple[int, ...] | None]:
-    """Smallest average squared radius over all L-subsets and its indices."""
-    M, L = code.M, code.L
-    if M < L:
-        return math.inf, None
-    if math.comb(M, L) > SUBSET_BUDGET:
-        raise BudgetError(f"C({M}, {L}) exceeds the {SUBSET_BUDGET:.0e} subset budget")
-    D2 = pairwise_sq_dists(code.points)
-    _, best = _scan_subsets(D2, M, L, -math.inf)
-    return best
+    """Smallest average squared radius over all L-subsets and its indices
+    (the lexicographically first on ties; (inf, None) when M < L).
+
+    The smallest radius t of a point with its L-1 nearest neighbours bounds
+    the minimum from above, and every pair of a list with radius <= t lies at
+    d^2 <= 2L*t, so one near-pair clique listing at t is exact.
+    """
+    return _min_list(code.points, code.L)
 
 
 def expurgate(code: FiniteCode, bad: list[tuple[int, ...]]) -> FiniteCode:
@@ -241,16 +278,20 @@ def achieved_rate(code: FiniteCode) -> float:
 def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     """Wrap a finite code into a periodic constellation with a guard gap.
 
-    The default gap is 1.01 * sqrt(n*N).  Gaps below sqrt(n*N) are rejected:
-    they would leave cross-tile lists without the automatic half-distance
-    safety certificate.
+    Distinct tiles lie at least D = 2*gap apart, and a list spanning tiles
+    has average squared radius at least (L-1)/L^2 * D^2 (see
+    verify_packing).  That exceeds n*N exactly when
+    gap > L/(2*sqrt(L-1)) * sqrt(n*N), the minimum gap; it equals sqrt(n*N)
+    at L = 2.  Smaller gaps are rejected, and the default is 1.01 times the
+    minimum.  At the minimum itself the certificate is inconclusive and
+    verify_packing checks cross-tile lists exactly.
     """
-    root = math.sqrt(code.n * code.N)
+    g_min = code.L / (2.0 * math.sqrt(code.L - 1)) * math.sqrt(code.n * code.N)
     if gap is None:
-        gap = 1.01 * root
+        gap = 1.01 * g_min
     gap = float(gap)
-    if gap < root * (1.0 - 1e-12):
-        raise ValueError(f"gap {gap!r} is below sqrt(n*N) = {root!r}")
+    if gap < g_min * (1.0 - 1e-12):
+        raise ValueError(f"gap {gap!r} is below L/(2*sqrt(L-1)) * sqrt(n*N) = {g_min!r}")
     return Constellation(base=code, gap=gap)
 
 
@@ -311,12 +352,20 @@ def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
 def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     """Check the packing property on a window around the origin.
 
-    Same-tile L-subsets are tested exactly through their average squared
-    radius.  Any subset spanning two tiles contains a cross-tile pair, and
-    an enclosing ball of such a subset has squared radius at least a quarter
-    of that pair's squared distance, so one vectorized bound over cross-tile
-    pairs certifies all of them at once; if that certificate is inconclusive
-    the cross subsets are re-checked exactly with the enclosing-ball solver.
+    Same-tile lists are tested exactly: each tile's minimum average squared
+    radius comes from the near-pair clique listing of min_avg_subset.
+
+    A list spanning tiles splits into a points inside one tile and L - a
+    elsewhere, 1 <= a < L, and each of the a(L - a) >= L - 1 pairs across
+    the split is a cross-tile pair at distance at least D, the smallest
+    cross-tile distance in the window.  Since L*avg = (1/L) *
+    sum_{i<j} |x_i - x_j|^2, every cross-tile list has
+
+        avg >= (L-1)/L^2 * D^2 = 4(L-1)/L^2 * min_cross_half_dist_sq,
+
+    and the window is certified when that exceeds n*N.  Otherwise the exact
+    fallback lists the window's L-subsets with average squared radius <= n*N
+    as near-pair cliques and reports the first that spans tiles.
     """
     code = c.base
     L = code.L
@@ -325,23 +374,15 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     W = len(pts)
 
     min_avg = math.inf
-    min_avg_subset_rows = None
+    min_avg_rows = None
     same_tile_lists = 0
     for t in np.unique(tiles):
         rows = np.flatnonzero(tiles == t)
-        if len(rows) < L:
-            continue
-        if math.comb(len(rows), L) > WINDOW_BUDGET:
-            raise BudgetError(
-                f"tile {t} holds {len(rows)} points: C({len(rows)}, {L}) same-tile "
-                "subsets exceed the budget"
-            )
-        D2 = pairwise_sq_dists(pts[rows])
-        _, best = _scan_subsets(D2, len(rows), L, -math.inf)
         same_tile_lists += math.comb(len(rows), L)
-        if best[0] < min_avg:
-            min_avg = best[0]
-            min_avg_subset_rows = rows[list(best[1])]
+        value, subset = _min_list(pts[rows], L)
+        if value < min_avg:
+            min_avg = value
+            min_avg_rows = rows[list(subset)]
 
     min_cross = math.inf
     if W:
@@ -357,51 +398,24 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
                 min_cross = min(min_cross, float(d2[cross].min()))
     min_cross_half = min_cross / 4.0 if math.isfinite(min_cross) else math.inf
 
+    rows = None
     if min_avg <= thr:
-        rows = min_avg_subset_rows
-        return PackingVerdict(
-            passed=False,
-            threshold=thr,
-            window_points=W,
-            same_tile_lists=same_tile_lists,
-            min_avg_radius_sq=min_avg,
-            min_cross_half_dist_sq=min_cross_half,
-            violation=pts[rows],
-            violation_base_indices=tuple(int(i) for i in base_idx[rows]),
-        )
-
-    if min_cross_half <= thr:
-        # certificate inconclusive: fall back to exact enclosing balls
-        if math.comb(W, L) > 10**6:
-            raise BudgetError(
-                f"cross-tile fallback needs C({W}, {L}) enclosing-ball solves"
-            )
-        for idx in itertools.combinations(range(W), L):
-            rows = np.array(idx)
-            if len(set(tiles[rows])) == 1:
-                continue
-            res = chebyshev_radius(PointList(pts[rows]))
-            if res.lower <= thr:
-                return PackingVerdict(
-                    passed=False,
-                    threshold=thr,
-                    window_points=W,
-                    same_tile_lists=same_tile_lists,
-                    min_avg_radius_sq=min_avg,
-                    min_cross_half_dist_sq=min_cross_half,
-                    violation=pts[rows],
-                    violation_base_indices=tuple(int(i) for i in base_idx[rows]),
-                )
-
+        rows = min_avg_rows
+    elif 4 * (L - 1) * min_cross_half <= L * L * thr:
+        lists, _ = _near_lists(pts, L, thr)
+        lt = tiles[lists]
+        spans = np.flatnonzero(lt.min(axis=1) != lt.max(axis=1))
+        if len(spans):
+            rows = lists[spans[0]]
     return PackingVerdict(
-        passed=True,
+        passed=rows is None,
         threshold=thr,
         window_points=W,
         same_tile_lists=same_tile_lists,
         min_avg_radius_sq=min_avg,
         min_cross_half_dist_sq=min_cross_half,
-        violation=None,
-        violation_base_indices=None,
+        violation=None if rows is None else pts[rows],
+        violation_base_indices=None if rows is None else tuple(int(i) for i in base_idx[rows]),
     )
 
 

@@ -21,7 +21,9 @@ from multipack import (
     tile,
     verify_packing,
 )
+from multipack import construction
 from multipack.bounds import ExponentQuery
+from oracles import scan_subsets, window_bad_lists
 
 
 def code_1d(points, N, K=10.0, L=2):
@@ -67,6 +69,47 @@ class TestFindBadLists:
     def test_empty_when_spread(self):
         code = code_1d([0.0, 1.0, 2.0, 3.0], N=0.01)
         assert find_bad_lists(code) == []
+
+
+def oracle_codes(L, rng):
+    """Random, clustered and duplicated codes, plus M = L - 1 and M = L."""
+    for M in (L - 1, L, L + 1, 10, 13):
+        n = int(rng.integers(1, 4))
+        yield FiniteCode(rng.uniform(-1, 1, size=(M, n)), n, L, rng.uniform(0.005, 0.1), 1.0, None)
+    for _ in range(3):
+        n = int(rng.integers(1, 4))
+        centers = rng.uniform(-0.9, 0.9, size=(3, n))
+        pts = np.vstack([c + rng.normal(scale=0.03, size=(4, n)) for c in centers])
+        pts = np.clip(np.vstack([pts, rng.uniform(-1, 1, size=(2, n))]), -1, 1)
+        yield FiniteCode(pts[rng.permutation(len(pts))], n, L, 0.002, 1.0, None)
+    n = 2
+    pts = rng.uniform(-1, 1, size=(6, n))
+    pts = np.vstack([pts, pts[[0, 0, 3, 5]], pts[[0]]])
+    yield FiniteCode(pts[rng.permutation(len(pts))], n, L, 0.01, 1.0, None)
+
+
+class TestListEngineOracle:
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_find_bad_lists_matches_scan(self, L):
+        rng = np.random.default_rng(100 + L)
+        for code in oracle_codes(L, rng):
+            want, _ = scan_subsets(code.points, L, code.n * code.N)
+            assert find_bad_lists(code) == want
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_min_avg_subset_matches_scan(self, L):
+        rng = np.random.default_rng(200 + L)
+        for code in oracle_codes(L, rng):
+            value, subset = min_avg_subset(code)
+            _, (want_value, want_subset) = scan_subsets(code.points, L, -math.inf)
+            assert subset == want_subset
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+
+    def test_candidate_budget(self, monkeypatch):
+        code = code_1d(np.linspace(0.0, 0.01, 12), N=1.0, L=3)
+        monkeypatch.setattr(construction, "SUBSET_BUDGET", 50)
+        with pytest.raises(BudgetError, match="candidate cliques"):
+            find_bad_lists(code)
 
 
 class TestMinAvgSubset:
@@ -136,6 +179,17 @@ class TestSampleCode:
         with pytest.raises(BudgetError, match=r"C\(\d+, 2\)"):
             sample_code(n=8, L=2, N=1e-5, K=1.0, rate_margin=-0.01, seed=0)
 
+    @pytest.mark.parametrize("n,L", [(6, 3), (5, 4)])
+    def test_threshold_density_frontier(self, n, L):
+        # C(M, L) is 2.9e10 at (6,3) and 4.4e12 at (5,4); the near-pair
+        # graph keeps both cheap
+        code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=0)
+        assert math.comb(code.M, L) > 10**10
+        bad = find_bad_lists(code)
+        clean = expurgate(code, bad)
+        assert bad and clean.expurgated_count > 0
+        assert find_bad_lists(clean) == []
+
     def test_achieved_rate(self):
         code = sample_code(n=4, L=2, N=0.005, K=1.0, rate_margin=-0.1, seed=0)
         assert achieved_rate(code) == pytest.approx(
@@ -159,6 +213,15 @@ class TestTile:
         clean = self.make_clean()
         with pytest.raises(ValueError):
             tile(clean, gap=0.9 * math.sqrt(4 * 0.005))
+
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_list_size_sets_minimum_gap(self, L):
+        code = code_1d([0.0], N=0.01, K=1.0, L=L)
+        g_min = L / (2 * math.sqrt(L - 1)) * 0.1
+        assert tile(code).gap == pytest.approx(1.01 * g_min, rel=1e-12)
+        assert tile(code, gap=g_min).gap == g_min
+        with pytest.raises(ValueError):
+            tile(code, gap=0.999 * g_min)
 
     def test_density_accounting_identity(self):
         clean = self.make_clean()
@@ -221,6 +284,74 @@ class TestVerifyPacking:
         cons = tile(code)  # gap = 1.01 * 0.1
         v = verify_packing(cons, 1.5 * cons.period)
         assert v.passed
+
+    def test_three_list_across_tiles_caught(self):
+        # At gap 1.01 * sqrt(nN) = 0.101, the L = 2 default, the list
+        # {0.998, 0.999, -0.999 + period} has avg_sq_radius 0.00929 < nN.
+        code = FiniteCode(points=[[0.998], [0.999], [-0.999]], n=1, L=3, N=0.01, K=1, seed=0)
+        with pytest.raises(ValueError):
+            tile(code, gap=0.101)
+        narrow = Constellation(base=code, gap=0.101)
+        v = verify_packing(narrow, 1.5 * narrow.period)
+        assert not v.passed
+        assert v.violation_base_indices == (0, 1, 2)
+        assert avg_sq_radius(PointList(v.violation)) == pytest.approx(0.083642 / 9, rel=1e-9)
+        wide = tile(code)
+        assert verify_packing(wide, 1.5 * wide.period).passed
+
+    @pytest.mark.parametrize("L,N,passed", [(2, 0.25, False), (5, 0.25, True)])
+    def test_gap_at_minimum_runs_exact_fallback(self, L, N, passed):
+        # points on the cube faces put the nearest cross-tile pair exactly
+        # 2 * g_min apart, so (L-1)/L^2 * D^2 = nN and the certificate is
+        # inconclusive; every quantity here is exact in binary
+        code = FiniteCode(points=[[1.0], [-1.0]], n=1, L=L, N=N, K=1.0, seed=None)
+        g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(N)
+        cons = tile(code, gap=g_min)
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert 4 * (L - 1) * v.min_cross_half_dist_sq == L * L * v.threshold
+        assert v.passed is passed
+        _, bad = window_bad_lists(cons, 1.5 * cons.period)
+        assert (not bad) is passed
+        if not passed:
+            # the cross-tile pair {-2, -1} at distance 1 has avg exactly nN
+            assert v.violation[:, 0].tolist() == [-2.0, -1.0]
+            assert v.violation_base_indices == (0, 1)
+
+    @staticmethod
+    def oracle_constellations(L, rng, count=16):
+        for trial in range(count):
+            if trial % 2:
+                n, N = 2, rng.uniform(0.01, 0.2)
+                pts = rng.uniform(-1, 1, size=(int(rng.integers(1, 4)), n))
+            else:
+                # a points near +1 and L - a near -1: no same-tile list is
+                # small, but across a narrow gap the two groups form one
+                n, N = 1, rng.uniform(0.005, 0.05)
+                a = int(rng.integers(1, L))
+                depth = rng.uniform(0, math.sqrt(N), size=L)
+                pts = np.concatenate([1 - depth[:a], depth[a:] - 1]).reshape(-1, 1)
+            code = FiniteCode(pts, n, L, N, 1.0, None)
+            g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(n * N)
+            gap = g_min * [0.3, 0.6, 1.0, 1.2][(trial // 2) % 4]
+            # only the constructor accepts a gap below the minimum
+            yield Constellation(base=code, gap=gap) if gap < g_min else tile(code, gap=gap)
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_matches_window_oracle(self, L):
+        rng = np.random.default_rng(300 + L)
+        kinds = set()
+        for cons in self.oracle_constellations(L, rng):
+            R = 1.5 * cons.period
+            v = verify_packing(cons, R)
+            pts, bad = window_bad_lists(cons, R)
+            assert v.window_points == len(pts)
+            assert v.passed == (not bad)
+            if not v.passed:
+                assert avg_sq_radius(PointList(v.violation)) <= v.threshold * (1 + 1e-12)
+                back = v.violation - cons.period * np.round(v.violation / cons.period)
+                assert np.allclose(back, cons.base.points[list(v.violation_base_indices)], atol=1e-12)
+            kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
+        assert {"pass", "cross-tile"} <= kinds
 
 
 class TestDensityReport:
