@@ -45,6 +45,8 @@ class FiniteCode:
             raise ValueError("L must be >= 2")
         if not self.N > 0 or not self.K > 0:
             raise ValueError("N and K must be positive")
+        if not np.isfinite(pts).all():
+            raise ValueError("coordinates must be finite")
         if pts.size and np.abs(pts).max() > self.K * (1.0 + 1e-12):
             raise ValueError("coordinates must lie in [-K, K]")
         pts.flags.writeable = False
@@ -67,8 +69,8 @@ class Constellation:
     gap: float
 
     def __post_init__(self):
-        if not self.gap > 0:
-            raise ValueError("gap must be positive")
+        if not 0 < self.gap < math.inf:
+            raise ValueError("gap must be positive and finite")
 
     @property
     def period(self) -> float:
@@ -349,6 +351,40 @@ def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     return pts
 
 
+def _min_cross_sq(c, pts, tiles, base_idx, diameter):
+    """Smallest squared distance between two window points of ``c`` in
+    different tiles, from differences (inf when they occupy fewer than two
+    tiles); ``diameter`` bounds the distance between any two of them.
+
+    Each point lies at depth K - |x - tile centre|_inf inside its tile's
+    cube, and two cubes are 2*gap apart in a coordinate that separates
+    them, so a cross-tile pair at distance d has
+    d >= 2*gap + depth(x) + depth(y).  The near pairs are therefore listed
+    only among the points of depth <= s, at radius r = 2*gap + s (at most
+    ``diameter``), with s doubling from twice the smallest depth.  Both carry
+    a small margin against rounding, so once a cross-tile pair lies within
+    r, every cross-tile pair within r has been listed and the smallest is
+    the minimum.  Same-tile pairs deep inside the tiles, which a plain
+    radius search lists in bulk when the gap is wide, are never visited.
+    """
+    if len(np.unique(tiles)) < 2:
+        return math.inf
+    depth = c.base.K - np.abs(c.base.points[base_idx]).max(axis=1)
+    tol = 1e-6 * c.period
+    s = max(2.0 * float(depth.min()), tol)
+    while True:
+        r = min(2.0 * c.gap + s, diameter)
+        band = np.flatnonzero(depth <= s + tol)
+        pairs = band[cKDTree(pts[band]).query_pairs(r * (1.0 + 1e-6), output_type="ndarray")]
+        pairs = pairs[tiles[pairs[:, 0]] != tiles[pairs[:, 1]]]
+        if len(pairs):
+            d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+            d2 = float(np.einsum("ij,ij->i", d, d).min())
+            if d2 <= r * r or r >= diameter:
+                return d2
+        s *= 2.0
+
+
 def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     """Check the packing property on a window around the origin.
 
@@ -366,6 +402,15 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     and the window is certified when that exceeds n*N.  Otherwise the exact
     fallback lists the window's L-subsets with average squared radius <= n*N
     as near-pair cliques and reports the first that spans tiles.
+
+    D comes from KD-tree near pairs, not from all W^2 window pairs.  Two
+    points of distinct tiles lie at least 2*gap + depth(x) + depth(y) apart,
+    where depth is a point's distance to the boundary of its tile's cube, and
+    no two window points lie more than 2*window_radius apart.  So the pairs
+    are listed at radius r = 2*gap + s, s doubling, among the points of depth
+    <= s only.  The first r that holds a cross-tile pair holds every
+    cross-tile pair at most that far apart, so D is exact; its square is taken
+    from coordinate differences.
     """
     code = c.base
     L = code.L
@@ -384,19 +429,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
             min_avg = value
             min_avg_rows = rows[list(subset)]
 
-    min_cross = math.inf
-    if W:
-        for start in range(0, W, 512):
-            stop = min(start + 512, W)
-            d2 = (
-                np.einsum("ij,ij->i", pts[start:stop], pts[start:stop])[:, None]
-                + np.einsum("ij,ij->i", pts, pts)[None, :]
-                - 2.0 * pts[start:stop] @ pts.T
-            )
-            cross = tiles[start:stop, None] != tiles[None, :]
-            if cross.any():
-                min_cross = min(min_cross, float(d2[cross].min()))
-    min_cross_half = min_cross / 4.0 if math.isfinite(min_cross) else math.inf
+    min_cross_half = _min_cross_sq(c, pts, tiles, base_idx, 2.0 * window_radius) / 4.0
 
     rows = None
     if min_avg <= thr:
@@ -419,15 +452,50 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     )
 
 
-def density_report(c: Constellation, P: float, mc_samples: int, seed, workers=None) -> DensityReport:
+def _ring_offsets(n, nonzero):
+    """The points of {-1, 0, 1}^n with at most ``nonzero`` nonzero coordinates."""
+    rows = []
+    for j in range(nonzero + 1):
+        for axes in itertools.combinations(range(n), j):
+            for signs in itertools.product((-1.0, 1.0), repeat=j):
+                k = np.zeros(n)
+                k[list(axes)] = signs
+                rows.append(k)
+    return np.array(rows)
+
+
+def _cell_samples(n, period, R, mc_samples, seed):
+    """Uniform samples of the ball of radius R, one chunk at a time, folded
+    into the cell [-period/2, period/2]^n."""
+    for chunk in range((mc_samples + CHUNK - 1) // CHUNK):
+        m = min(CHUNK, mc_samples - chunk * CHUNK)
+        rng = chunk_rng(seed, chunk)
+        g = rng.standard_normal(size=(m, n))
+        u = rng.random(size=m)
+        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        np.maximum(norms, 1e-300, out=norms)
+        y = g * (R * u ** (1.0 / n) / norms)[:, None]
+        y -= period * np.round(y / period)
+        yield y
+
+
+def density_report(c: Constellation, P: float, mc_samples: int, seed) -> DensityReport:
     """Monte Carlo estimate of the log fraction of space covered by noise
-    balls of radius sqrt(n*N) around the constellation.
+    balls of radius r = sqrt(n*N) around the constellation.
 
     Samples uniformly from the ball of radius sqrt(n*P), folds each sample
-    into the fundamental cell, and tests coverage against the base code
-    extended by one ring of neighbor tiles (equivalent to enumerating the
-    window around each sample, since the covering radius never exceeds the
-    gap).
+    into the cell [-period/2, period/2]^n, and tests coverage against the
+    base code and those of its translates by k*period, k in {-1, 0, 1}^n,
+    whose noise balls can reach the cell.  Translate k lies in
+    k*period + [-K, K]^n, so in each of its nnz(k) nonzero coordinates it is
+    at least period/2 - K = gap from the cell, and at least gap*sqrt(nnz(k))
+    away in all.  Only the translates with nnz(k)*gap^2 <= r^2 (with a small
+    relative margin against rounding) can cover a sample: just the base for
+    any gap above r, as tile() gives at L >= 3 and by default, and 1 + 2n
+    translates at gap = r.
+    Translates farther out never hold the nearest copy of a base point x:
+    |y_i - x_i| <= period/2 + K < 1.5*period in every coordinate.  Refuses
+    codes whose kept translates hold more than WINDOW_BUDGET points.
     """
     if not P > 0:
         raise ValueError("P must be positive")
@@ -438,27 +506,17 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed, workers=No
     n, M = code.n, code.M
     if M == 0:
         raise ValueError("empty base code")
-    if (3**n) * M > WINDOW_BUDGET:
-        raise BudgetError(f"neighbor ring 3^{n} * {M} exceeds the window budget")
-    Pd = c.period
     r_cov = math.sqrt(n * code.N)
-    R = math.sqrt(n * P)
-    ring = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) * Pd
-    ext = (ring[:, None, :] + code.points[None, :, :]).reshape(-1, n)
-    tree = cKDTree(ext)
-
+    nonzero = max(j for j in range(n + 1) if j * c.gap**2 <= r_cov**2 * (1.0 + 1e-9))
+    count = sum(math.comb(n, j) * 2**j for j in range(nonzero + 1))
+    if count * M > WINDOW_BUDGET:
+        raise BudgetError(f"{count} neighbor tiles * {M} points exceed the window budget")
+    offsets = _ring_offsets(n, nonzero) * c.period
+    tree = cKDTree((offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n))
     covered = 0
-    nchunks = (mc_samples + CHUNK - 1) // CHUNK
-    for chunk in range(nchunks):
-        m = min(CHUNK, mc_samples - chunk * CHUNK)
-        rng = chunk_rng(seed, chunk)
-        g = rng.standard_normal(size=(m, n))
-        u = rng.random(size=m)
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
-        np.maximum(norms, 1e-300, out=norms)
-        y = g * (R * u ** (1.0 / n) / norms)[:, None]
-        y -= Pd * np.round(y / Pd)
-        dmin, _ = tree.query(y, k=1)
+    for y in _cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
+        # samples with no point within the bound come back at distance inf
+        dmin, _ = tree.query(y, k=1, distance_upper_bound=r_cov * (1.0 + 1e-6))
         covered += int((dmin <= r_cov).sum())
 
     frac = covered / mc_samples

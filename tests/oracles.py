@@ -1,14 +1,17 @@
-"""Exhaustive references for the near-pair list engine and the verifier.
+"""Exhaustive references for the near-pair list engine, the verifier and the
+coverage Monte Carlo.
 
-Both scan every L-subset, so they are only for small inputs.
+They scan every L-subset, every window pair or every tile of the 3^n ring,
+so they are only for small inputs.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from multipack import enumerate_window
+from multipack import construction, enumerate_window
 
 COMBO_CHUNK = 200_000
 
@@ -55,3 +58,34 @@ def window_bad_lists(c, window_radius):
     pts = enumerate_window(c, np.zeros(code.n), window_radius)
     bad, _ = scan_subsets(pts, code.L, code.n * code.N)
     return pts, bad
+
+
+def cross_tile_min_sq_gram(c, window_radius):
+    """The smallest squared distance between window points of different
+    tiles, over all W^2 pairs in 512-row blocks of the Gram form
+    |x|^2 + |y|^2 - 2 x.y (inf with fewer than two tiles)."""
+    pts, tiles, _ = construction._window(c, np.zeros(c.base.n), window_radius)
+    best = math.inf
+    for start in range(0, len(pts), 512):
+        stop = min(start + 512, len(pts))
+        d2 = (
+            np.einsum("ij,ij->i", pts[start:stop], pts[start:stop])[:, None]
+            + np.einsum("ij,ij->i", pts, pts)[None, :]
+            - 2.0 * pts[start:stop] @ pts.T
+        )
+        cross = tiles[start:stop, None] != tiles[None, :]
+        if cross.any():
+            best = min(best, float(d2[cross].min()))
+    return best
+
+
+def ring_covered(c, P, mc_samples, seed):
+    """density_report's covered count, tested against the base code and all
+    3^n - 1 neighbour translates of it."""
+    code = c.base
+    n = code.n
+    ring = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) * c.period
+    tree = cKDTree((ring[:, None, :] + code.points[None, :, :]).reshape(-1, n))
+    r_cov = math.sqrt(n * code.N)
+    samples = construction._cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed)
+    return sum(int((tree.query(y, k=1)[0] <= r_cov).sum()) for y in samples)

@@ -23,7 +23,7 @@ from multipack import (
 )
 from multipack import construction
 from multipack.bounds import ExponentQuery
-from oracles import scan_subsets, window_bad_lists
+from oracles import cross_tile_min_sq_gram, ring_covered, scan_subsets, window_bad_lists
 
 
 def code_1d(points, N, K=10.0, L=2):
@@ -353,6 +353,22 @@ class TestVerifyPacking:
             kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
         assert {"pass", "cross-tile"} <= kinds
 
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    def test_cross_tile_distance_matches_gram_oracle(self, L):
+        rng = np.random.default_rng(400 + L)
+        spread = [Constellation(FiniteCode(rng.uniform(-1, 1, size=(25, n)), n, L, 0.01, 1.0, None), 0.1)
+                  for n in (2, 3)]
+        for cons in list(self.oracle_constellations(L, rng)) + spread:
+            code = cons.base
+            g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
+            # a gap wider than the cube keeps same-tile pairs closer than D
+            for c in (cons, tile(code, gap=g_min), tile(code, gap=2.5)):
+                # a window of radius 0.5 holds the base tile alone: D is inf
+                for R in (1.5 * c.period, 0.5):
+                    want = cross_tile_min_sq_gram(c, R) / 4
+                    got = verify_packing(c, R).min_cross_half_dist_sq
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestDensityReport:
     def test_single_point_code_is_exact(self):
@@ -389,8 +405,50 @@ class TestDensityReport:
         b = density_report(cons, 4.0, 10_000, seed=6)
         assert a.covered == b.covered
 
+    def test_covered_matches_full_ring_oracle(self):
+        cases = []
+        # the default gap exceeds sqrt(nN): only the base code can cover
+        for n, L, seed in ((4, 2, 3), (3, 3, 1)):
+            code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+            cases.append(tile(expurgate(code, find_bad_lists(code))))
+        # gap = sqrt(nN) at L = 2 with points on the cube faces: the 2n face
+        # neighbours are kept
+        faces = np.array([[1.0, 0.2, -0.3], [-1.0, 0.5, 0.0], [0.1, 1.0, 0.4], [0.3, -1.0, -1.0], [0.0, 0.0, 1.0]])
+        code = FiniteCode(faces, 3, 2, 0.05, 1.0, None)
+        r_cov = math.sqrt(3 * 0.05)
+        cases.append(tile(code, gap=r_cov))
+        # narrower gaps, which only the constructor accepts, keep the face,
+        # edge and corner neighbours in turn
+        cases += [Constellation(base=code, gap=f * r_cov) for f in (0.8, 0.6, 0.3)]
+        for c in cases:
+            rep = density_report(c, 9.0, 20_000, seed=5)
+            assert rep.covered == ring_covered(c, 9.0, 20_000, 5)
+
+    def test_high_dimension(self):
+        # the 3^12 ring would hold 5.3e8 points, over WINDOW_BUDGET; at the
+        # default gap only the base code can cover a sample
+        rng = np.random.default_rng(12)
+        code = FiniteCode(rng.uniform(-1, 1, size=(1000, 12)), 12, 2, 0.1, 1.0, None)
+        cons = tile(code)
+        rep = density_report(cons, 0.3, 2_000, seed=4)
+        samples = np.vstack(list(construction._cell_samples(12, cons.period, math.sqrt(12 * 0.3), 2_000, 4)))
+        d2 = ((samples[:, None, :] - code.points[None, :, :]) ** 2).sum(axis=2)
+        assert rep.covered == int((d2.min(axis=1) <= 12 * 0.1).sum()) > 0
+        with pytest.raises(BudgetError, match="neighbor tiles"):
+            density_report(Constellation(base=code, gap=0.1), 0.3, 2_000, seed=4)
+
 
 class TestFiniteCodeValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FiniteCode(points=np.array([[0.1], [bad], [0.2]]), n=1, L=2, N=0.01, K=1.0, seed=0)
+
+    @pytest.mark.parametrize("gap", [0.0, -0.1, math.nan, math.inf])
+    def test_constellation_rejects_bad_gap(self, gap):
+        with pytest.raises(ValueError, match="gap"):
+            Constellation(base=code_1d([0.0], N=0.01), gap=gap)
+
     def test_rejects_out_of_cube(self):
         with pytest.raises(ValueError):
             FiniteCode(points=np.array([[1.5]]), n=1, L=2, N=0.01, K=1.0, seed=None)

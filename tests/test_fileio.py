@@ -82,6 +82,13 @@ class TestCode:
         with pytest.raises(ParseError, match="# N="):
             fileio.read_code(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coordinates(self, tmp_path, bad):
+        p = tmp_path / "c.csv"
+        p.write_text(f"# n=2\n# L=2\n# N=0.01\n# K=1.0\n# expurgated=0\n0.1,0.2\n{bad},0.3\n")
+        with pytest.raises(ValueError, match="finite"):
+            fileio.read_code(p)
+
     def test_rejects_constellation_file(self, tmp_path):
         p = tmp_path / "cons.csv"
         fileio.write_constellation(p, tile(sample_fcode(), gap=0.4))
