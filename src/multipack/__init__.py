@@ -41,7 +41,6 @@ from .deviation import (
     laplace_check,
     mc_tail,
     mgf_log,
-    mgf_log_tensor,
     rate_function,
 )
 from .errors import BudgetError, ConvergenceWarning, ParseError
@@ -54,7 +53,6 @@ from .geometry import (
     avg_sq_radius,
     avg_sq_radius_spherical,
     chebyshev_radius,
-    chebyshev_radius_exact,
     pairwise_sq_dists,
     quadratic_form_g,
     rad_p,
@@ -87,7 +85,6 @@ __all__ = [
     "ball_log_volume_rate",
     "ball_log_volume_rate_finite",
     "chebyshev_radius",
-    "chebyshev_radius_exact",
     "density_report",
     "enumerate_window",
     "expurgate",
@@ -101,7 +98,6 @@ __all__ = [
     "ld_capacity",
     "mc_tail",
     "mgf_log",
-    "mgf_log_tensor",
     "min_avg_subset",
     "pairwise_sq_dists",
     "quadratic_form_g",

@@ -86,6 +86,23 @@ class Constellation:
 
 @dataclass(frozen=True)
 class PackingVerdict:
+    """Outcome of verify_packing on a window around the origin.
+
+    passed: no L-subset of the window has average squared radius <= threshold.
+    threshold: n*N.
+    window_points: constellation points in the window.
+    same_tile_lists: sum over the window's tiles of C(points in the tile, L),
+        the same-tile L-subsets the check covers (not subsets enumerated).
+    min_avg_radius_sq: smallest average squared radius over the L-subsets of
+        the origin tile's window points, which is the smallest same-tile one
+        (inf when fewer than L points).
+    min_cross_half_dist_sq: a quarter of the smallest squared distance between
+        window points of different tiles (inf with fewer than two tiles).
+    violation: the points of a violating list, None on a pass; a same-tile
+        violation is reported in the origin tile.
+    violation_base_indices: the base-code indices of those points.
+    """
+
     passed: bool
     threshold: float
     window_points: int
@@ -298,51 +315,36 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
 
 
 def _window(c: Constellation, center, radius: float):
-    """Constellation points in the closed ball, with tile and base indices."""
+    """Constellation points in the closed ball, with tile and base indices.
+
+    Raises ValueError unless 0 <= radius < inf and the centre is finite."""
     base = c.base.points
-    M, n = base.shape
-    if M == 0:
-        return np.empty((0, n)), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    n = c.base.n
+    center = np.asarray(center, dtype=float).reshape(n)
+    if not 0.0 <= radius < math.inf or not np.isfinite(center).all():
+        raise ValueError(
+            f"window needs a finite centre and a radius in [0, inf), got radius {radius!r}"
+        )
     P = c.period
     K = c.base.K
-    center = np.asarray(center, dtype=float).reshape(n)
-    los = np.ceil((center - radius - K) / P).astype(int)
-    his = np.floor((center + radius + K) / P).astype(int)
-    counts = np.maximum(his - los + 1, 0)
-    total = int(np.prod(counts, dtype=float)) if np.all(counts > 0) else 0
-    if np.prod(counts, dtype=float) > WINDOW_BUDGET:
-        raise BudgetError(
-            f"window spans {np.prod(counts, dtype=float):.3g} tiles, over the "
-            f"{WINDOW_BUDGET:.0e} budget"
-        )
-    if total == 0:
-        return np.empty((0, n)), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    pts_out, tiles_out, base_out = [], [], []
-    r2 = radius * radius
-    ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-    tile_iter = itertools.product(*ranges)
+    los = np.ceil((center - radius - K) / P)
+    his = np.floor((center + radius + K) / P)
+    tiles = np.prod(np.maximum(his - los + 1, 0))
+    if tiles > WINDOW_BUDGET:
+        raise BudgetError(f"window spans {tiles:.3g} tiles, over the {WINDOW_BUDGET:.0e} budget")
+    pts_out = [np.empty((0, n))]
+    tiles_out = [np.empty(0, dtype=np.intp)]
+    base_out = [np.empty(0, dtype=np.intp)]
+    tile_iter = itertools.product(*[range(int(lo), int(hi) + 1) for lo, hi in zip(los, his)])
     tile_id = 0
-    while True:
-        block = list(itertools.islice(tile_iter, 2048))
-        if not block:
-            break
-        offs = np.array(block, dtype=float) * P
-        cand = offs[:, None, :] + base[None, :, :]
-        d2 = ((cand - center) ** 2).sum(axis=2)
-        sel = d2 <= r2
-        if sel.any():
-            ti, bi = np.nonzero(sel)
-            pts_out.append(cand[ti, bi])
-            tiles_out.append(ti + tile_id)
-            base_out.append(bi)
+    for block in iter(lambda: list(itertools.islice(tile_iter, 2048)), []):
+        cand = np.array(block, dtype=float)[:, None, :] * P + base[None, :, :]
+        ti, bi = np.nonzero(((cand - center) ** 2).sum(axis=2) <= radius * radius)
+        pts_out.append(cand[ti, bi])
+        tiles_out.append(ti + tile_id)
+        base_out.append(bi)
         tile_id += len(block)
-    if not pts_out:
-        return np.empty((0, n)), np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return (
-        np.concatenate(pts_out),
-        np.concatenate(tiles_out),
-        np.concatenate(base_out).astype(np.intp),
-    )
+    return np.concatenate(pts_out), np.concatenate(tiles_out), np.concatenate(base_out)
 
 
 def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
@@ -388,8 +390,14 @@ def _min_cross_sq(c, pts, tiles, base_idx, diameter):
 def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     """Check the packing property on a window around the origin.
 
-    Same-tile lists are tested exactly: each tile's minimum average squared
-    radius comes from the near-pair clique listing of min_avg_subset.
+    Same-tile lists are tested exactly, on the origin tile alone.  A base
+    point x lies in [-K, K]^n, and in every nonzero coordinate of a tile
+    offset k, |x_i + k_i*period| >= period - K = K + 2*gap > |x_i|, so
+    |x + k*period| > |x|: whenever a translate of x lies in the window, so
+    does x.  Every tile's window points are thus a translate of a subset, by
+    base index, of the origin tile's, and the smallest same-tile average
+    squared radius is that of the origin tile's window points (those with
+    |x|_inf < period/2), from the near-pair clique listing of min_avg_subset.
 
     A list spanning tiles splits into a points inside one tile and L - a
     elsewhere, 1 <= a < L, and each of the a(L - a) >= L - 1 pairs across
@@ -403,37 +411,25 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     fallback lists the window's L-subsets with average squared radius <= n*N
     as near-pair cliques and reports the first that spans tiles.
 
-    D comes from KD-tree near pairs, not from all W^2 window pairs.  Two
-    points of distinct tiles lie at least 2*gap + depth(x) + depth(y) apart,
-    where depth is a point's distance to the boundary of its tile's cube, and
-    no two window points lie more than 2*window_radius apart.  So the pairs
-    are listed at radius r = 2*gap + s, s doubling, among the points of depth
-    <= s only.  The first r that holds a cross-tile pair holds every
-    cross-tile pair at most that far apart, so D is exact; its square is taken
-    from coordinate differences.
+    D is exact: _min_cross_sq finds it from KD-tree near pairs of the points
+    near their tiles' faces, not from all W^2 window pairs.  Raises
+    ValueError unless 0 <= window_radius < inf.
     """
     code = c.base
     L = code.L
     thr = code.n * code.N
     pts, tiles, base_idx = _window(c, np.zeros(code.n), window_radius)
-    W = len(pts)
 
-    min_avg = math.inf
-    min_avg_rows = None
-    same_tile_lists = 0
-    for t in np.unique(tiles):
-        rows = np.flatnonzero(tiles == t)
-        same_tile_lists += math.comb(len(rows), L)
-        value, subset = _min_list(pts[rows], L)
-        if value < min_avg:
-            min_avg = value
-            min_avg_rows = rows[list(subset)]
+    _, per_tile = np.unique(tiles, return_counts=True)
+    same_tile_lists = sum(math.comb(int(m), L) for m in per_tile)
+    origin = np.flatnonzero(np.abs(pts).max(axis=1) < c.period / 2.0)
+    min_avg, subset = _min_list(pts[origin], L)
 
     min_cross_half = _min_cross_sq(c, pts, tiles, base_idx, 2.0 * window_radius) / 4.0
 
     rows = None
     if min_avg <= thr:
-        rows = min_avg_rows
+        rows = origin[list(subset)]
     elif 4 * (L - 1) * min_cross_half <= L * L * thr:
         lists, _ = _near_lists(pts, L, thr)
         lt = tiles[lists]
@@ -443,7 +439,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     return PackingVerdict(
         passed=rows is None,
         threshold=thr,
-        window_points=W,
+        window_points=len(pts),
         same_tile_lists=same_tile_lists,
         min_avg_radius_sq=min_avg,
         min_cross_half_dist_sq=min_cross_half,

@@ -172,31 +172,6 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     return min(val, 0.0)
 
 
-def mgf_log_tensor(L: int, K: float, lam: float, quad_order: int = 64) -> float:
-    """Reference evaluation of mgf_log on the dense tensor product grid.
-
-    Accurate only while the Gaussian ridge width 1/sqrt(K^2*lam) is resolved
-    by the per-axis rule, so this serves as an independent cross-check at
-    moderate K^2*lam, not as the production path.
-    """
-    L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
-    if quad_order**L > 2 * 10**7:
-        raise BudgetError(f"tensor grid {quad_order}^{L} exceeds the 2e7 budget")
-    if lam == 0.0:
-        return 0.0
-    c = K * K * lam
-    x, w = _leggauss(quad_order)
-    grids = np.meshgrid(*([x] * L), indexing="ij")
-    T = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*([w] * L), indexing="ij")
-    wprod = np.ones(T.shape[0])
-    for g in wgrids:
-        wprod *= g.ravel()
-    form = np.einsum("ij,ij->i", T, T) - T.sum(axis=1) ** 2 / L
-    total = float(wprod @ np.exp(-c * form))
-    return min(math.log(total) - L * LOG2, 0.0)
-
-
 def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> LaplaceCheck:
     """Raw integral of exp(-K^2*lam*t'At) over the cube against its
     large-c saddle value (pi/c)^((L-1)/2) * 2*sqrt(L)."""

@@ -2,21 +2,19 @@
 
 Average squared radius in four algebraically equal forms, the Chebyshev
 (smallest enclosing ball) squared radius via an away-step conditional
-gradient solver with a duality-gap certificate, an exhaustive enclosing-ball
-oracle for small instances, power-mean relaxations between the two, and the
-spectral decomposition of the centering quadratic form.
+gradient solver with a duality-gap certificate, power-mean relaxations
+between the two, and the spectral decomposition of the centering quadratic form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceWarning
+from .errors import ConvergenceWarning
 
 AVG_FORMULAS = ("centroid", "norm_minus_center", "correlation", "pairwise")
 
@@ -262,58 +260,6 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
         iterations=iterations,
         converged=converged,
     )
-
-
-def _circumcenter(P: np.ndarray):
-    """Center equidistant from the rows of P within their affine hull.
-
-    Returns None when the points are affinely dependent (singular system).
-    """
-    if len(P) == 1:
-        return P[0]
-    V = P[1:] - P[0]
-    G = V @ V.T
-    b = 0.5 * np.einsum("ij,ij->i", V, V)
-    try:
-        alpha = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        return None
-    c = P[0] + alpha @ V
-    if not np.all(np.isfinite(c)):
-        return None
-    return c
-
-
-def chebyshev_radius_exact(pl: PointList) -> tuple[float, np.ndarray]:
-    """Exhaustive smallest-enclosing-ball oracle for small lists.
-
-    The optimal ball is the circumscribed ball of some affinely independent
-    subset of at most min(L, n+1) points, so enumerating every subset's
-    circumcenter and taking the smallest covering radius is exact up to
-    linear-solve round-off.  Refuses instances beyond L = 12 or subset size
-    6.  Returns (radius_sq, center).
-    """
-    X = pl.points
-    L, n = X.shape
-    m_max = min(L, n + 1)
-    if L > 12 or m_max > 6:
-        raise BudgetError(
-            f"oracle budget exceeded: L = {L}, subset size = {m_max} "
-            "(limits: L <= 12, min(L, n+1) <= 6)"
-        )
-    best = math.inf
-    best_center = X[0]
-    for m in range(1, m_max + 1):
-        for idx in itertools.combinations(range(L), m):
-            c = _circumcenter(X[list(idx)])
-            if c is None:
-                continue
-            diff = X - c
-            r2 = float(np.einsum("ij,ij->i", diff, diff).max())
-            if r2 < best:
-                best = r2
-                best_center = c
-    return best, np.array(best_center)
 
 
 def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) -> float:

@@ -23,7 +23,6 @@ from multipack import (
     avg_sq_radius,
     ball_log_volume_rate_finite,
     chebyshev_radius,
-    chebyshev_radius_exact,
     density_report,
     exponent_E,
     expurgate,
@@ -44,6 +43,7 @@ from multipack import (
     verify_packing,
 )
 from multipack.cli import main as cli_main
+from oracles import chebyshev_radius_exact
 
 
 def record(num, desc, ok, t0, budget_s):

@@ -110,6 +110,14 @@ class TestConstructVerify:
         rc, text, _ = run(["verify", str(cpath.with_name("nope.csv"))], capsys)
         assert rc == 2
 
+    @pytest.mark.parametrize("window", ["inf", "nan", "-1"])
+    def test_verify_rejects_bad_window(self, tmp_path, capsys, window):
+        cpath = tmp_path / "cons.csv"
+        fileio.write_constellation(cpath, tile(FiniteCode(np.zeros((1, 2)), 2, 2, 0.01, 1.0, None)))
+        rc, _, err = run(["verify", str(cpath), "--window", window], capsys)
+        assert rc == 2
+        assert "radius" in err
+
     def test_finite_code_failure(self, tmp_path, capsys):
         pts = np.array([[0.0], [0.05]])
         bad = FiniteCode(points=pts, n=1, L=2, N=0.01, K=1.0, seed=None)

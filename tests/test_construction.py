@@ -23,7 +23,13 @@ from multipack import (
 )
 from multipack import construction
 from multipack.bounds import ExponentQuery
-from oracles import cross_tile_min_sq_gram, ring_covered, scan_subsets, window_bad_lists
+from oracles import (
+    cross_tile_min_sq_gram,
+    ring_covered,
+    same_tile_min_per_tile,
+    scan_subsets,
+    window_bad_lists,
+)
 
 
 def code_1d(points, N, K=10.0, L=2):
@@ -368,6 +374,67 @@ class TestVerifyPacking:
                     want = cross_tile_min_sq_gram(c, R) / 4
                     got = verify_packing(c, R).min_cross_half_dist_sq
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def same_tile_constellations(L, rng, count=8):
+        # L..L+1 points in n = 1..3 (n <= 2 from L = 4 on, so the exhaustive
+        # window oracle stays small) at the default gap; every other code has
+        # L - 1 points planted near point 0, a same-tile violation
+        for trial in range(count):
+            n = 1 + trial % (3 if L <= 3 else 2)
+            N = rng.uniform(0.005, 0.05)
+            pts = rng.uniform(-1, 1, size=(int(rng.integers(L, L + 2)), n))
+            if trial % 2:
+                near = pts[0] + rng.normal(scale=0.3 * math.sqrt(N), size=(L - 1, n))
+                pts[1:L] = np.clip(near, -1, 1)
+            yield tile(FiniteCode(pts, n, L, N, 1.0, None))
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_same_tile_matches_per_tile_oracle(self, L):
+        rng = np.random.default_rng(500 + L)
+        kinds = set()
+        for cons in self.same_tile_constellations(L, rng):
+            code = cons.base
+            # the smaller windows cut through the origin tile
+            for R in [f * code.K * math.sqrt(code.n) for f in (0.3, 0.7, 1.0)] + [1.5 * cons.period]:
+                v = verify_packing(cons, R)
+                want, want_indices, lists = same_tile_min_per_tile(cons, R)
+                _, bad = window_bad_lists(cons, R)
+                assert v.passed == (not bad)
+                assert v.same_tile_lists == lists
+                if math.isinf(want):
+                    assert v.min_avg_radius_sq == math.inf
+                else:
+                    assert v.min_avg_radius_sq == pytest.approx(want, rel=1e-12, abs=0.0)
+                if v.min_avg_radius_sq <= v.threshold:
+                    assert v.violation_base_indices == want_indices
+                    assert np.array_equal(v.violation, code.points[list(v.violation_base_indices)])
+                kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
+        assert {"pass", "same-tile"} <= kinds
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_tile_minimum_is_the_base_minimum(self, seed):
+        # the origin tile holds the base code untranslated, so the minimum
+        # is min_avg_subset's bit for bit, not a rounded translated copy
+        code = sample_code(n=3, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+        cons = tile(expurgate(code, find_bad_lists(code)))
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert v.min_avg_radius_sq == min_avg_subset(cons.base)[0]
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_window_radius(self, radius):
+        code = sample_code(n=3, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=0)
+        cons = tile(expurgate(code, find_bad_lists(code)))
+        with pytest.raises(ValueError, match="radius"):
+            verify_packing(cons, radius)
+        with pytest.raises(ValueError, match="radius"):
+            enumerate_window(cons, np.zeros(3), radius)
+
+    def test_rejects_non_finite_window_centre(self):
+        cons = tile(code_1d([0.0], N=0.01, K=1.0))
+        with pytest.raises(ValueError, match="centre"):
+            enumerate_window(cons, [math.nan], 1.0)
+        assert len(enumerate_window(cons, np.zeros(1), 0.0)) == 1
 
 
 class TestDensityReport:

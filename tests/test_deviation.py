@@ -15,11 +15,11 @@ from multipack import (
     laplace_check,
     mc_tail,
     mgf_log,
-    mgf_log_tensor,
     rate_function,
 )
 from multipack.bounds import BoundQuery
 from multipack.deviation import cube_form_mean
+from oracles import mgf_log_tensor
 
 
 class TestMgfLog:

@@ -10,12 +10,12 @@ from multipack import (
     avg_sq_radius,
     avg_sq_radius_spherical,
     chebyshev_radius,
-    chebyshev_radius_exact,
     pairwise_sq_dists,
     quadratic_form_g,
     rad_p,
     spectral_pair,
 )
+from oracles import chebyshev_radius_exact
 
 
 def random_list(rng, L=None, n=None, scale=None):
