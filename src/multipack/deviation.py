@@ -89,49 +89,49 @@ def cube_form_mean(L: int, K: float) -> float:
 def _validate_quad_args(L, K, lam, quad_order):
     if L != int(L) or not 2 <= int(L) <= 5:
         raise BudgetError(f"quadrature supports 2 <= L <= 5, got L = {L}")
-    if not K > 0:
-        raise ValueError(f"K must be positive, got {K}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if quad_order < 16:
         raise ValueError(f"quad_order must be >= 16, got {quad_order}")
     return int(L), float(K), float(lam), int(quad_order)
 
 
 @lru_cache(maxsize=64)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _gauss_nodes(order: int):
+    """The order and 2*order Gauss-Legendre nodes, concatenated, and the weights (shared, read-only)."""
+    x1, w1 = np.polynomial.legendre.leggauss(order)
+    x2, w2 = np.polynomial.legendre.leggauss(2 * order)
+    X = np.concatenate([x1, x2])
+    X.flags.writeable = w1.flags.writeable = w2.flags.writeable = False
+    return X, w1, w2
 
 
-def _panel_quad(f, edges, order):
-    """Composite Gauss-Legendre over consecutive [edges[i], edges[i+1]] panels."""
-    x, w = _leggauss(order)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        total += half * float(w @ f(mid + half * x))
-    return total
-
-
-def _shoulder_integral(L: int, c: float, order: int) -> float:
-    """integral over mu of G(mu)^L, G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu)))/2.
+def _shoulder_integrals(L: int, c: float, order: int) -> tuple[float, float]:
+    """integral over mu of G(mu)^L, G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu)))/2,
+    by composite Gauss-Legendre at ``order`` and at ``2 * order`` nodes per panel.
 
     G is a smoothed indicator of [-1, 1] with shoulder width 1/sqrt(c), so
     the panels are pinned to the shoulders; the integrand is negligible
-    beyond 8 widths outside.
+    beyond 8 widths outside.  Both rules share one erf pass over all panels.
     """
     rc = math.sqrt(c)
-
-    def gpow(mu):
-        return (0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))) ** L
-
     w = 8.0 / rc
     if w < 0.5:
-        edges = [-1.0 - w, -1.0 + w, 1.0 - w, 1.0 + w]
+        edges = np.array([-1.0 - w, -1.0 + w, 1.0 - w, 1.0 + w])
     else:
-        edges = list(np.linspace(-(1.0 + w), 1.0 + w, 5))
-    return _panel_quad(gpow, edges, order)
+        edges = np.linspace(-(1.0 + w), 1.0 + w, 5)
+    X, w1, w2 = _gauss_nodes(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    mu = mid[:, None] + half[:, None] * X
+    gpow = (0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))) ** L
+    j1 = j2 = 0.0
+    for h, row in zip(half, gpow):
+        j1 += h * float(w1 @ row[:order])
+        j2 += h * float(w2 @ row[order:])
+    return j1, j2
 
 
 def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
@@ -147,16 +147,15 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
         G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu))) / 2,
 
     which holds for every c > 0.  J is evaluated by composite Gauss-Legendre
-    with ``quad_order`` nodes per panel; the value is recomputed at twice the
-    order and a ConvergenceWarning is raised if the two differ by more than
-    1e-9 (the doubled-order value is returned either way).
+    with ``quad_order`` and with twice as many nodes per panel in one pass;
+    every call compares the two and raises a ConvergenceWarning if they differ
+    by more than 1e-9 (the doubled-order value is returned either way).
     """
     L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
     if lam == 0.0:
         return 0.0
     c = K * K * lam
-    j1 = _shoulder_integral(L, c, quad_order)
-    j2 = _shoulder_integral(L, c, 2 * quad_order)
+    j1, j2 = _shoulder_integrals(L, c, quad_order)
     if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
         warnings.warn(
             f"quadrature not converged at order {quad_order}: "
@@ -175,7 +174,7 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
 def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> LaplaceCheck:
     """Raw integral of exp(-K^2*lam*t'At) over the cube against its
     large-c saddle value (pi/c)^((L-1)/2) * 2*sqrt(L)."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive for the asymptotic comparison")
     c = K * K * lam
     log_numeric = mgf_log(L, K, lam, quad_order) + int(L) * LOG2
@@ -254,7 +253,8 @@ def _tail_chunk(L, n, K, threshold, seed, chunk, count):
         nb = min(NBLOCK, n - j0)
         x = rng.uniform(-K, K, size=(count, L, nb))
         q += np.einsum("ilj,ilj->i", x, x)
-        s2 += np.einsum("ij,ij->i", x.sum(axis=1), x.sum(axis=1))
+        s = x.sum(axis=1)
+        s2 += np.einsum("ij,ij->i", s, s)
     stat = q - s2 / L
     return int((stat <= threshold).sum())
 
@@ -269,13 +269,13 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     streams, making the hit count a pure function of (seed, sample index)
     and bit-identical for every worker count.
     """
+    if not (float(L).is_integer() and L >= 2):
+        raise ValueError(f"L must be an integer >= 2, got {L}")
+    if not (float(n).is_integer() and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n}")
     L, n = int(L), int(n)
-    if L < 2:
-        raise ValueError("L must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not K > 0 or not N > 0:
-        raise ValueError("K and N must be positive")
+    if not (0 < K < math.inf and 0 < N < math.inf):
+        raise ValueError(f"K and N must be positive and finite, got K = {K}, N = {N}")
     if samples < 1000:
         raise ValueError(f"samples must be >= 1000, got {samples}")
     seed = check_seed(seed)

@@ -192,14 +192,15 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
     search on the 1-D quadratic.  Initial weights are uniform and argmax /
     argmin ties break to the lowest index.  Stops once the duality gap
     upper - lower drops to ``tol``; non-convergence within ``max_iters``
-    raises a ConvergenceWarning and the gap is reported as-is.
+    (by default 100 * L * max(1, ceil(ln(1/tol)))) raises a
+    ConvergenceWarning and the gap is reported as-is.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     X = pl.points
     L = pl.L
     if max_iters is None:
-        max_iters = 100 * L * math.ceil(math.log(1.0 / tol))
+        max_iters = 100 * L * max(1, math.ceil(math.log(1.0 / tol)))
     sq = np.einsum("ij,ij->i", X, X)
     z = np.full(L, 1.0 / L)
     iterations = 0
@@ -215,8 +216,7 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
         if gap <= tol or iterations == max_iters:
             break
         fw_gain = gap
-        active = np.flatnonzero(z > 0)
-        a = int(active[np.argmin(d[active])])
+        a = int(np.argmin(np.where(z > 0, d, np.inf)))
         aw_gain = lower - float(d[a])
         if fw_gain >= aw_gain:
             step_dir = X[s] - y
@@ -271,10 +271,10 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) ->
     the value is nondecreasing in p and approaches the squared Chebyshev
     radius as p grows.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     X = pl.points
     L = pl.L
     y = pl.centroid()
@@ -283,7 +283,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) ->
         diff = yv - X
         r2 = np.einsum("ij,ij->i", diff, diff)
         np.maximum(r2, 1e-300, out=r2)
-        obj = float(np.mean(r2**p))
+        obj = float((r2**p).sum() / L)
         grad = (2.0 * p / L) * (r2 ** (p - 1.0)) @ diff
         return obj, grad
 

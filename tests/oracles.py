@@ -1,20 +1,26 @@
 """Exhaustive references for the near-pair list engine, the verifier, the
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
-quadrature.
+quadrature, and the straightforward forms of the analysis kernels.
 
-They scan every L-subset, every window pair or tile, every tile of the 3^n
-ring, every circumscribed ball or a dense tensor grid, so they are only for
-small inputs.
+The exhaustive ones scan every L-subset, every window pair or tile, every
+tile of the 3^n ring, every circumscribed ball or a dense tensor grid, so
+they are only for small inputs.  The straightforward ones (one quadrature
+per order and panel, two coordinate sums per tail block, the away step over
+the active indices, the mean in rad_p) do the same arithmetic as the
+production kernels and must match them exactly.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.special import erf
 
-from multipack import BudgetError, construction, enumerate_window
-from multipack.deviation import LOG2, _leggauss, _validate_quad_args
+from multipack import BudgetError, ConvergenceWarning, construction, enumerate_window
+from multipack.deviation import LOG2, NBLOCK, _validate_quad_args
+from multipack.rng import CHUNK, chunk_rng
 
 COMBO_CHUNK = 200_000
 
@@ -177,7 +183,7 @@ def mgf_log_tensor(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     if lam == 0.0:
         return 0.0
     c = K * K * lam
-    x, w = _leggauss(quad_order)
+    x, w = np.polynomial.legendre.leggauss(quad_order)
     grids = np.meshgrid(*([x] * L), indexing="ij")
     T = np.stack([g.ravel() for g in grids], axis=1)
     wgrids = np.meshgrid(*([w] * L), indexing="ij")
@@ -187,3 +193,139 @@ def mgf_log_tensor(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     form = np.einsum("ij,ij->i", T, T) - T.sum(axis=1) ** 2 / L
     total = float(wprod @ np.exp(-c * form))
     return min(math.log(total) - L * LOG2, 0.0)
+
+
+def shoulder_integral_panels(L: int, c: float, order: int) -> float:
+    """The integral of G(mu)^L in mgf_log by composite Gauss-Legendre at one
+    order, one panel at a time."""
+    rc = math.sqrt(c)
+    x, wts = np.polynomial.legendre.leggauss(order)
+    w = 8.0 / rc
+    if w < 0.5:
+        edges = [-1.0 - w, -1.0 + w, 1.0 - w, 1.0 + w]
+    else:
+        edges = list(np.linspace(-(1.0 + w), 1.0 + w, 5))
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        mu = mid + half * x
+        total += half * float(wts @ (0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))) ** L)
+    return total
+
+
+def mgf_log_panels(L: int, K: float, lam: float, quad_order: int = 64) -> float:
+    """mgf_log with the integral evaluated separately at quad_order and at
+    twice the order, including the ConvergenceWarning."""
+    L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
+    if lam == 0.0:
+        return 0.0
+    c = K * K * lam
+    j1 = shoulder_integral_panels(L, c, quad_order)
+    j2 = shoulder_integral_panels(L, c, 2 * quad_order)
+    if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
+        warnings.warn(f"quadrature not converged at order {quad_order}", ConvergenceWarning)
+    val = (
+        -L * LOG2
+        + 0.5 * (L - 1) * (math.log(math.pi) - math.log(c))
+        + 0.5 * math.log(L)
+        + math.log(j2)
+    )
+    return min(val, 0.0)
+
+
+def tail_hits_two_sums(L, n, K, N, samples, seed):
+    """mc_tail's hit count, chunk by chunk on one thread, with the
+    coordinate sum of each block taken once per factor of its square."""
+    hits = 0
+    for chunk in range((samples + CHUNK - 1) // CHUNK):
+        count = min(CHUNK, samples - chunk * CHUNK)
+        rng = chunk_rng(seed, chunk)
+        q = np.zeros(count)
+        s2 = np.zeros(count)
+        for j0 in range(0, n, NBLOCK):
+            nb = min(NBLOCK, n - j0)
+            x = rng.uniform(-K, K, size=(count, L, nb))
+            q += np.einsum("ilj,ilj->i", x, x)
+            s2 += np.einsum("ij,ij->i", x.sum(axis=1), x.sum(axis=1))
+        hits += int((q - s2 / L <= L * n * N).sum())
+    return hits
+
+
+def chebyshev_radius_active(pl, tol: float = 1e-9):
+    """chebyshev_radius with the away vertex picked among the active
+    indices (flatnonzero, then argmin over them).  Returns (radius_sq,
+    lower, center, weights, iterations)."""
+    X = pl.points
+    L = pl.L
+    max_iters = 100 * L * math.ceil(math.log(1.0 / tol))
+    sq = np.einsum("ij,ij->i", X, X)
+    z = np.full(L, 1.0 / L)
+    for iterations in range(max_iters + 1):
+        y = z @ X
+        yy = float(y @ y)
+        d = sq - 2.0 * (X @ y) + yy
+        np.maximum(d, 0.0, out=d)
+        lower = float(z @ d)
+        s = int(np.argmax(d))
+        gap = float(d[s]) - lower
+        if gap <= tol or iterations == max_iters:
+            break
+        active = np.flatnonzero(z > 0)
+        a = int(active[np.argmin(d[active])])
+        aw_gain = lower - float(d[a])
+        if gap >= aw_gain:
+            step_dir = X[s] - y
+            denom = 2.0 * float(step_dir @ step_dir)
+            gamma = 1.0 if denom <= 0 else min(1.0, gap / denom)
+            z *= 1.0 - gamma
+            z[s] += gamma
+        else:
+            gmax = z[a] / max(1.0 - z[a], 1e-300)
+            step_dir = y - X[a]
+            denom = 2.0 * float(step_dir @ step_dir)
+            gamma = gmax if denom <= 0 else min(gmax, aw_gain / denom)
+            z *= 1.0 + gamma
+            z[a] -= gamma
+            if z[a] < 0:
+                z[a] = 0.0
+    z = np.maximum(z, 0.0)
+    z /= z.sum()
+    y = z @ X
+    d = sq - 2.0 * (X @ y) + float(y @ y)
+    np.maximum(d, 0.0, out=d)
+    return float(d.max()), float(z @ d), y, z, iterations
+
+
+def rad_p_mean(pl, p: float, tol: float = 1e-9, max_iters: int = 20000) -> float:
+    """rad_p with the objective taken as np.mean(r2**p); warnings are not
+    raised."""
+    X = pl.points
+    L = pl.L
+    y = pl.centroid()
+
+    def value_grad(yv):
+        diff = yv - X
+        r2 = np.einsum("ij,ij->i", diff, diff)
+        np.maximum(r2, 1e-300, out=r2)
+        return float(np.mean(r2**p)), (2.0 * p / L) * (r2 ** (p - 1.0)) @ diff
+
+    obj, grad = value_grad(y)
+    step = 1.0
+    for _ in range(max_iters):
+        gn2 = float(grad @ grad)
+        if math.sqrt(gn2) <= tol * (1.0 + obj):
+            break
+        step *= 2.0
+        while True:
+            y_new = y - step * grad
+            obj_new, grad_new = value_grad(y_new)
+            if obj_new <= obj - 0.5 * step * gn2 or step < 1e-300:
+                break
+            step *= 0.5
+        if obj - obj_new <= 1e-18 * (1.0 + obj):
+            if obj_new < obj:
+                obj = obj_new
+            break
+        y, obj, grad = y_new, obj_new, grad_new
+    return obj ** (1.0 / p)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +19,16 @@ from multipack import (
     rate_function,
 )
 from multipack.bounds import BoundQuery
-from multipack.deviation import cube_form_mean
-from oracles import mgf_log_tensor
+from multipack.deviation import _shoulder_integrals, cube_form_mean
+from oracles import mgf_log_panels, mgf_log_tensor, shoulder_integral_panels, tail_hits_two_sums
+
+
+def with_warnings(f, *args):
+    """f(*args) and the classes of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = f(*args)
+    return value, [w.category for w in caught]
 
 
 class TestMgfLog:
@@ -77,6 +86,26 @@ class TestMgfLog:
         with pytest.warns(ConvergenceWarning):
             mgf_log(2, 1.0, 5e6, quad_order=16)
 
+    @pytest.mark.parametrize("order", [16, 64, 96])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_matches_per_panel_oracle(self, L, order):
+        # the panels switch from 4 equal ones to 3 shoulder-pinned ones where
+        # the shoulder half-width 8/sqrt(c) drops below 0.5, i.e. at c = 256
+        for c in (1e-3, 0.7, 40.0, 255.0, 256.0, 257.0, 5e3, 1e6, 5e8):
+            assert _shoulder_integrals(L, c, order) == (
+                shoulder_integral_panels(L, c, order),
+                shoulder_integral_panels(L, c, 2 * order),
+            )
+        for K, lam in ((1.0, 0.3), (2.0, 16.0), (0.5, 1030.0), (4.0, 1e3), (1.0, 5e6)):
+            assert with_warnings(mgf_log, L, K, lam, order) == with_warnings(
+                mgf_log_panels, L, K, lam, order
+            )
+
+    @pytest.mark.parametrize("K, lam", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_rejects_non_finite_arguments(self, K, lam):
+        with pytest.raises(ValueError, match="finite"):
+            mgf_log(3, K, lam)
+
 
 class TestLaplace:
     @pytest.mark.parametrize("L", [2, 3, 4])
@@ -87,6 +116,13 @@ class TestLaplace:
         assert abs(r6 - 1.0) <= 0.003
         # convergence is from below and improves with the argument
         assert abs(r6 - 1.0) < abs(r4 - 1.0)
+
+    @pytest.mark.parametrize(
+        "K, lam, match", [(1.0, math.inf, "finite"), (math.inf, 1.0, "finite"), (1.0, math.nan, "positive")]
+    )
+    def test_rejects_non_finite_arguments(self, K, lam, match):
+        with pytest.raises(ValueError, match=match):
+            laplace_check(3, K, lam)
 
 
 class TestRateFunction:
@@ -111,6 +147,13 @@ class TestRateFunction:
     def test_not_rare_regime_rejected(self):
         with pytest.raises(ValueError, match="not rare"):
             rate_function(2, 1.0, 0.17)
+
+    @pytest.mark.parametrize(
+        "K, N, match", [(math.inf, 0.01, "finite"), (math.nan, 0.01, "positive"), (1.0, math.nan, "positive")]
+    )
+    def test_rejects_non_finite_arguments(self, K, N, match):
+        with pytest.raises(ValueError, match=match):
+            rate_function(3, K, N)
 
     def test_boundary_rate_vanishes(self):
         res = rate_function(2, 1.0, 0.1666, quad_order=64)
@@ -185,6 +228,24 @@ class TestMcTail:
             mc_tail(L=1, n=1, K=1.0, N=0.04, samples=5000, seed=0)
         with pytest.raises(ValueError):
             mc_tail(L=2, n=1, K=1.0, N=0.04, samples=5000, seed=-3)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(K=math.inf), dict(N=math.inf), dict(K=math.nan), dict(L=2.5), dict(n=2.5), dict(n=math.inf)],
+    )
+    def test_rejects_degenerate_arguments(self, kw):
+        args = dict(L=2, n=4, K=1.0, N=0.04, samples=5000, seed=0) | kw
+        with pytest.raises(ValueError):
+            mc_tail(**args)
+
+    @pytest.mark.parametrize("L, n", [(2, 1), (3, 16), (2, 300), (5, 129)])
+    def test_hits_match_two_sum_oracle(self, L, n):
+        # N at the mean of the form puts p near 1/2, so every sample counts;
+        # n = 300 spans three coordinate blocks, 9000 samples three chunks
+        N = cube_form_mean(L, 1.0) / L
+        est = mc_tail(L=L, n=n, K=1.0, N=N, samples=9000, seed=3, workers=2)
+        assert 0 < est.hits < est.samples
+        assert est.hits == tail_hits_two_sums(L, n, 1.0, N, 9000, 3)
 
     def test_probability_scales_with_threshold(self):
         small = mc_tail(L=2, n=2, K=1.0, N=0.01, samples=100_000, seed=4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,18 @@ from multipack import (
     rad_p,
     spectral_pair,
 )
-from oracles import chebyshev_radius_exact
+from oracles import chebyshev_radius_active, chebyshev_radius_exact, rad_p_mean
+
+
+def oracle_lists(seed, count):
+    """Random lists with L = 2..8 and n = 1..6, every fourth with its last
+    point a copy of its first."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        X = rng.normal(size=(2 + k % 7, 1 + (k // 7) % 6)) * rng.uniform(0.2, 4.0)
+        if k % 4 == 0:
+            X[-1] = X[0]
+        yield PointList(X)
 
 
 def random_list(rng, L=None, n=None, scale=None):
@@ -224,6 +237,30 @@ class TestChebyshev:
         res = chebyshev_radius(PointList(pts))
         assert res.radius_sq == pytest.approx(1.0, abs=1e-9)
 
+    def test_matches_active_set_oracle(self):
+        # the away vertex from argmin over a masked gap vector is the one
+        # argmin picks among the active indices, so every iterate is equal
+        for pl in oracle_lists(5, 280):
+            res = chebyshev_radius(pl)
+            radius_sq, lower, center, z, iterations = chebyshev_radius_active(pl)
+            assert (res.radius_sq, res.lower, res.iterations) == (radius_sq, lower, iterations)
+            assert np.array_equal(res.center, center)
+            assert np.array_equal(res.weights.z, z)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            chebyshev_radius(PointList(np.eye(2)), tol=tol)
+
+    def test_loose_tolerance_gets_an_iteration_budget(self):
+        # 100 * L * ceil(ln(1/tol)) is 0 for tol >= 1; the budget is clamped
+        # to its tol < 1 floor of 100 * L
+        pl = PointList(np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [3.0, 7.0]]))
+        res = chebyshev_radius(pl, tol=1.5)
+        assert res.converged
+        assert 0 < res.iterations <= 400
+        assert res.gap <= 1.5
+
 
 class TestRadP:
     def test_p1_is_avg(self):
@@ -256,3 +293,19 @@ class TestRadP:
         pl = PointList(np.zeros((2, 1)))
         with pytest.raises(ValueError):
             rad_p(pl, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            rad_p(PointList(np.eye(2)), p)
+
+    @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            rad_p(PointList(np.eye(2)), 2.0, tol=tol)
+
+    def test_matches_mean_oracle(self):
+        # sum / L is the reduce and division np.mean performs
+        for pl in oracle_lists(6, 140):
+            for p in (1.0, 2.5, 4.0):
+                assert rad_p(pl, p) == rad_p_mean(pl, p)
