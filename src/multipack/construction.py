@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import beta as beta_dist
 
 from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
 from .errors import BudgetError
-from .rng import CHUNK, check_seed, chunk_rng
+from .rng import CHUNK, _clopper_pearson, check_count, check_seed, chunk_rng
 
 SUBSET_BUDGET = 10**8  # candidate lists
 WINDOW_BUDGET = 10**7  # points or tiles held at once
@@ -493,10 +492,9 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     |y_i - x_i| <= period/2 + K < 1.5*period in every coordinate.  Refuses
     codes whose kept translates hold more than WINDOW_BUDGET points.
     """
-    if not P > 0:
-        raise ValueError("P must be positive")
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
+    if not 0 < P < math.inf:
+        raise ValueError(f"P must be positive and finite, got {P}")
+    mc_samples = check_count("mc_samples", mc_samples, 1)
     seed = check_seed(seed)
     code = c.base
     n, M = code.n, code.M
@@ -515,25 +513,12 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
         dmin, _ = tree.query(y, k=1, distance_upper_bound=r_cov * (1.0 + 1e-6))
         covered += int((dmin <= r_cov).sum())
 
-    frac = covered / mc_samples
-    alpha = 0.05
-    if covered == 0:
-        lo = 0.0
-        hi = 1.0 - (alpha / 2.0) ** (1.0 / mc_samples)
-        delta_hat = -math.inf
-    else:
-        lo = float(beta_dist.ppf(alpha / 2.0, covered, mc_samples - covered + 1))
-        hi = (
-            1.0
-            if covered == mc_samples
-            else float(beta_dist.ppf(1.0 - alpha / 2.0, covered + 1, mc_samples - covered))
-        )
-        delta_hat = math.log(frac) / n
+    lo, hi = _clopper_pearson(covered, mc_samples)
     return DensityReport(
         rate_nld=c.nld,
-        delta_hat=delta_hat,
+        delta_hat=math.log(covered / mc_samples) / n if covered else -math.inf,
         P_used=float(P),
-        mc_samples=int(mc_samples),
+        mc_samples=mc_samples,
         covered=covered,
         delta_ci_low=math.log(lo) / n if lo > 0 else -math.inf,
         delta_ci_high=math.log(hi) / n,

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 from scipy.special import erf
-from scipy.stats import beta as beta_dist
 
 from .errors import BudgetError, ConvergenceWarning
-from .rng import CHUNK, check_seed, chunk_rng, resolve_workers
+from .rng import CHUNK, _clopper_pearson, check_count, check_seed, chunk_rng, resolve_workers
 
 # coordinates are generated in blocks of this many dimensions per chunk;
 # fixed constant, part of the (seed, index) -> draw mapping
@@ -155,6 +155,10 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     if lam == 0.0:
         return 0.0
     c = K * K * lam
+    if not 0.0 < c < math.inf:
+        raise ValueError(
+            f"c = K^2 * lam must be a positive finite float, got {c!r} (K = {K!r}, lam = {lam!r})"
+        )
     j1, j2 = _shoulder_integrals(L, c, quad_order)
     if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
         warnings.warn(
@@ -186,62 +190,53 @@ def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> Laplace
     )
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunctionResult:
     """Cramer rate of the event {average squared radius <= n*N} per dimension.
 
-    Maximizes psi(lam) = -lam*L*N - mgf_log(lam) over lam >= 0 by golden
-    section after doubling the bracket until the objective is decreasing at
-    the right end.  The tail must be rare: L*N may not exceed the mean of
-    the per-coordinate form.
+    Maximizes psi(lam) = -lam*L*N - mgf_log(lam) over lam >= 0: the bracket
+    [0, hi] is doubled until psi is decreasing at hi, then one bounded Brent
+    search (scipy's ``minimize_scalar``, xatol 1e-10) finds the maximum.  The
+    rate is the search's own optimum value, and ``mgf_log_at_opt`` is derived
+    from it, so no quadrature follows the search.  ``iterations`` counts the
+    psi evaluations of bracket and search together.  The tail must be rare:
+    L*N may not exceed the mean of the per-coordinate form; at the mean
+    (within 1e-12 relative) Jensen gives psi <= 0, and the rate is exactly 0.
     """
+    L, K, _, quad_order = _validate_quad_args(L, K, 0.0, quad_order)
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    mean = cube_form_mean(int(L), K)
+    mean = cube_form_mean(L, K)
     if L * N > mean * (1.0 + 1e-12):
         raise ValueError(
             f"tail is not rare: L*N = {L * N!r} exceeds the cube mean "
             f"{mean!r} of the form; need N <= {mean / L!r}"
         )
+    if L * N >= mean * (1.0 - 1e-12):
+        return RateFunctionResult(rate=0.0, lambda_opt=0.0, mgf_log_at_opt=0.0, iterations=0)
 
-    def psi(lam):
-        if lam <= 0.0:
-            return 0.0
-        return -lam * L * N - mgf_log(L, K, lam, quad_order)
+    def neg_psi(lam):
+        return lam * L * N + mgf_log(L, K, lam, quad_order)
 
     hi = 4.0 * (L - 1) / (2.0 * L * N)
-    iterations = 0
+    evaluations = 0
     for _ in range(70):
-        iterations += 1
-        if psi(hi) < psi(0.99 * hi):
+        evaluations += 2
+        if neg_psi(hi) > neg_psi(0.99 * hi):
             break
         hi *= 2.0
-    lo = 0.0
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = psi(x1), psi(x2)
-    while hi - lo > 1e-10:
-        iterations += 1
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = psi(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = psi(x1)
-    lam_opt = 0.5 * (lo + hi)
-    val = psi(lam_opt)
-    if val <= 0.0:
-        return RateFunctionResult(rate=0.0, lambda_opt=0.0, mgf_log_at_opt=0.0, iterations=iterations)
-    mgf_at = mgf_log(L, K, lam_opt, quad_order)
+    res = minimize_scalar(neg_psi, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-10})
+    if not res.success:
+        warnings.warn(f"rate search did not converge: {res.message}", ConvergenceWarning)
+    evaluations += res.nfev
+    rate = -float(res.fun)
+    if rate <= 0.0:
+        return RateFunctionResult(rate=0.0, lambda_opt=0.0, mgf_log_at_opt=0.0, iterations=evaluations)
+    lam_opt = float(res.x)
     return RateFunctionResult(
-        rate=-(lam_opt * L * N + mgf_at),
+        rate=rate,
         lambda_opt=lam_opt,
-        mgf_log_at_opt=mgf_at,
-        iterations=iterations,
+        mgf_log_at_opt=-rate - lam_opt * L * N,
+        iterations=evaluations,
     )
 
 
@@ -276,8 +271,7 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     L, n = int(L), int(n)
     if not (0 < K < math.inf and 0 < N < math.inf):
         raise ValueError(f"K and N must be positive and finite, got K = {K}, N = {N}")
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
+    samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
     threshold = L * n * N
     nchunks = (samples + CHUNK - 1) // CHUNK
@@ -294,25 +288,15 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
             hits = sum(pool.map(run, range(nchunks)))
 
     p_hat = hits / samples
-    alpha = 0.05
-    if hits == 0:
-        ci_low = 0.0
-        ci_high = 1.0 - (alpha / 2.0) ** (1.0 / samples)
-        exponent_hat = -math.log(ci_high) / n  # lower bound: no hits observed
-    else:
-        ci_low = float(beta_dist.ppf(alpha / 2.0, hits, samples - hits + 1))
-        ci_high = (
-            1.0
-            if hits == samples
-            else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, samples - hits))
-        )
-        exponent_hat = -math.log(p_hat) / n
+    ci_low, ci_high = _clopper_pearson(hits, samples)
+    # with no hits the exponent is the lower bound the interval's ceiling gives
+    exponent_hat = -math.log(p_hat if hits else ci_high) / n
     return TailEstimate(
         L=L,
         n=n,
         K=float(K),
         N=float(N),
-        samples=int(samples),
+        samples=samples,
         hits=hits,
         p_hat=p_hat,
         exponent_hat=exponent_hat,

@@ -1,4 +1,5 @@
-"""Counter-based random streams and worker-count resolution.
+"""Counter-based random streams, worker-count resolution, and the exact
+binomial interval that the Monte Carlo estimators report.
 
 Randomized routines consume uniform draws in fixed-size chunks, each chunk
 coming from its own Philox generator keyed by (seed, chunk index).  A
@@ -12,6 +13,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy.stats import beta as beta_dist
 
 # Samples per chunk.  Fixed constant: changing it changes the draws.
 CHUNK = 4096
@@ -25,6 +27,26 @@ def check_seed(seed) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     return seed
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """Validate and return a sample count: an integer >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _clopper_pearson(hits: int, samples: int) -> tuple[float, float]:
+    """Two-sided 95% Clopper-Pearson interval for a binomial proportion, with
+    the closed form 1 - 0.025^(1/samples) as the ceiling when nothing hit."""
+    alpha = 0.05
+    if hits == 0:
+        return 0.0, 1.0 - (alpha / 2.0) ** (1.0 / samples)
+    lo = float(beta_dist.ppf(alpha / 2.0, hits, samples - hits + 1))
+    hi = 1.0 if hits == samples else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, samples - hits))
+    return lo, hi
 
 
 def chunk_rng(seed, chunk: int) -> np.random.Generator:

@@ -1,6 +1,7 @@
 """Exhaustive references for the near-pair list engine, the verifier, the
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
-quadrature, and the straightforward forms of the analysis kernels.
+quadrature, the golden-section rate search, and the straightforward forms
+of the analysis kernels.
 
 The exhaustive ones scan every L-subset, every window pair or tile, every
 tile of the 3^n ring, every circumscribed ball or a dense tensor grid, so
@@ -19,7 +20,14 @@ from scipy.spatial import cKDTree
 from scipy.special import erf
 
 from multipack import BudgetError, ConvergenceWarning, construction, enumerate_window
-from multipack.deviation import LOG2, NBLOCK, _validate_quad_args
+from multipack.deviation import (
+    LOG2,
+    NBLOCK,
+    RateFunctionResult,
+    _validate_quad_args,
+    cube_form_mean,
+    mgf_log,
+)
 from multipack.rng import CHUNK, chunk_rng
 
 COMBO_CHUNK = 200_000
@@ -232,6 +240,61 @@ def mgf_log_panels(L: int, K: float, lam: float, quad_order: int = 64) -> float:
         + math.log(j2)
     )
     return min(val, 0.0)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def rate_function_golden(L: int, K: float, N: float, quad_order: int = 64) -> RateFunctionResult:
+    """rate_function by golden section to a 1e-10 bracket after the same
+    bracket doubling, with a second quadrature at the optimum; ``iterations``
+    counts doubling steps and golden-section steps."""
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N}")
+    mean = cube_form_mean(int(L), K)
+    if L * N > mean * (1.0 + 1e-12):
+        raise ValueError(
+            f"tail is not rare: L*N = {L * N!r} exceeds the cube mean "
+            f"{mean!r} of the form; need N <= {mean / L!r}"
+        )
+
+    def psi(lam):
+        if lam <= 0.0:
+            return 0.0
+        return -lam * L * N - mgf_log(L, K, lam, quad_order)
+
+    hi = 4.0 * (L - 1) / (2.0 * L * N)
+    iterations = 0
+    for _ in range(70):
+        iterations += 1
+        if psi(hi) < psi(0.99 * hi):
+            break
+        hi *= 2.0
+    lo = 0.0
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = psi(x1), psi(x2)
+    while hi - lo > 1e-10:
+        iterations += 1
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = psi(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = psi(x1)
+    lam_opt = 0.5 * (lo + hi)
+    val = psi(lam_opt)
+    if val <= 0.0:
+        return RateFunctionResult(rate=0.0, lambda_opt=0.0, mgf_log_at_opt=0.0, iterations=iterations)
+    mgf_at = mgf_log(L, K, lam_opt, quad_order)
+    return RateFunctionResult(
+        rate=-(lam_opt * L * N + mgf_at),
+        lambda_opt=lam_opt,
+        mgf_log_at_opt=mgf_at,
+        iterations=iterations,
+    )
 
 
 def tail_hits_two_sums(L, n, K, N, samples, seed):

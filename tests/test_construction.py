@@ -504,6 +504,14 @@ class TestDensityReport:
         with pytest.raises(BudgetError, match="neighbor tiles"):
             density_report(Constellation(base=code, gap=0.1), 0.3, 2_000, seed=4)
 
+    @pytest.mark.parametrize(
+        "P, mc_samples, match", [(9.0, 1e4, "mc_samples"), (9.0, 2500.5, "mc_samples"), (math.inf, 10_000, "P")]
+    )
+    def test_rejects_bad_sample_settings(self, P, mc_samples, match):
+        cons = tile(code_1d([0.0], N=0.01, K=1.0))
+        with pytest.raises(ValueError, match=match):
+            density_report(cons, P, mc_samples, seed=0)
+
 
 class TestFiniteCodeValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -18,9 +18,20 @@ from multipack import (
     mgf_log,
     rate_function,
 )
+from multipack import deviation
 from multipack.bounds import BoundQuery
 from multipack.deviation import _shoulder_integrals, cube_form_mean
-from oracles import mgf_log_panels, mgf_log_tensor, shoulder_integral_panels, tail_hits_two_sums
+from oracles import (
+    mgf_log_panels,
+    mgf_log_tensor,
+    rate_function_golden,
+    shoulder_integral_panels,
+    tail_hits_two_sums,
+)
+
+# the analysis bench's rate_function grid
+RATE_GRID = [(L, K, N) for L in (2, 3, 4, 5) for K in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+             for N in (0.005, 0.01, 0.02, 0.05)]
 
 
 def with_warnings(f, *args):
@@ -101,7 +112,12 @@ class TestMgfLog:
                 mgf_log_panels, L, K, lam, order
             )
 
-    @pytest.mark.parametrize("K, lam", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf)])
+    # the last two have finite K and lam, but c = K^2 * lam overflows to inf
+    # or underflows to 0
+    @pytest.mark.parametrize(
+        "K, lam",
+        [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (1e200, 1.0), (1e-200, 1e-200)],
+    )
     def test_rejects_non_finite_arguments(self, K, lam):
         with pytest.raises(ValueError, match="finite"):
             mgf_log(3, K, lam)
@@ -149,7 +165,13 @@ class TestRateFunction:
             rate_function(2, 1.0, 0.17)
 
     @pytest.mark.parametrize(
-        "K, N, match", [(math.inf, 0.01, "finite"), (math.nan, 0.01, "positive"), (1.0, math.nan, "positive")]
+        "K, N, match",
+        [
+            (math.inf, 0.01, "finite"),
+            (math.nan, 0.01, "positive"),
+            (1.0, math.nan, "positive"),
+            (1e200, 0.01, "positive finite"),  # K^2 * lam overflows in the bracket search
+        ],
     )
     def test_rejects_non_finite_arguments(self, K, N, match):
         with pytest.raises(ValueError, match=match):
@@ -158,6 +180,48 @@ class TestRateFunction:
     def test_boundary_rate_vanishes(self):
         res = rate_function(2, 1.0, 0.1666, quad_order=64)
         assert 0 <= res.rate < 1e-6
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    @pytest.mark.parametrize("K", [0.5, 1.0, 2.0, 8.0])
+    def test_rate_is_zero_at_the_mean(self, L, K):
+        # Jensen: psi(lam) <= lam * (mean - L*N) = 0 at L*N = mean
+        res = rate_function(L, K, cube_form_mean(L, K) / L)
+        assert (res.rate, res.lambda_opt, res.mgf_log_at_opt) == (0.0, 0.0, 0.0)
+
+    @staticmethod
+    def assert_matches_golden(L, K, N):
+        res = rate_function(L, K, N, quad_order=96)
+        ref = rate_function_golden(L, K, N, quad_order=96)
+        assert res.rate == pytest.approx(ref.rate, rel=1e-12, abs=1e-15)
+        assert res.lambda_opt == pytest.approx(ref.lambda_opt, rel=1e-6)
+        assert res.rate == pytest.approx(-(res.lambda_opt * L * N + res.mgf_log_at_opt), rel=1e-12)
+        # derived from the optimum value, yet the quadrature at lambda_opt
+        assert res.mgf_log_at_opt == pytest.approx(mgf_log(L, K, res.lambda_opt, 96), abs=1e-12)
+        return res
+
+    def test_matches_golden_section_on_bench_grid(self):
+        # the flat maximum leaves lambda_opt resolved to about 1e-7 relative
+        # by either search; the rate agrees to rounding
+        evaluations = [self.assert_matches_golden(L, K, N).iterations for L, K, N in RATE_GRID]
+        assert max(evaluations) <= 30
+
+    def test_matches_golden_section_at_random_points(self):
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            L = int(rng.integers(2, 6))
+            K = float(np.exp(rng.uniform(math.log(0.3), math.log(40.0))))
+            N = cube_form_mean(L, K) / L * float(np.exp(rng.uniform(math.log(1e-4), math.log(0.999))))
+            self.assert_matches_golden(L, K, N)
+
+    def test_unconverged_search_warns(self, monkeypatch):
+        search = deviation.minimize_scalar
+
+        def capped(*args, **kwargs):
+            return search(*args, **kwargs | {"options": {"xatol": 1e-10, "maxiter": 3}})
+
+        monkeypatch.setattr(deviation, "minimize_scalar", capped)
+        with pytest.warns(ConvergenceWarning, match="rate search"):
+            rate_function(3, 4.0, 0.01)
 
     def test_cube_form_mean(self):
         # E (t - tbar)^2 summed over the list, per coordinate
@@ -237,6 +301,11 @@ class TestMcTail:
         args = dict(L=2, n=4, K=1.0, N=0.04, samples=5000, seed=0) | kw
         with pytest.raises(ValueError):
             mc_tail(**args)
+
+    @pytest.mark.parametrize("samples", [1e4, 2500.5, math.inf])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            mc_tail(L=2, n=4, K=1.0, N=0.04, samples=samples, seed=0)
 
     @pytest.mark.parametrize("L, n", [(2, 1), (3, 16), (2, 300), (5, 129)])
     def test_hits_match_two_sum_oracle(self, L, n):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multipack.rng import CHUNK, check_seed, chunk_rng, resolve_workers
+from multipack.rng import CHUNK, _clopper_pearson, check_count, check_seed, chunk_rng, resolve_workers
 
 
 def test_check_seed_range():
@@ -41,3 +41,23 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("MULTIPACK_THREADS")
     # zero or negative requests mean "use all cores"
     assert resolve_workers(0) >= 1
+
+
+def test_check_count():
+    assert check_count("samples", 1000, 1000) == 1000
+    assert check_count("samples", np.int64(5), 1) == 5
+    for bad in (999, 1e4, 2500.5, float("inf"), None):
+        with pytest.raises(ValueError, match="samples"):
+            check_count("samples", bad, 1000)
+
+
+def test_clopper_pearson_interval():
+    # no hits: closed form 1 - 0.025^(1/n); all hits: the mirror image
+    assert _clopper_pearson(0, 100) == (0.0, 1.0 - 0.025 ** (1.0 / 100))
+    lo, hi = _clopper_pearson(100, 100)
+    assert hi == 1.0 and lo == pytest.approx(0.025 ** (1.0 / 100), rel=1e-12)
+    for hits, samples in ((1, 10), (36, 100), (999, 1000)):
+        lo, hi = _clopper_pearson(hits, samples)
+        assert 0.0 < lo < hits / samples < hi <= 1.0
+        mirror = _clopper_pearson(samples - hits, samples)
+        assert (lo, hi) == pytest.approx((1.0 - mirror[1], 1.0 - mirror[0]), rel=1e-12)
