@@ -87,7 +87,9 @@ def cube_form_mean(L: int, K: float) -> float:
 
 
 def _validate_quad_args(L, K, lam, quad_order):
-    if L != int(L) or not 2 <= int(L) <= 5:
+    if not (float(L).is_integer() and L >= 2):
+        raise ValueError(f"L must be an integer >= 2, got {L}")
+    if L > 5:
         raise BudgetError(f"quadrature supports 2 <= L <= 5, got L = {L}")
     if not 0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")

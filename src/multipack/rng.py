@@ -60,7 +60,10 @@ def resolve_workers(workers=None) -> int:
     env = os.environ.get("MULTIPACK_THREADS", "").strip()
     cap = None
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"MULTIPACK_THREADS must be an integer, got {env!r}") from None
         if cap <= 0:
             cap = os.cpu_count() or 1
     if workers is None:

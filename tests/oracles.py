@@ -7,8 +7,9 @@ The exhaustive ones scan every L-subset, every window pair or tile, every
 tile of the 3^n ring, every circumscribed ball or a dense tensor grid, so
 they are only for small inputs.  The straightforward ones (one quadrature
 per order and panel, two coordinate sums per tail block, the away step over
-the active indices, the mean in rad_p) do the same arithmetic as the
-production kernels and must match them exactly.
+the active indices, the mean in rad_p, a tree query for every coverage
+sample) do the same arithmetic as the production kernels and must match
+them exactly.
 """
 
 import itertools
@@ -124,6 +125,23 @@ def ring_covered(c, P, mc_samples, seed):
     r_cov = math.sqrt(n * code.N)
     samples = construction._cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed)
     return sum(int((tree.query(y, k=1)[0] <= r_cov).sum()) for y in samples)
+
+
+def tree_covered(c, P, mc_samples, seed):
+    """density_report's covered count with every sample queried against the
+    base code and its kept translates (no cell prefilter)."""
+    code = c.base
+    n = code.n
+    r_cov = math.sqrt(n * code.N)
+    nonzero = max(j for j in range(n + 1) if j * c.gap**2 <= r_cov**2 * (1.0 + 1e-9))
+    offsets = construction._ring_offsets(n, nonzero) * c.period
+    tree = cKDTree((offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n))
+    covered = 0
+    for y in construction._cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
+        # samples with no point within the bound come back at distance inf
+        dmin, _ = tree.query(y, k=1, distance_upper_bound=r_cov * (1.0 + 1e-6))
+        covered += int((dmin <= r_cov).sum())
+    return covered
 
 
 def _circumcenter(P: np.ndarray):

@@ -156,6 +156,12 @@ class TestTailRatefn:
         assert "budget" in err
 
 
+    def test_invalid_list_size_is_usage_error(self, capsys):
+        rc, _, err = run(["ratefn", "--L", "1", "--K", "1", "--N", "0.01"], capsys)
+        assert rc == 2
+        assert err.startswith("error: L must be an integer >= 2")
+
+
 class TestRadius:
     def test_modes(self, tmp_path, capsys):
         pts = fileio.PointList(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))

@@ -28,6 +28,7 @@ from oracles import (
     ring_covered,
     same_tile_min_per_tile,
     scan_subsets,
+    tree_covered,
     window_bad_lists,
 )
 
@@ -503,6 +504,48 @@ class TestDensityReport:
         assert rep.covered == int((d2.min(axis=1) <= 12 * 0.1).sum()) > 0
         with pytest.raises(BudgetError, match="neighbor tiles"):
             density_report(Constellation(base=code, gap=0.1), 0.3, 2_000, seed=4)
+
+    # The cell prefilter only removes tree queries, so the counts are equal
+    # to those of the tree alone; 6000 samples are one and a partial chunk.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_covered_equals_tree_oracle_on_expurgated_codes(self, n, L):
+        code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=10 * n + L)
+        c = tile(expurgate(code, find_bad_lists(code)))
+        rep = density_report(c, 9.0, 6_000, seed=5)
+        assert rep.covered == tree_covered(c, 9.0, 6_000, 5)
+
+    @pytest.mark.parametrize("factor", [1.0, 0.8, 0.6, 0.3])
+    def test_covered_equals_tree_oracle_with_translates(self, factor):
+        # points on the cube's faces, edges and corners, so that the face,
+        # edge and corner translates kept at narrower gaps reach into the cell
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(-1.0, 1.0, size=(40, 3))
+        pts[:30, :] = np.where(rng.random((30, 3)) < 0.5, np.sign(pts[:30, :]), pts[:30, :])
+        pts[30:34] = [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0]]
+        code = FiniteCode(pts, 3, 2, 0.05, 1.0, None)
+        r_cov = math.sqrt(3 * 0.05)
+        c = Constellation(base=code, gap=factor * r_cov)
+        rep = density_report(c, 9.0, 20_001, seed=8)
+        assert 0 < rep.covered == tree_covered(c, 9.0, 20_001, 8)
+
+    def test_covered_equals_tree_oracle_on_projected_table(self):
+        # at n = 8 the cells of side sqrt(nN) number more than WINDOW_BUDGET,
+        # so the table covers only the first axes; the points fill one
+        # orthant, so samples in the others are ruled out by the table
+        rng = np.random.default_rng(30)
+        code = FiniteCode(rng.uniform(0, 1, size=(2000, 8)), 8, 2, 0.015, 1.0, None)
+        c = tile(code)
+        assert (c.period / math.sqrt(8 * 0.015)) ** 8 > construction.WINDOW_BUDGET
+        rep = density_report(c, 0.125, 20_000, seed=3)
+        assert 0 < rep.covered == tree_covered(c, 0.125, 20_000, 3)
+
+    def test_covered_equals_tree_oracle_without_table_axes(self):
+        # one axis alone would need 6e9 cells: every sample goes to the tree
+        code = code_1d([-1.0, 0.0, 0.3, 1.0], N=1e-19, K=1.0)
+        c = tile(code)
+        rep = density_report(c, 1.0, 5_000, seed=2)
+        assert rep.covered == tree_covered(c, 1.0, 5_000, 2)
 
     @pytest.mark.parametrize(
         "P, mc_samples, match", [(9.0, 1e4, "mc_samples"), (9.0, 2500.5, "mc_samples"), (math.inf, 10_000, "P")]

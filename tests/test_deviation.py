@@ -87,6 +87,12 @@ class TestMgfLog:
         with pytest.raises(ValueError):
             mgf_log(2, 1.0, 1.0, quad_order=8)
 
+    @pytest.mark.parametrize("L", [2.5, 1, 0])
+    def test_rejects_invalid_list_size(self, L):
+        # malformed input is a ValueError, not a budget to fall back from
+        with pytest.raises(ValueError, match="L must be an integer >= 2"):
+            mgf_log(L, 1.0, 1.0)
+
     def test_list_size_budget(self):
         with pytest.raises(BudgetError):
             mgf_log(6, 1.0, 1.0)

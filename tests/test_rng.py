@@ -43,6 +43,13 @@ def test_resolve_workers(monkeypatch):
     assert resolve_workers(0) >= 1
 
 
+@pytest.mark.parametrize("value", ["1.5", "abc"])
+def test_resolve_workers_rejects_malformed_cap(monkeypatch, value):
+    monkeypatch.setenv("MULTIPACK_THREADS", value)
+    with pytest.raises(ValueError, match=f"MULTIPACK_THREADS must be an integer, got '{value}'"):
+        resolve_workers(None)
+
+
 def test_check_count():
     assert check_count("samples", 1000, 1000) == 1000
     assert check_count("samples", np.int64(5), 1) == 5
