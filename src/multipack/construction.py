@@ -492,15 +492,14 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     |y_i - x_i| <= period/2 + K < 1.5*period in every coordinate.  Refuses
     codes whose kept translates hold more than WINDOW_BUDGET points.
 
-    A table of cells of side h = r*(1 + 1e-6) rules samples out before the
-    tree is asked.  A sample y within r of a point x has
-    |y_i - x_i| <= r < h, so y's cell is within one cell of x's on every
-    axis; the table marks each kept point's cell and its neighbours, and a
-    sample in an unmarked cell is uncovered.  When the cells of all n axes
-    would exceed WINDOW_BUDGET, the table covers the first axes that fit,
-    which still only rules out uncovered samples.  The tree decides every
-    sample in a marked cell, so the count equals that of querying the tree
-    for every sample.
+    When the cells of side h = r*(1 + 1e-6) over all n axes fit in
+    WINDOW_BUDGET, a table of them rules samples out before the tree is
+    asked.  A sample y within r of a point x has |y_i - x_i| <= r < h, so
+    y's cell is within one cell of x's on every axis; the table marks each
+    kept point's cell and its neighbours, and a sample in an unmarked cell
+    is uncovered.  The tree decides every sample in a marked cell (and every
+    sample when there is no table), so the count equals that of querying
+    the tree for every sample.
     """
     if not 0 < P < math.inf:
         raise ValueError(f"P must be positive and finite, got {P}")
@@ -519,28 +518,29 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     pts = (offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n)
     tree = cKDTree(pts)
     h = r_cov * (1.0 + 1e-6)
-    # cells of side h over the points and the cell, on the first d axes that
-    # fit in WINDOW_BUDGET cells; a spare cell on each side holds the samples
-    # that rounding in the fold leaves just outside the cell
+    # cells of side h over the points and the cell; a spare cell on each side
+    # holds the samples that rounding in the fold leaves just outside the cell
     corner = np.minimum(pts.min(axis=0), -c.period / 2.0) - h
     shape = ((np.maximum(pts.max(axis=0), c.period / 2.0) - corner) / h).astype(np.intp) + 2
-    d = int(np.searchsorted(np.cumprod(shape.astype(float)), WINDOW_BUDGET, side="right"))
-    strides = np.array([math.prod(shape[j + 1 : d]) for j in range(d)], dtype=np.intp)
+    near = None
+    if math.prod(shape.astype(float)) <= WINDOW_BUDGET:
+        strides = np.array([math.prod(shape[j + 1 :]) for j in range(n)], dtype=np.intp)
 
-    def cells(v):
-        return ((v[:, :d] - corner[:d]) / h).astype(np.intp) @ strides
+        def cells(v):
+            return ((v - corner) / h).astype(np.intp) @ strides
 
-    table = np.zeros(shape[:d], dtype=bool)
-    table.reshape(-1)[cells(pts)] = True
-    for axis in range(d):
-        t = np.moveaxis(table, axis, 0)
-        src = t.copy()
-        t[1:] |= src[:-1]
-        t[:-1] |= src[1:]
-    near = table.reshape(-1)
+        table = np.zeros(shape, dtype=bool)
+        table.reshape(-1)[cells(pts)] = True
+        for axis in range(n):
+            t = np.moveaxis(table, axis, 0)
+            src = t.copy()
+            t[1:] |= src[:-1]
+            t[:-1] |= src[1:]
+        near = table.reshape(-1)
     covered = 0
     for y in _cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
-        y = y[near[cells(y)]]
+        if near is not None:
+            y = y[near[cells(y)]]
         # samples with no point within the bound come back at distance inf
         dmin, _ = tree.query(y, k=1, distance_upper_bound=h)
         covered += int((dmin <= r_cov).sum())

@@ -11,6 +11,7 @@ Carlo estimate with an exact binomial confidence interval.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -242,13 +243,20 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     )
 
 
-def _tail_chunk(L, n, K, threshold, seed, chunk, count):
+def _tail_chunk(L, n, K, threshold, seed, chunk, count, buf):
+    """Hits in one chunk; ``buf`` holds at least count * L * min(n, NBLOCK)
+    floats and is overwritten."""
     rng = chunk_rng(seed, chunk)
     q = np.zeros(count)
     s2 = np.zeros(count)
     for j0 in range(0, n, NBLOCK):
         nb = min(NBLOCK, n - j0)
-        x = rng.uniform(-K, K, size=(count, L, nb))
+        x = buf[: count * L * nb].reshape(count, L, nb)
+        # the draws and arithmetic of rng.uniform(-K, K, size=x.shape):
+        # -K + (K - (-K)) * U, with U the standard uniform stream
+        rng.random(out=x)
+        x *= 2.0 * K
+        x -= K
         q += np.einsum("ilj,ilj->i", x, x)
         s = x.sum(axis=1)
         s2 += np.einsum("ij,ij->i", s, s)
@@ -277,10 +285,14 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     seed = check_seed(seed)
     threshold = L * n * N
     nchunks = (samples + CHUNK - 1) // CHUNK
+    # one block buffer per worker thread, reused for every chunk it runs
+    local = threading.local()
 
     def run(chunk):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty(CHUNK * L * min(n, NBLOCK))
         count = min(CHUNK, samples - chunk * CHUNK)
-        return _tail_chunk(L, n, K, threshold, seed, chunk, count)
+        return _tail_chunk(L, n, K, threshold, seed, chunk, count, local.buf)
 
     w = resolve_workers(workers)
     if w == 1 or nchunks == 1:

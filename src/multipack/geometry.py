@@ -1,9 +1,9 @@
 """Radius calculus for L-point lists in R^n.
 
 Average squared radius in four algebraically equal forms, the Chebyshev
-(smallest enclosing ball) squared radius via an away-step conditional
-gradient solver with a duality-gap certificate, power-mean relaxations
-between the two, and the spectral decomposition of the centering quadratic form.
+(smallest enclosing ball) squared radius via an active-set solver with a
+duality-gap certificate, power-mean relaxations between the two (damped
+Newton), and the spectral decomposition of the centering quadratic form.
 """
 
 from __future__ import annotations
@@ -184,65 +184,113 @@ def spectral_pair(L: int) -> SpectralPair:
     return SpectralPair(A=A, U=U, D=D)
 
 
+def _circumcentre_weights(P: np.ndarray) -> np.ndarray:
+    """Affine weights (summing to 1) over the rows of P of the point in their
+    affine hull that is equidistant from all of them.  The rows must be
+    affinely independent."""
+    if len(P) == 1:
+        return np.ones(1)
+    B = (P[1:] - P[0]).T
+    R = np.linalg.qr(B, mode="r")
+    # c = P[0] + B beta with 2 b_j.(c - P[0]) = |b_j|^2 for every column b_j
+    # of B: (R^T R) beta = |b|^2 / 2, through the triangular factor so the
+    # conditioning is that of B, not of its Gram matrix
+    beta = np.linalg.solve(R, np.linalg.solve(R.T, 0.5 * np.einsum("ij,ij->j", B, B)))
+    return np.concatenate(([1.0 - beta.sum()], beta))
+
+
+def _hull_dependence(P: np.ndarray) -> np.ndarray | None:
+    """When the last row of P lies in the affine hull of the others (which
+    must be affinely independent), the vector v with v[-1] = 1, sum(v) = 0 and
+    sum_i v_i P_i = 0; otherwise None.
+
+    The last row counts as in the hull when its distance from it is at most
+    1e-10 of its distance from P[0], or when the other rows already span
+    every axis.
+    """
+    B = (P[1:] - P[0]).T
+    k = B.shape[1] - 1
+    R = np.linalg.qr(B, mode="r")
+    if k < B.shape[0] and abs(R[k, k]) > 1e-10 * math.sqrt(float(B[:, k] @ B[:, k])):
+        return None
+    gamma = np.linalg.solve(R[:k, :k], R[:k, k])
+    return np.concatenate(([gamma.sum() - 1.0], -gamma, [1.0]))
+
+
+def _step_to_face(z: np.ndarray, S: list, dz: np.ndarray, cap: float) -> list:
+    """Moves z[S] by t * dz for the largest t <= cap that keeps z >= 0, sets
+    the weight that reaches 0 first (when t < cap) to exactly 0, and returns
+    the indices of S whose weight stays positive."""
+    zS = z[S]
+    out = np.flatnonzero(dz < 0)
+    ratios = zS[out] / -dz[out]
+    t = min(cap, float(ratios.min(initial=math.inf)))
+    z[S] = np.maximum(zS + t * dz, 0.0)
+    if t < cap:
+        z[S[out[np.argmin(ratios)]]] = 0.0
+    return [i for i in S if z[i] > 0]
+
+
 def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = None) -> ChebResult:
     """Squared radius of the smallest ball enclosing the list.
 
     Maximizes the concave dual f(z) = sum_i z_i ||x_i||^2 - ||sum_i z_i x_i||^2
-    over the simplex by conditional gradient with away steps and exact line
-    search on the 1-D quadratic.  Initial weights are uniform and argmax /
-    argmin ties break to the lowest index.  Stops once the duality gap
-    upper - lower drops to ``tol``; non-convergence within ``max_iters``
-    (by default 100 * L * max(1, ceil(ln(1/tol)))) raises a
-    ConvergenceWarning and the gap is reported as-is.
+    over the simplex by a Wolfe-style active-set method, on the points less
+    their centroid (the centroid is added back to ``center``), so the
+    certificate does not cancel far from the origin.  The support S starts
+    as the point farthest from the centroid.  Each major step adds the point
+    s farthest from the current center y = sum_i z_i x_i.  If s lies in the
+    affine hull of S, weight moves along the affine dependence, which keeps
+    y and raises f, until a point of S reaches weight 0 and leaves.  Minor
+    cycles then step from z toward the exact optimum over the affine hull of
+    S (the circumcentre of S), stopping where a weight reaches 0 and dropping
+    that point, until the optimum has all weights positive.  Weights off S
+    are exactly 0, and ties break to the lowest index.
+
+    Stops once the duality gap upper - lower drops to ``tol``.  f rises at
+    every major step, so no support recurs in exact arithmetic; when one
+    does (round-off) or ``max_iters`` major steps (by default
+    100 * L * max(1, ceil(ln(1/tol)))) run out first, a ConvergenceWarning
+    is raised and the gap is reported as-is.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    X = pl.points
+    if max_iters is not None and not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    xbar = pl.centroid()
+    X = pl.points - xbar
     L = pl.L
     if max_iters is None:
         max_iters = 100 * L * max(1, math.ceil(math.log(1.0 / tol)))
-    sq = np.einsum("ij,ij->i", X, X)
-    z = np.full(L, 1.0 / L)
+    S = [int(np.argmax(np.einsum("ij,ij->i", X, X)))]
+    z = np.zeros(L)
+    z[S[0]] = 1.0
+    seen = set()
     iterations = 0
     for iterations in range(max_iters + 1):
         y = z @ X
-        yy = float(y @ y)
-        d = sq - 2.0 * (X @ y) + yy
-        np.maximum(d, 0.0, out=d)
-        lower = float(z @ d)  # equals f(z) = z.sq - yy
+        diff = X - y
+        d = np.einsum("ij,ij->i", diff, diff)
+        lower = float(z @ d)  # equals f(z)
         s = int(np.argmax(d))
         upper = float(d[s])
         gap = upper - lower
-        if gap <= tol or iterations == max_iters:
+        # f rises at every major step, so a support met again means round-off
+        if gap <= tol or iterations == max_iters or frozenset(S) in seen:
             break
-        fw_gain = gap
-        a = int(np.argmin(np.where(z > 0, d, np.inf)))
-        aw_gain = lower - float(d[a])
-        if fw_gain >= aw_gain:
-            step_dir = X[s] - y
-            denom = 2.0 * float(step_dir @ step_dir)
-            gamma = 1.0 if denom <= 0 else min(1.0, fw_gain / denom)
-            z *= 1.0 - gamma
-            z[s] += gamma
-        else:
-            # away step: push weight off the worst active vertex
-            gmax = z[a] / max(1.0 - z[a], 1e-300)
-            step_dir = y - X[a]
-            denom = 2.0 * float(step_dir @ step_dir)
-            gamma = gmax if denom <= 0 else min(gmax, aw_gain / denom)
-            z *= 1.0 + gamma
-            z[a] -= gamma
-            if z[a] < 0:
-                z[a] = 0.0
-    z = np.maximum(z, 0.0)
-    z /= z.sum()
-    y = z @ X
-    yy = float(y @ y)
-    d = sq - 2.0 * (X @ y) + yy
-    np.maximum(d, 0.0, out=d)
-    lower = float(z @ d)
-    upper = float(d.max())
-    gap = upper - lower
+        seen.add(frozenset(S))
+        S.append(s)
+        v = _hull_dependence(X[S])
+        if v is not None:
+            # f rises by (d_s - lower) per unit moved along v, y stays put
+            S = _step_to_face(z, S, v, math.inf)
+        w = _circumcentre_weights(X[S])
+        while (w <= 0).any():
+            # f is concave and w maximizes it over the affine hull of S, so f
+            # rises along the segment from z to w
+            S = _step_to_face(z, S, w - z[S], 1.0)
+            w = _circumcentre_weights(X[S])
+        z[S] = w
     converged = gap <= tol
     if not converged:
         warnings.warn(
@@ -252,7 +300,7 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
         )
     return ChebResult(
         radius_sq=upper,
-        center=y,
+        center=y + xbar,
         weights=SimplexWeights(z),
         lower=lower,
         upper=upper,
@@ -265,11 +313,27 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
 def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) -> float:
     """Power-mean relaxation of the squared list radius.
 
-    Minimizes mean_i ||x_i - y||^(2p) over the center y (convex for p >= 1)
-    by gradient descent with backtracking from the centroid, then returns
-    the minimum to the power 1/p.  p = 1 reproduces avg_sq_radius exactly;
-    the value is nondecreasing in p and approaches the squared Chebyshev
-    radius as p grows.
+    Minimizes G(y) = F(y)^(1/p), F(y) = mean_i ||x_i - y||^(2p), over the
+    center y (convex for p >= 1) and returns the minimum.  Damped Newton
+    steps with Armijo backtracking on F start from the centroid.  With
+    r_i^2 = ||x_i - y||^2, d_i = y - x_i and w_i = r_i^(2(p-1)), grad F =
+    (2p/L) sum_i w_i d_i and the Hessian of F is (2p/L) [sum_i w_i I +
+    2(p-1) sum_i (w_i / r_i^2) d_i d_i^T].  The step solves with that
+    Hessian less (1 - 1/p) grad F grad F^T / F, which is the Hessian of G
+    up to a positive factor: Newton on F alone moves only 1/(2p-1) of the
+    way wherever one point dominates, Newton on G goes all the way.  A
+    direction that is not a descent direction falls back to -grad F.  Every
+    quantity is evaluated in units of m = max_i r_i^2, which keeps
+    (r_i^2/m)^p <= 1 at any p, and the result is
+    m * mean((r_i^2/m)^p)^(1/p).
+
+    Stops once the relative gradient sqrt(m) ||grad G|| / G =
+    sqrt(m) ||grad F|| / (p F) is at most ``tol``, a test independent of the
+    scale of the list, or when a step lowers F by no more than 1e-18 F
+    (round-off), then counting as converged only if the relative gradient is
+    at most 1e-6; otherwise a ConvergenceWarning is raised.  p = 1 gives
+    avg_sq_radius up to round-off; the value is nondecreasing in p, at most
+    the squared Chebyshev radius, and approaches it as p grows.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -277,42 +341,60 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) ->
         raise ValueError(f"tol must be positive and finite, got {tol}")
     X = pl.points
     L = pl.L
-    y = pl.centroid()
+    if (X == X[0]).all():
+        return 0.0
+    eye = np.eye(pl.n)
 
-    def value_grad(yv):
+    def radii(yv):
         diff = yv - X
-        r2 = np.einsum("ij,ij->i", diff, diff)
-        np.maximum(r2, 1e-300, out=r2)
-        obj = float((r2**p).sum() / L)
-        grad = (2.0 * p / L) * (r2 ** (p - 1.0)) @ diff
-        return obj, grad
+        return diff, np.einsum("ij,ij->i", diff, diff)
 
-    obj, grad = value_grad(y)
-    step = 1.0
+    y = pl.centroid()
+    diff, r2 = radii(y)
     converged = False
-    for _ in range(max_iters):
-        gn2 = float(grad @ grad)
-        if math.sqrt(gn2) <= tol * (1.0 + obj):
-            converged = True
-            break
-        step *= 2.0
-        while True:
-            y_new = y - step * grad
-            obj_new, grad_new = value_grad(y_new)
-            if obj_new <= obj - 0.5 * step * gn2 or step < 1e-300:
+    rel_grad = math.inf
+    # (r2/m)^p at a trial point of the line search may overflow to inf, which
+    # the Armijo test rejects
+    with np.errstate(over="ignore"):
+        for _ in range(max_iters):
+            m = float(r2.max())
+            w = (r2 / m) ** (p - 1.0)
+            obj = float(((r2 / m) ** p).sum() / L)  # F / m^p
+            grad = (2.0 * p / (L * m)) * (w @ diff)  # grad F / m^p
+            rel_grad = math.sqrt(float(grad @ grad) * m) / (p * obj)
+            if rel_grad <= tol:
+                converged = True
                 break
-            step *= 0.5
-        if obj - obj_new <= 1e-18 * (1.0 + obj):
-            # progress below round-off; keep the better iterate and stop
-            if obj_new < obj:
-                y, obj, grad = y_new, obj_new, grad_new
-            converged = math.sqrt(gn2) <= 1e-6 * (1.0 + obj)
-            break
-        y, obj, grad = y_new, obj_new, grad_new
+            # Hessian of F^(1/p), less the positive factor F^(1/p) / (p F)
+            curv = (diff.T * (w / np.maximum(r2, 1e-300))) @ diff
+            H = (2.0 * p / (L * m)) * (w.sum() * eye + 2.0 * (p - 1.0) * curv)
+            H -= (1.0 - 1.0 / p) * np.outer(grad, grad) / obj
+            try:
+                step = -np.linalg.solve(H, grad)
+            except np.linalg.LinAlgError:
+                step = -grad
+            slope = float(grad @ step)
+            if not slope < 0.0:
+                step, slope = -grad, -float(grad @ grad)
+            t = 1.0
+            while True:
+                diff_new, r2_new = radii(y + t * step)
+                obj_new = float(((r2_new / m) ** p).sum() / L)
+                if obj_new <= obj + 1e-4 * t * slope or t < 1e-300:
+                    break
+                t *= 0.5
+            if obj - obj_new <= 1e-18 * obj:
+                # progress below round-off; keep the better iterate and stop
+                if obj_new < obj:
+                    diff, r2 = diff_new, r2_new
+                converged = rel_grad <= 1e-6
+                break
+            y = y + t * step
+            diff, r2 = diff_new, r2_new
     if not converged:
         warnings.warn(
-            f"rad_p descent left gradient norm {math.sqrt(float(grad @ grad)):.3e} "
-            f"at p = {p}",
+            f"rad_p Newton iteration left relative gradient norm {rel_grad:.3e} at p = {p}",
             ConvergenceWarning,
         )
-    return obj ** (1.0 / p)
+    m = float(r2.max())
+    return m * float(((r2 / m) ** p).sum() / L) ** (1.0 / p)

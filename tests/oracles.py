@@ -1,15 +1,16 @@
 """Exhaustive references for the near-pair list engine, the verifier, the
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
-quadrature, the golden-section rate search, and the straightforward forms
-of the analysis kernels.
+quadrature, the golden-section rate search, the first-order radius solvers
+(away-step conditional gradient for the enclosing ball, gradient descent for
+rad_p), and the straightforward forms of the analysis kernels.
 
 The exhaustive ones scan every L-subset, every window pair or tile, every
 tile of the 3^n ring, every circumscribed ball or a dense tensor grid, so
 they are only for small inputs.  The straightforward ones (one quadrature
 per order and panel, two coordinate sums per tail block, the away step over
 the active indices, the mean in rad_p, a tree query for every coverage
-sample) do the same arithmetic as the production kernels and must match
-them exactly.
+sample) do the same arithmetic as the production kernels, or as the
+first-order radius solvers, and must match them exactly.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from multipack.deviation import (
     cube_form_mean,
     mgf_log,
 )
+from multipack.geometry import ChebResult, SimplexWeights
 from multipack.rng import CHUNK, chunk_rng
 
 COMBO_CHUNK = 200_000
@@ -409,4 +411,139 @@ def rad_p_mean(pl, p: float, tol: float = 1e-9, max_iters: int = 20000) -> float
                 obj = obj_new
             break
         y, obj, grad = y_new, obj_new, grad_new
+    return obj ** (1.0 / p)
+
+
+def chebyshev_radius_fw(pl, tol: float = 1e-9, max_iters: int | None = None) -> ChebResult:
+    """chebyshev_radius by the away-step conditional-gradient solver, on the
+    uncentred points.
+
+    Maximizes the concave dual f(z) = sum_i z_i ||x_i||^2 - ||sum_i z_i x_i||^2
+    over the simplex by conditional gradient with away steps and exact line
+    search on the 1-D quadratic.  Initial weights are uniform and argmax /
+    argmin ties break to the lowest index.  Stops once the duality gap
+    upper - lower drops to ``tol``; non-convergence within ``max_iters``
+    (by default 100 * L * max(1, ceil(ln(1/tol)))) raises a
+    ConvergenceWarning and the gap is reported as-is.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    X = pl.points
+    L = pl.L
+    if max_iters is None:
+        max_iters = 100 * L * max(1, math.ceil(math.log(1.0 / tol)))
+    sq = np.einsum("ij,ij->i", X, X)
+    z = np.full(L, 1.0 / L)
+    iterations = 0
+    for iterations in range(max_iters + 1):
+        y = z @ X
+        yy = float(y @ y)
+        d = sq - 2.0 * (X @ y) + yy
+        np.maximum(d, 0.0, out=d)
+        lower = float(z @ d)  # equals f(z) = z.sq - yy
+        s = int(np.argmax(d))
+        upper = float(d[s])
+        gap = upper - lower
+        if gap <= tol or iterations == max_iters:
+            break
+        fw_gain = gap
+        a = int(np.argmin(np.where(z > 0, d, np.inf)))
+        aw_gain = lower - float(d[a])
+        if fw_gain >= aw_gain:
+            step_dir = X[s] - y
+            denom = 2.0 * float(step_dir @ step_dir)
+            gamma = 1.0 if denom <= 0 else min(1.0, fw_gain / denom)
+            z *= 1.0 - gamma
+            z[s] += gamma
+        else:
+            # away step: push weight off the worst active vertex
+            gmax = z[a] / max(1.0 - z[a], 1e-300)
+            step_dir = y - X[a]
+            denom = 2.0 * float(step_dir @ step_dir)
+            gamma = gmax if denom <= 0 else min(gmax, aw_gain / denom)
+            z *= 1.0 + gamma
+            z[a] -= gamma
+            if z[a] < 0:
+                z[a] = 0.0
+    z = np.maximum(z, 0.0)
+    z /= z.sum()
+    y = z @ X
+    yy = float(y @ y)
+    d = sq - 2.0 * (X @ y) + yy
+    np.maximum(d, 0.0, out=d)
+    lower = float(z @ d)
+    upper = float(d.max())
+    gap = upper - lower
+    converged = gap <= tol
+    if not converged:
+        warnings.warn(
+            f"enclosing-ball solver stopped at gap {gap:.3e} (tol {tol:.1e}) "
+            f"after {iterations} iterations",
+            ConvergenceWarning,
+        )
+    return ChebResult(
+        radius_sq=upper,
+        center=y,
+        weights=SimplexWeights(z),
+        lower=lower,
+        upper=upper,
+        gap=gap,
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def rad_p_descent(pl, p: float, tol: float = 1e-9, max_iters: int = 20000) -> float:
+    """rad_p by gradient descent on the unscaled objective.
+
+    Minimizes mean_i ||x_i - y||^(2p) over the center y (convex for p >= 1)
+    by gradient descent with backtracking from the centroid, then returns
+    the minimum to the power 1/p.  p = 1 reproduces avg_sq_radius exactly;
+    the value is nondecreasing in p and approaches the squared Chebyshev
+    radius as p grows.
+    """
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    X = pl.points
+    L = pl.L
+    y = pl.centroid()
+
+    def value_grad(yv):
+        diff = yv - X
+        r2 = np.einsum("ij,ij->i", diff, diff)
+        np.maximum(r2, 1e-300, out=r2)
+        obj = float((r2**p).sum() / L)
+        grad = (2.0 * p / L) * (r2 ** (p - 1.0)) @ diff
+        return obj, grad
+
+    obj, grad = value_grad(y)
+    step = 1.0
+    converged = False
+    for _ in range(max_iters):
+        gn2 = float(grad @ grad)
+        if math.sqrt(gn2) <= tol * (1.0 + obj):
+            converged = True
+            break
+        step *= 2.0
+        while True:
+            y_new = y - step * grad
+            obj_new, grad_new = value_grad(y_new)
+            if obj_new <= obj - 0.5 * step * gn2 or step < 1e-300:
+                break
+            step *= 0.5
+        if obj - obj_new <= 1e-18 * (1.0 + obj):
+            # progress below round-off; keep the better iterate and stop
+            if obj_new < obj:
+                y, obj, grad = y_new, obj_new, grad_new
+            converged = math.sqrt(gn2) <= 1e-6 * (1.0 + obj)
+            break
+        y, obj, grad = y_new, obj_new, grad_new
+    if not converged:
+        warnings.warn(
+            f"rad_p descent left gradient norm {math.sqrt(float(grad @ grad)):.3e} "
+            f"at p = {p}",
+            ConvergenceWarning,
+        )
     return obj ** (1.0 / p)

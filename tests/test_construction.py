@@ -531,8 +531,7 @@ class TestDensityReport:
 
     def test_covered_equals_tree_oracle_on_projected_table(self):
         # at n = 8 the cells of side sqrt(nN) number more than WINDOW_BUDGET,
-        # so the table covers only the first axes; the points fill one
-        # orthant, so samples in the others are ruled out by the table
+        # so there is no table and every sample goes to the tree
         rng = np.random.default_rng(30)
         code = FiniteCode(rng.uniform(0, 1, size=(2000, 8)), 8, 2, 0.015, 1.0, None)
         c = tile(code)

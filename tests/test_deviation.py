@@ -322,6 +322,16 @@ class TestMcTail:
         assert 0 < est.hits < est.samples
         assert est.hits == tail_hits_two_sums(L, n, 1.0, N, 9000, 3)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hits_match_two_sum_oracle_at_other_K(self, workers):
+        # the in-place scaling of the standard uniforms must equal
+        # rng.uniform(-K, K) bit for bit at a K whose 2K is not a power of 2;
+        # one thread reuses its buffer for all three chunks, the last partial
+        N = cube_form_mean(2, 0.7) / 2
+        est = mc_tail(L=2, n=300, K=0.7, N=N, samples=9000, seed=5, workers=workers)
+        assert 0 < est.hits < est.samples
+        assert est.hits == tail_hits_two_sums(2, 300, 0.7, N, 9000, 5)
+
     def test_probability_scales_with_threshold(self):
         small = mc_tail(L=2, n=2, K=1.0, N=0.01, samples=100_000, seed=4)
         large = mc_tail(L=2, n=2, K=1.0, N=0.04, samples=100_000, seed=4)

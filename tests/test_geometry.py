@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from multipack import (
     rad_p,
     spectral_pair,
 )
-from oracles import chebyshev_radius_active, chebyshev_radius_exact, rad_p_mean
+from oracles import (
+    chebyshev_radius_active,
+    chebyshev_radius_exact,
+    chebyshev_radius_fw,
+    rad_p_descent,
+    rad_p_mean,
+)
 
 
 def oracle_lists(seed, count):
@@ -28,6 +35,30 @@ def oracle_lists(seed, count):
         X = rng.normal(size=(2 + k % 7, 1 + (k // 7) % 6)) * rng.uniform(0.2, 4.0)
         if k % 4 == 0:
             X[-1] = X[0]
+        yield PointList(X)
+
+
+def hard_lists(seed, count):
+    """Lists with L = 2..12 and n = 1..6 (so often L > n + 1), cycling
+    through plain Gaussian, repeated points, collinear, cospherical and
+    integer-grid lists (exact affine dependences and ties)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        L = int(rng.integers(2, 13))
+        n = int(rng.integers(1, 7))
+        kind = k % 5
+        if kind == 0:
+            X = rng.normal(size=(L, n)) * rng.uniform(0.2, 4.0)
+        elif kind == 1:
+            X = rng.normal(size=(L, n))
+            X[L // 2 :] = X[0]
+        elif kind == 2:
+            X = np.outer(rng.normal(size=L), rng.normal(size=n)) + rng.normal(size=n)
+        elif kind == 3:
+            X = rng.normal(size=(L, n))
+            X = 2.5 * X / np.linalg.norm(X, axis=1)[:, None] + rng.normal(size=n)
+        else:
+            X = rng.integers(-2, 3, size=(L, n)).astype(float)
         yield PointList(X)
 
 
@@ -241,7 +272,7 @@ class TestChebyshev:
         # the away vertex from argmin over a masked gap vector is the one
         # argmin picks among the active indices, so every iterate is equal
         for pl in oracle_lists(5, 280):
-            res = chebyshev_radius(pl)
+            res = chebyshev_radius_fw(pl)
             radius_sq, lower, center, z, iterations = chebyshev_radius_active(pl)
             assert (res.radius_sq, res.lower, res.iterations) == (radius_sq, lower, iterations)
             assert np.array_equal(res.center, center)
@@ -251,6 +282,57 @@ class TestChebyshev:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             chebyshev_radius(PointList(np.eye(2)), tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, 10.0, "3"])
+    def test_rejects_bad_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            chebyshev_radius(PointList(np.eye(2)), max_iters=max_iters)
+
+    def test_property_lists(self):
+        # exact to round-off on degenerate lists too: the certificate closes,
+        # the radius is the exhaustive oracle's, and every point strictly
+        # inside the ball has weight exactly 0
+        for pl in hard_lists(31, 150):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = chebyshev_radius(pl)
+            assert res.converged
+            assert 0.0 <= res.gap <= 1e-12 * max(1.0, res.upper)
+            if min(pl.L, pl.n + 1) <= 6:
+                ex, _ = chebyshev_radius_exact(pl)
+                assert res.radius_sq == pytest.approx(ex, rel=1e-12, abs=1e-300)
+            d2 = np.sum((pl.points - res.center) ** 2, axis=1)
+            assert np.all(res.weights.z[d2 < res.upper * (1 - 1e-9)] == 0.0)
+            assert max(d2) <= res.radius_sq * (1 + 1e-12)
+
+    def test_within_conditional_gradient_gap(self):
+        # the first-order solver's certificate brackets the exact answer, up
+        # to the round-off of evaluating that certificate
+        for pl in oracle_lists(5, 140):
+            res = chebyshev_radius(pl)
+            fw = chebyshev_radius_fw(pl)
+            assert fw.converged
+            assert abs(res.radius_sq - fw.radius_sq) <= fw.gap + 1e-14 * max(1.0, fw.upper)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e8])
+    def test_translation_invariance(self, offset):
+        # the points sit at exact offsets; |x|^2 - 2 x.y + |y|^2 on the raw
+        # coordinates cancels to 0 at 1e8, so the solver works on centred points
+        pts = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]) + offset
+        res = chebyshev_radius(PointList(pts))
+        assert res.converged
+        assert res.radius_sq == pytest.approx(1.0, abs=1e-9)
+        assert res.lower <= 1.0 + 1e-9 and res.gap == res.upper - res.lower <= 1e-9
+        assert res.center == pytest.approx([offset + 1.0, offset], abs=1e-9 * offset)
+        # lists on the grid 2^-20 Z^3 translate exactly; their weights are not
+        # dyadic, so a center formed from the raw coordinates rounds at offset * 1e-16
+        rng = np.random.default_rng(54)
+        for _ in range(20):
+            pts = rng.integers(-(2**21), 2**21, size=(int(rng.integers(2, 9)), 3)) * 2.0**-20
+            near = chebyshev_radius(PointList(pts))
+            far = chebyshev_radius(PointList(pts + offset))
+            assert far.converged and far.gap <= 1e-12 * far.upper
+            assert far.radius_sq == pytest.approx(near.radius_sq, rel=1e-12)
 
     def test_loose_tolerance_gets_an_iteration_budget(self):
         # 100 * L * ceil(ln(1/tol)) is 0 for tol >= 1; the budget is clamped
@@ -304,8 +386,62 @@ class TestRadP:
         with pytest.raises(ValueError, match="tol"):
             rad_p(PointList(np.eye(2)), 2.0, tol=tol)
 
+    def test_within_descent_oracle(self):
+        # never above the gradient-descent value; equal to it within 1e-12 at
+        # unit scale and above, where the descent's absolute stop test is tight
+        for pl in oracle_lists(7, 140):
+            for p in (1.0, 1.01, 2.5, 4.0, 6.0):
+                assert rad_p(pl, p) <= rad_p_descent(pl, p) * (1 + 1e-12)
+        rng = np.random.default_rng(52)
+        for _ in range(60):
+            pl = random_list(rng, n=int(rng.integers(1, 7)), scale=rng.uniform(1.0, 4.0))
+            for p in (1.0, 1.01, 2.5, 4.0, 6.0):
+                assert rad_p(pl, p) == pytest.approx(rad_p_descent(pl, p), rel=1e-12)
+
+    def test_scale_free(self):
+        # the stop tests are relative, so rad_p(s X) = s^2 rad_p(X)
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            pl = random_list(rng, n=int(rng.integers(1, 7)), scale=1.0)
+            for p in (1.01, 2.5, 6.0):
+                value = rad_p(pl, p)
+                for s in (1e-3, 1e3):
+                    assert rad_p(PointList(pl.points * s), p) == pytest.approx(value * s * s, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 1.01, 2.5, 4.0, 6.0])
+    def test_point_at_the_optimum(self, p):
+        # on the line, {a, -1, -1, 0} with a^(2p-1) = 2 has its optimum at 0,
+        # on the last point, where r = 0 and the r^(2(p-2)) factor of the
+        # Hessian of F is singular for p < 2; the centroid (a - 2)/4 is not 0
+        # unless p = 1
+        a = 2.0 ** (1.0 / (2.0 * p - 1.0))
+        pl = PointList(np.array([[a], [-1.0], [-1.0], [0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = rad_p(pl, p)
+        assert value == pytest.approx(((a ** (2 * p) + 2.0) / 4.0) ** (1.0 / p), rel=1e-12)
+
+    def test_repeated_point(self):
+        assert rad_p(PointList(np.ones((3, 2))), 2.5) == 0.0
+
+    def test_large_p(self):
+        # in units of max r^2 nothing overflows: finite, nondecreasing in p,
+        # at most the Chebyshev value (here all three points lie on the
+        # Chebyshev circle), and no warnings
+        pl = PointList(np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]]))
+        cheb = chebyshev_radius(pl).upper
+        assert cheb == pytest.approx(18.0, rel=1e-15)
+        previous = 0.0
+        for p in (50.0, 150.0, 300.0, 1000.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = rad_p(pl, p)
+            assert math.isfinite(value)
+            assert previous <= value <= cheb * (1 + 1e-12)
+            previous = value
+
     def test_matches_mean_oracle(self):
         # sum / L is the reduce and division np.mean performs
         for pl in oracle_lists(6, 140):
             for p in (1.0, 2.5, 4.0):
-                assert rad_p(pl, p) == rad_p_mean(pl, p)
+                assert rad_p_descent(pl, p) == rad_p_mean(pl, p)
