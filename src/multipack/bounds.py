@@ -11,13 +11,9 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
+from .rng import check_count, check_positive
+
 TWO_PI_E = 2.0 * math.pi * math.e
-
-
-def _as_int(name, value):
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -28,12 +24,8 @@ class BoundQuery:
     L: int
 
     def __post_init__(self):
-        object.__setattr__(self, "N", float(self.N))
-        object.__setattr__(self, "L", _as_int("L", self.L))
-        if not self.N > 0:
-            raise ValueError(f"N must be positive, got {self.N}")
-        if self.L < 2:
-            raise ValueError(f"L must be >= 2, got {self.L}")
+        object.__setattr__(self, "N", check_positive("N", self.N))
+        object.__setattr__(self, "L", check_count("L", self.L, 2))
 
 
 @dataclass(frozen=True)
@@ -45,12 +37,9 @@ class ExponentQuery:
     K: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", float(self.N))
-        object.__setattr__(self, "L", _as_int("L", self.L))
-        object.__setattr__(self, "K", float(self.K))
-        BoundQuery(self.N, self.L)
-        if not self.K > 0:
-            raise ValueError(f"K must be positive, got {self.K}")
+        object.__setattr__(self, "N", check_positive("N", self.N))
+        object.__setattr__(self, "L", check_count("L", self.L, 2))
+        object.__setattr__(self, "K", check_positive("K", self.K))
 
     @property
     def query(self) -> BoundQuery:
@@ -77,9 +66,7 @@ def ub_elias_bassalygo(q: BoundQuery) -> float:
 
 def ld_capacity(N: float) -> float:
     """Large-list limit of both curves at noise level N."""
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
-    return 0.5 * math.log(1.0 / (TWO_PI_E * N))
+    return 0.5 * math.log(1.0 / (TWO_PI_E * check_positive("N", N)))
 
 
 def exponent_E(q: ExponentQuery) -> float:
@@ -102,9 +89,7 @@ def lambda_star(q: BoundQuery) -> float:
 def lambda_n_threshold(q: ExponentQuery, n: int) -> float:
     """Point density above which expurgation removes half the code, at block
     length n.  K cancels from the exponent and does not affect the value."""
-    n = _as_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = check_count("n", n, 1)
     L = q.L
     prefactor = (math.factorial(L) / 2.0) ** (1.0 / (L - 1))
     return prefactor * math.exp(n * lb_ppp(q.query))
@@ -112,16 +97,11 @@ def lambda_n_threshold(q: ExponentQuery, n: int) -> float:
 
 def ball_log_volume_rate(N: float) -> float:
     """Asymptotic (1/n) log-volume of the n-ball of radius sqrt(n*N)."""
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
-    return 0.5 * math.log(TWO_PI_E * N)
+    return 0.5 * math.log(TWO_PI_E * check_positive("N", N))
 
 
 def ball_log_volume_rate_finite(N: float, n: int) -> float:
     """Exact (1/n) log-volume of the n-ball of radius sqrt(n*N)."""
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
-    n = _as_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    N = check_positive("N", N)
+    n = check_count("n", n, 1)
     return 0.5 * math.log(n * N) + 0.5 * math.log(math.pi) - float(gammaln(n / 2.0 + 1.0)) / n

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, bounds, construction, deviation, fileio, geometry
 from .errors import BudgetError, ParseError
+from .rng import check_count, check_positive
 
 CURVE_HEADER = "N,lb_ppp,lb_blachman_few,ub_elias_bassalygo,ld_capacity"
 
@@ -63,12 +64,9 @@ def _fmt12(x: float) -> str:
 
 def cmd_bounds(args, argv) -> int:
     t0 = time.monotonic()
-    if args.N_min <= 0 or args.N_max <= 0:
-        raise ValueError("N grid endpoints must be positive")
-    if args.N_max < args.N_min:
+    if check_positive("--N-min", args.N_min) > check_positive("--N-max", args.N_max):
         raise ValueError("--N-max must be >= --N-min")
-    if args.steps < 1:
-        raise ValueError("--steps must be >= 1")
+    check_count("--steps", args.steps, 1)
     Ls = [int(s) for s in args.multi_L.split(",")] if args.multi_L else [args.L]
     grid = np.geomspace(args.N_min, args.N_max, args.steps)
     out = Path(args.out)
@@ -147,9 +145,7 @@ def cmd_construct(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     obj = fileio.load(args.input)
-    if args.as_constellation or isinstance(obj, construction.Constellation):
-        if not isinstance(obj, construction.Constellation):
-            raise ValueError(f"{args.input} has no tiling headers; it is a finite code")
+    if isinstance(obj, construction.Constellation):
         window = args.window if args.window is not None else 1.5 * obj.period
         verdict = construction.verify_packing(obj, window)
         print(f"window points: {verdict.window_points}")
@@ -249,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify a code file or constellation window")
     v.add_argument("input")
-    v.add_argument("--as-constellation", dest="as_constellation", action="store_true")
     v.add_argument("--window", type=float, default=None,
                    help="window radius around the origin (default 1.5 periods)")
     v.set_defaults(func=cmd_verify)

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
 from .errors import BudgetError
-from .rng import CHUNK, _clopper_pearson, check_count, check_seed, chunk_rng
+from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng
 
 SUBSET_BUDGET = 10**8  # candidate lists
 WINDOW_BUDGET = 10**7  # points or tiles held at once
@@ -37,13 +37,13 @@ class FiniteCode:
     expurgated_count: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_count("n", self.n, 1))
+        object.__setattr__(self, "L", check_count("L", self.L, 2))
+        object.__setattr__(self, "N", check_positive("N", self.N))
+        object.__setattr__(self, "K", check_positive("K", self.K))
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (M, {self.n})")
-        if self.L < 2:
-            raise ValueError("L must be >= 2")
-        if not self.N > 0 or not self.K > 0:
-            raise ValueError("N and K must be positive")
         if not np.isfinite(pts).all():
             raise ValueError("coordinates must be finite")
         if pts.size and np.abs(pts).max() > self.K * (1.0 + 1e-12):
@@ -68,8 +68,7 @@ class Constellation:
     gap: float
 
     def __post_init__(self):
-        if not 0 < self.gap < math.inf:
-            raise ValueError("gap must be positive and finite")
+        object.__setattr__(self, "gap", check_positive("gap", self.gap))
 
     @property
     def period(self) -> float:
@@ -132,8 +131,9 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     to override.  Refuses parameter sets whose M would exceed WINDOW_BUDGET
     points.
     """
-    n, L = int(n), int(L)
-    if rate_margin > 0:
+    n, L = check_count("n", n, 1), check_count("L", L, 2)
+    N, K = check_positive("N", N), check_positive("K", K)
+    if not rate_margin <= 0:
         raise ValueError(f"rate_margin must be <= 0, got {rate_margin}")
     seed = check_seed(seed)
     if M is None:
@@ -152,11 +152,9 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
                 f"{WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M"
             )
     else:
-        M = int(M)
-        if M < 1:
-            raise ValueError("M must be >= 1")
+        M = check_count("M", M, 1)
     pts = chunk_rng(seed, 0).uniform(-K, K, size=(M, n))
-    return FiniteCode(points=pts, n=n, L=L, N=float(N), K=float(K), seed=seed)
+    return FiniteCode(points=pts, n=n, L=L, N=N, K=K, seed=seed)
 
 
 def _avg_sq_radii(points, lists):
@@ -305,9 +303,7 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     verify_packing checks cross-tile lists exactly.
     """
     g_min = code.L / (2.0 * math.sqrt(code.L - 1)) * math.sqrt(code.n * code.N)
-    if gap is None:
-        gap = 1.01 * g_min
-    gap = float(gap)
+    gap = 1.01 * g_min if gap is None else check_positive("gap", gap)
     if gap < g_min * (1.0 - 1e-12):
         raise ValueError(f"gap {gap!r} is below L/(2*sqrt(L-1)) * sqrt(n*N) = {g_min!r}")
     return Constellation(base=code, gap=gap)
@@ -501,8 +497,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     sample when there is no table), so the count equals that of querying
     the tree for every sample.
     """
-    if not 0 < P < math.inf:
-        raise ValueError(f"P must be positive and finite, got {P}")
+    P = check_positive("P", P)
     mc_samples = check_count("mc_samples", mc_samples, 1)
     seed = check_seed(seed)
     code = c.base
@@ -549,7 +544,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     return DensityReport(
         rate_nld=c.nld,
         delta_hat=math.log(covered / mc_samples) / n if covered else -math.inf,
-        P_used=float(P),
+        P_used=P,
         mc_samples=mc_samples,
         covered=covered,
         delta_ci_low=math.log(lo) / n if lo > 0 else -math.inf,

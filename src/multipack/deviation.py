@@ -22,7 +22,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import erf
 
 from .errors import BudgetError, ConvergenceWarning
-from .rng import CHUNK, _clopper_pearson, check_count, check_seed, chunk_rng, resolve_workers
+from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, resolve_workers
 
 # coordinates are generated in blocks of this many dimensions per chunk;
 # fixed constant, part of the (seed, index) -> draw mapping
@@ -88,17 +88,13 @@ def cube_form_mean(L: int, K: float) -> float:
 
 
 def _validate_quad_args(L, K, lam, quad_order):
-    if not (float(L).is_integer() and L >= 2):
-        raise ValueError(f"L must be an integer >= 2, got {L}")
+    L = check_count("L", L, 2)
     if L > 5:
         raise BudgetError(f"quadrature supports 2 <= L <= 5, got L = {L}")
-    if not 0 < K < math.inf:
-        raise ValueError(f"K must be positive and finite, got {K}")
+    K = check_positive("K", K)
     if not 0 <= lam < math.inf:
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    if quad_order < 16:
-        raise ValueError(f"quad_order must be >= 16, got {quad_order}")
-    return int(L), float(K), float(lam), int(quad_order)
+    return L, K, float(lam), check_count("quad_order", quad_order, 16)
 
 
 @lru_cache(maxsize=64)
@@ -181,11 +177,10 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
 def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> LaplaceCheck:
     """Raw integral of exp(-K^2*lam*t'At) over the cube against its
     large-c saddle value (pi/c)^((L-1)/2) * 2*sqrt(L)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive for the asymptotic comparison")
+    L, K, lam, quad_order = _validate_quad_args(L, K, check_positive("lam", lam), quad_order)
     c = K * K * lam
-    log_numeric = mgf_log(L, K, lam, quad_order) + int(L) * LOG2
-    log_asym = 0.5 * (int(L) - 1) * math.log(math.pi / c) + math.log(2.0 * math.sqrt(int(L)))
+    log_numeric = mgf_log(L, K, lam, quad_order) + L * LOG2
+    log_asym = 0.5 * (L - 1) * math.log(math.pi / c) + math.log(2.0 * math.sqrt(L))
     return LaplaceCheck(
         numeric=math.exp(log_numeric),
         asymptotic=math.exp(log_asym),
@@ -206,8 +201,7 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     (within 1e-12 relative) Jensen gives psi <= 0, and the rate is exactly 0.
     """
     L, K, _, quad_order = _validate_quad_args(L, K, 0.0, quad_order)
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
+    N = check_positive("N", N)
     mean = cube_form_mean(L, K)
     if L * N > mean * (1.0 + 1e-12):
         raise ValueError(
@@ -274,13 +268,8 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     streams, making the hit count a pure function of (seed, sample index)
     and bit-identical for every worker count.
     """
-    if not (float(L).is_integer() and L >= 2):
-        raise ValueError(f"L must be an integer >= 2, got {L}")
-    if not (float(n).is_integer() and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    L, n = int(L), int(n)
-    if not (0 < K < math.inf and 0 < N < math.inf):
-        raise ValueError(f"K and N must be positive and finite, got K = {K}, N = {N}")
+    L, n = check_count("L", L, 2), check_count("n", n, 1)
+    K, N = check_positive("K", K), check_positive("N", N)
     samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
     threshold = L * n * N
@@ -308,8 +297,8 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     return TailEstimate(
         L=L,
         n=n,
-        K=float(K),
-        N=float(N),
+        K=K,
+        N=N,
         samples=samples,
         hits=hits,
         p_hat=p_hat,

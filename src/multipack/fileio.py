@@ -39,22 +39,69 @@ def _parse_rows(lines, n, path, first_lineno):
     return np.array(rows, dtype=float).reshape(len(rows), n)
 
 
-def _read_headers(lines, path):
-    """Leading '# key=value' lines as a dict, plus the index of the first data row."""
+def _header(headers, key, kind, path):
+    """Header ``key`` converted by ``kind``; ParseError naming the file when
+    it is missing or malformed."""
+    if key not in headers:
+        raise ParseError(f"{path}: missing '# {key}=' header")
+    try:
+        return kind(headers[key])
+    except ValueError:
+        raise ParseError(f"{path}: bad '# {key}=' header {headers[key]!r}") from None
+
+
+def _read(path):
+    """The leading '# key=value' lines of a file as a dict, and its rows,
+    from one pass over the file."""
+    with open(path) as fh:
+        lines = fh.readlines()
     headers = {}
-    i = 0
+    start = len(lines)
     for i, line in enumerate(lines):
         s = line.strip()
         if not s.startswith("#"):
+            start = i
             break
         body = s.lstrip("#").strip()
         if "=" not in body:
             raise ParseError(f"{path}:{i + 1}: malformed header line {s!r}")
         key, _, value = body.partition("=")
         headers[key.strip()] = value.strip()
-    else:
-        i = len(lines)
-    return headers, i
+    n = _header(headers, "n", int, path)
+    if n < 1:
+        raise ParseError(f"{path}: n must be positive, got {n}")
+    return headers, _parse_rows(lines[start:], n, path, start + 1)
+
+
+def _point_list(path, rows) -> PointList:
+    if len(rows) < 2:
+        raise ParseError(f"{path}: a point list needs at least 2 rows, got {len(rows)}")
+    return PointList(rows)
+
+
+def _code(path, headers, rows) -> FiniteCode:
+    return FiniteCode(
+        points=rows,
+        n=rows.shape[1],
+        L=_header(headers, "L", int, path),
+        N=_header(headers, "N", float, path),
+        K=_header(headers, "K", float, path),
+        seed=_header(headers, "seed", int, path) if "seed" in headers else None,
+        expurgated_count=_header(headers, "expurgated", int, path),
+    )
+
+
+def _constellation(path, headers, rows) -> Constellation:
+    if "gap" not in headers:
+        raise ParseError(f"{path}: missing '# gap=' header; not a constellation file")
+    c = Constellation(base=_code(path, headers, rows), gap=_header(headers, "gap", float, path))
+    if "period" in headers:
+        period = _header(headers, "period", float, path)
+        if not abs(period - c.period) <= 1e-9 * max(1.0, abs(period)):
+            raise ParseError(
+                f"{path}: period header {period!r} does not match 2K + 2*gap = {c.period!r}"
+            )
+    return c
 
 
 def write_points(path, pl: PointList) -> None:
@@ -65,21 +112,8 @@ def write_points(path, pl: PointList) -> None:
 
 
 def read_points(path) -> PointList:
-    with open(path) as fh:
-        lines = fh.readlines()
-    headers, start = _read_headers(lines, path)
-    if "n" not in headers:
-        raise ParseError(f"{path}:1: missing '# n=<n>' header")
-    try:
-        n = int(headers["n"])
-    except ValueError:
-        raise ParseError(f"{path}:1: n must be an integer, got {headers['n']!r}") from None
-    if n < 1:
-        raise ParseError(f"{path}:1: n must be positive, got {n}")
-    pts = _parse_rows(lines[start:], n, path, start + 1)
-    if len(pts) < 2:
-        raise ParseError(f"{path}: a point list needs at least 2 rows, got {len(pts)}")
-    return PointList(pts)
+    _, rows = _read(path)
+    return _point_list(path, rows)
 
 
 def _write_code_headers(fh, code: FiniteCode) -> None:
@@ -108,58 +142,22 @@ def write_constellation(path, c: Constellation) -> None:
             fh.write(_fmt_row(row) + "\n")
 
 
-def _code_from_headers(headers, lines, start, path) -> FiniteCode:
-    for key in ("n", "L", "N", "K", "expurgated"):
-        if key not in headers:
-            raise ParseError(f"{path}: missing '# {key}=' header")
-    try:
-        n = int(headers["n"])
-        L = int(headers["L"])
-        N = float(headers["N"])
-        K = float(headers["K"])
-        seed = int(headers["seed"]) if "seed" in headers else None
-        expurgated = int(headers["expurgated"])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad header value: {exc}") from None
-    pts = _parse_rows(lines[start:], n, path, start + 1)
-    return FiniteCode(
-        points=pts, n=n, L=L, N=N, K=K, seed=seed, expurgated_count=expurgated
-    )
-
-
 def read_code(path) -> FiniteCode:
-    with open(path) as fh:
-        lines = fh.readlines()
-    headers, start = _read_headers(lines, path)
+    headers, rows = _read(path)
     if "period" in headers or "gap" in headers:
         raise ParseError(f"{path}: constellation file; use read_constellation")
-    return _code_from_headers(headers, lines, start, path)
+    return _code(path, headers, rows)
 
 
 def read_constellation(path) -> Constellation:
-    with open(path) as fh:
-        lines = fh.readlines()
-    headers, start = _read_headers(lines, path)
-    if "gap" not in headers:
-        raise ParseError(f"{path}: missing '# gap=' header; not a constellation file")
-    base = _code_from_headers(headers, lines, start, path)
-    c = Constellation(base=base, gap=float(headers["gap"]))
-    if "period" in headers:
-        period = float(headers["period"])
-        if abs(period - c.period) > 1e-9 * max(1.0, abs(period)):
-            raise ParseError(
-                f"{path}: period header {period!r} does not match 2K + 2*gap = {c.period!r}"
-            )
-    return c
+    return _constellation(path, *_read(path))
 
 
 def load(path):
     """Read a point file as whatever it is: Constellation, FiniteCode, or PointList."""
-    with open(path) as fh:
-        lines = fh.readlines()
-    headers, _ = _read_headers(lines, path)
+    headers, rows = _read(path)
     if "gap" in headers:
-        return read_constellation(path)
+        return _constellation(path, headers, rows)
     if "L" in headers:
-        return read_code(path)
-    return read_points(path)
+        return _code(path, headers, rows)
+    return _point_list(path, rows)

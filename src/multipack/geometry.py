@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceWarning
+from .rng import check_count, check_positive
 
 AVG_FORMULAS = ("centroid", "norm_minus_center", "correlation", "pairwise")
 
@@ -137,9 +138,7 @@ def avg_sq_radius_spherical(pl: PointList, P: float) -> float:
 
     Every point must satisfy ||x_i||^2 = n*P to relative 1e-9.
     """
-    if P <= 0:
-        raise ValueError("P must be positive")
-    nP = pl.n * P
+    nP = pl.n * check_positive("P", P)
     sq = np.einsum("ij,ij->i", pl.points, pl.points)
     off = np.abs(sq - nP) > 1e-9 * nP
     if off.any():
@@ -168,9 +167,7 @@ def spectral_pair(L: int) -> SpectralPair:
     all-ones kernel vector, whose l1 norm sqrt(L) sets the width 2*sqrt(L)
     of the slab the cube maps to along that direction.
     """
-    if not isinstance(L, (int, np.integer)) or L < 2:
-        raise ValueError("L must be an integer >= 2")
-    L = int(L)
+    L = check_count("L", L, 2)
     U = np.zeros((L, L))
     U[:, L - 1] = 1.0 / math.sqrt(L)
     for k in range(1, L):
@@ -247,21 +244,22 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
     that point, until the optimum has all weights positive.  Weights off S
     are exactly 0, and ties break to the lowest index.
 
-    Stops once the duality gap upper - lower drops to ``tol``.  f rises at
-    every major step, so no support recurs in exact arithmetic; when one
-    does (round-off) or ``max_iters`` major steps (by default
-    100 * L * max(1, ceil(ln(1/tol)))) run out first, a ConvergenceWarning
-    is raised and the gap is reported as-is.
+    Stops once the duality gap upper - lower drops to tol * max(1, lower),
+    a test that scales with the list as the certificate's round-off (about
+    3 * eps * upper) does.  lower <= upper keeps it at least as strict as
+    tol * max(1, upper), and lower = 0 on the first support makes even a
+    tol >= 1 take a major step.  f rises at every major step, so no support
+    recurs in exact arithmetic; when one does (round-off) or ``max_iters``
+    major steps (by default 100 * L * max(1, ceil(ln(1/tol)))) run out
+    first, a ConvergenceWarning is raised and the gap is reported as-is.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iters is not None and not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    tol = check_positive("tol", tol)
     xbar = pl.centroid()
     X = pl.points - xbar
     L = pl.L
     if max_iters is None:
         max_iters = 100 * L * max(1, math.ceil(math.log(1.0 / tol)))
+    max_iters = check_count("max_iters", max_iters, 0)
     S = [int(np.argmax(np.einsum("ij,ij->i", X, X)))]
     z = np.zeros(L)
     z[S[0]] = 1.0
@@ -275,8 +273,9 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
         s = int(np.argmax(d))
         upper = float(d[s])
         gap = upper - lower
+        converged = gap <= tol * max(1.0, lower)
         # f rises at every major step, so a support met again means round-off
-        if gap <= tol or iterations == max_iters or frozenset(S) in seen:
+        if converged or iterations == max_iters or frozenset(S) in seen:
             break
         seen.add(frozenset(S))
         S.append(s)
@@ -291,10 +290,9 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
             S = _step_to_face(z, S, w - z[S], 1.0)
             w = _circumcentre_weights(X[S])
         z[S] = w
-    converged = gap <= tol
     if not converged:
         warnings.warn(
-            f"enclosing-ball solver stopped at gap {gap:.3e} (tol {tol:.1e}) "
+            f"enclosing-ball solver stopped at gap {gap:.3e} (tol {tol:.1e} * max(1, lower)) "
             f"after {iterations} iterations",
             ConvergenceWarning,
         )
@@ -337,8 +335,8 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) ->
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = check_positive("tol", tol)
+    max_iters = check_count("max_iters", max_iters, 1)
     X = pl.points
     L = pl.L
     if (X == X[0]).all():

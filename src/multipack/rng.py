@@ -1,5 +1,7 @@
-"""Counter-based random streams, worker-count resolution, and the exact
-binomial interval that the Monte Carlo estimators report.
+"""Counter-based random streams, worker-count resolution, the exact
+binomial interval that the Monte Carlo estimators report, and the two
+argument checks every public routine uses: ``check_count`` for integers and
+``check_positive`` for positive finite reals.
 
 Randomized routines consume uniform draws in fixed-size chunks, each chunk
 coming from its own Philox generator keyed by (seed, chunk index).  A
@@ -10,6 +12,8 @@ how chunks are distributed over workers.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 
 import numpy as np
@@ -30,12 +34,18 @@ def check_seed(seed) -> int:
 
 
 def check_count(name: str, value, minimum: int) -> int:
-    """Validate and return a sample count: an integer >= ``minimum``."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    """Validate and return an integer >= ``minimum``; floats are refused,
+    integral ones too."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_positive(name: str, value) -> float:
+    """Validate and return a positive finite real as a float."""
+    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _clopper_pearson(hits: int, samples: int) -> tuple[float, float]:

@@ -118,6 +118,12 @@ class TestConstructVerify:
         assert rc == 2
         assert "radius" in err
 
+    def test_construct_names_infinite_noise(self, tmp_path, capsys):
+        args = ["construct", "--n", "3", "--L", "2", "--N", "inf", "--K", "1", "--seed", "1"]
+        rc, _, err = run(args + ["--out", str(tmp_path / "c.csv")], capsys)
+        assert rc == 2
+        assert err.startswith("error: N must be positive and finite")
+
     def test_finite_code_failure(self, tmp_path, capsys):
         pts = np.array([[0.0], [0.05]])
         bad = FiniteCode(points=pts, n=1, L=2, N=0.01, K=1.0, seed=None)

@@ -114,6 +114,18 @@ class TestConstellation:
         with pytest.raises(ParseError, match="period"):
             fileio.read_constellation(p)
 
+    @pytest.mark.parametrize("key", ["gap", "period"])
+    def test_non_numeric_header_names_file(self, tmp_path, key):
+        p = tmp_path / "cons.csv"
+        fileio.write_constellation(p, tile(sample_fcode(), gap=0.4))
+        p.write_text("".join(
+            f"# {key}=wide\n" if line.startswith(f"# {key}=") else line
+            for line in p.read_text().splitlines(keepends=True)
+        ))
+        for read in (fileio.read_constellation, fileio.load):
+            with pytest.raises(ParseError, match=rf"cons\.csv: bad '# {key}=' header 'wide'"):
+                read(p)
+
     def test_code_file_is_not_constellation(self, tmp_path):
         p = tmp_path / "c.csv"
         fileio.write_code(p, sample_fcode())

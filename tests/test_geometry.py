@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from multipack import (
     AVG_FORMULAS,
     BudgetError,
+    ConvergenceWarning,
     PointList,
     SimplexWeights,
     avg_sq_radius,
@@ -333,6 +334,19 @@ class TestChebyshev:
             far = chebyshev_radius(PointList(pts + offset))
             assert far.converged and far.gap <= 1e-12 * far.upper
             assert far.radius_sq == pytest.approx(near.radius_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e3, 1e4])
+    def test_tolerance_scales_with_the_list(self, scale):
+        # the certificate rounds at about 3 * eps * upper, which passes an
+        # absolute 1e-9 once the squared radius is near 1e6
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            L, n = int(rng.integers(3, 9)), int(rng.integers(2, 9))
+            pl = PointList(rng.standard_normal((L, n)) * scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ConvergenceWarning)
+                res = chebyshev_radius(pl)
+            assert res.converged and res.gap <= 1e-9 * res.upper
 
     def test_loose_tolerance_gets_an_iteration_budget(self):
         # 100 * L * ceil(ln(1/tol)) is 0 for tol >= 1; the budget is clamped

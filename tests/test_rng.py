@@ -1,7 +1,33 @@
+import math
+
 import numpy as np
 import pytest
 
-from multipack.rng import CHUNK, _clopper_pearson, check_count, check_seed, chunk_rng, resolve_workers
+from multipack import (
+    BoundQuery,
+    ExponentQuery,
+    FiniteCode,
+    PointList,
+    avg_sq_radius_spherical,
+    ball_log_volume_rate_finite,
+    lambda_n_threshold,
+    ld_capacity,
+    mc_tail,
+    mgf_log,
+    rad_p,
+    sample_code,
+    tile,
+    verify_packing,
+)
+from multipack.rng import (
+    CHUNK,
+    _clopper_pearson,
+    check_count,
+    check_positive,
+    check_seed,
+    chunk_rng,
+    resolve_workers,
+)
 
 
 def test_check_seed_range():
@@ -56,6 +82,48 @@ def test_check_count():
     for bad in (999, 1e4, 2500.5, float("inf"), None):
         with pytest.raises(ValueError, match="samples"):
             check_count("samples", bad, 1000)
+
+
+def test_check_positive():
+    assert check_positive("K", 2) == 2.0 and type(check_positive("K", 2)) is float
+    assert check_positive("K", np.float32(0.5)) == 0.5
+    for bad in (0, -1.0, math.nan, math.inf, "3", None):
+        with pytest.raises(ValueError, match="^K must be positive and finite"):
+            check_positive("K", bad)
+
+
+def _code(**kw):
+    args = dict(points=np.zeros((1, 2)), n=2, L=2, N=0.005, K=1.0, seed=0) | kw
+    return FiniteCode(**args)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda: sample_code(3.7, 2.5, 0.005, 1.0, -0.1, 0), "n", id="sample_code-n"),
+        pytest.param(lambda: sample_code(3, 2, 0.005, 1.0, -0.1, 0, M=2.7), "M", id="sample_code-M"),
+        pytest.param(lambda: sample_code(3, 2, 0.005, 1.0, math.nan, 0), "rate_margin", id="sample_code-rate_margin"),
+        pytest.param(lambda: _code(L=2.5), "L", id="FiniteCode-L"),
+        pytest.param(lambda: _code(n=1.0, points=np.zeros((1, 1))), "n", id="FiniteCode-n"),
+        pytest.param(lambda: _code(N=math.inf), "N", id="FiniteCode-N"),
+        pytest.param(lambda: verify_packing(tile(_code(K=math.inf)), 3.0), "K", id="verify_packing-K"),
+        pytest.param(lambda: BoundQuery(N=math.inf, L=3), "N", id="BoundQuery-N"),
+        pytest.param(lambda: ld_capacity(math.inf), "N", id="ld_capacity-N"),
+        pytest.param(lambda: ExponentQuery(N=0.01, L=3, K=math.inf), "K", id="ExponentQuery-K"),
+        pytest.param(lambda: ball_log_volume_rate_finite(math.inf, 3), "N", id="ball_log_volume_rate_finite-N"),
+        pytest.param(lambda: avg_sq_radius_spherical(PointList(np.eye(2)), math.inf), "P", id="spherical-P"),
+        pytest.param(lambda: mgf_log(3, 1.0, 1.0, quad_order=16.7), "quad_order", id="mgf_log-quad_order"),
+        pytest.param(lambda: rad_p(PointList(np.eye(2)), 2.0, max_iters=-1), "max_iters", id="rad_p-max_iters"),
+        # integral floats are refused like any other float
+        pytest.param(lambda: BoundQuery(N=0.01, L=3.0), "L", id="BoundQuery-integral-L"),
+        pytest.param(lambda: lambda_n_threshold(ExponentQuery(N=0.005, L=3, K=1.0), 4.0), "n", id="lambda_n_threshold-integral-n"),
+        pytest.param(lambda: mgf_log(3.0, 1.0, 1.0), "L", id="mgf_log-integral-L"),
+        pytest.param(lambda: mc_tail(2, 4.0, 1.0, 0.04, 5000, 0), "n", id="mc_tail-integral-n"),
+    ],
+)
+def test_degenerate_argument_is_named(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
 
 
 def test_clopper_pearson_interval():
