@@ -58,6 +58,15 @@ def _write_manifest(out_path, argv, args, seed, t0) -> None:
         fh.write("\n")
 
 
+def _as_int(text: str):
+    """``text`` as an int when it is an integer literal, else unchanged, so
+    that check_count names the flag and its rule."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _fmt12(x: float) -> str:
     return f"{x:.12g}"
 
@@ -67,7 +76,7 @@ def cmd_bounds(args, argv) -> int:
     if check_positive("--N-min", args.N_min) > check_positive("--N-max", args.N_max):
         raise ValueError("--N-max must be >= --N-min")
     check_count("--steps", args.steps, 1)
-    Ls = [int(s) for s in args.multi_L.split(",")] if args.multi_L else [args.L]
+    Ls = [check_count("--multi-L", _as_int(s), 2) for s in args.multi_L.split(",")] if args.multi_L else [args.L]
     grid = np.geomspace(args.N_min, args.N_max, args.steps)
     out = Path(args.out)
     for L in Ls:

@@ -8,6 +8,7 @@ guard gap, and verifies the packing property on a finite window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -41,6 +42,9 @@ class FiniteCode:
         object.__setattr__(self, "L", check_count("L", self.L, 2))
         object.__setattr__(self, "N", check_positive("N", self.N))
         object.__setattr__(self, "K", check_positive("K", self.K))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "expurgated_count", check_count("expurgated_count", self.expurgated_count, 0))
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"points must have shape (M, {self.n})")
@@ -310,7 +314,9 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
 
 
 def _window(c: Constellation, center, radius: float):
-    """Constellation points in the closed ball, with tile and base indices.
+    """Constellation points in the closed ball, with their integer tile
+    coordinates (the point is base point b translated by tile * period) and
+    base indices.  Rows come in lexicographic (tile, base index) order.
 
     Raises ValueError unless 0 <= radius < inf and the centre is finite."""
     base = c.base.points
@@ -328,17 +334,16 @@ def _window(c: Constellation, center, radius: float):
     if tiles > WINDOW_BUDGET:
         raise BudgetError(f"window spans {tiles:.3g} tiles, over the {WINDOW_BUDGET:.0e} budget")
     pts_out = [np.empty((0, n))]
-    tiles_out = [np.empty(0, dtype=np.intp)]
+    tiles_out = [np.empty((0, n), dtype=np.intp)]
     base_out = [np.empty(0, dtype=np.intp)]
     tile_iter = itertools.product(*[range(int(lo), int(hi) + 1) for lo, hi in zip(los, his)])
-    tile_id = 0
     for block in iter(lambda: list(itertools.islice(tile_iter, 2048)), []):
-        cand = np.array(block, dtype=float)[:, None, :] * P + base[None, :, :]
+        block = np.array(block, dtype=np.intp)
+        cand = block.astype(float)[:, None, :] * P + base[None, :, :]
         ti, bi = np.nonzero(((cand - center) ** 2).sum(axis=2) <= radius * radius)
         pts_out.append(cand[ti, bi])
-        tiles_out.append(ti + tile_id)
+        tiles_out.append(block[ti])
         base_out.append(bi)
-        tile_id += len(block)
     return np.concatenate(pts_out), np.concatenate(tiles_out), np.concatenate(base_out)
 
 
@@ -346,6 +351,26 @@ def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     """All constellation points within the closed ball (center, radius)."""
     pts, _, _ = _window(c, center, radius)
     return pts
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_grid(bound: tuple) -> np.ndarray:
+    """The tile offsets k with |k_i| <= bound_i whose first nonzero coordinate
+    is positive: one of k and -k for every k != 0.  Read-only, as it is
+    cached."""
+    axes = [np.arange(-b, b + 1) for b in bound]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
+    grid = grid[first > 0]
+    grid.flags.writeable = False
+    return grid
+
+
+def _offset_reach(offsets, period, K):
+    """sum_i (|k_i|*period - 2K)_+^2 for each row k: a squared lower bound on
+    the distance between a base point and any base point translated by
+    k*period, since |x_i - x'_i - k_i*period| >= |k_i|*period - 2K."""
+    return (np.maximum(np.abs(offsets) * period - 2.0 * K, 0.0) ** 2).sum(axis=1)
 
 
 def _min_cross_sq(c, pts, tiles, base_idx, diameter):
@@ -356,29 +381,86 @@ def _min_cross_sq(c, pts, tiles, base_idx, diameter):
     Each point lies at depth K - |x - tile centre|_inf inside its tile's
     cube, and two cubes are 2*gap apart in a coordinate that separates
     them, so a cross-tile pair at distance d has
-    d >= 2*gap + depth(x) + depth(y).  The near pairs are therefore listed
-    only among the points of depth <= s, at radius r = 2*gap + s (at most
-    ``diameter``), with s doubling from twice the smallest depth.  Both carry
-    a small margin against rounding, so once a cross-tile pair lies within
-    r, every cross-tile pair within r has been listed and the smallest is
-    the minimum.  Same-tile pairs deep inside the tiles, which a plain
-    radius search lists in bulk when the gap is wide, are never visited.
+    d >= 2*gap + depth(x) + depth(y).  Near pairs are therefore sought only
+    among the points of depth <= s, at radius r = 2*gap + s (at most
+    ``diameter``), with s doubling from twice the smallest depth.
+
+    Every tile is a translate of the base code, so a cross-tile pair is a
+    translate of (x, x' + k*period) for base points x, x' and an offset
+    k != 0 between their tiles.  Each round searches the base points of the band
+    against their translates x' + k*period by the offsets that can reach r,
+    sum_i (|k_i|*period - 2K)_+^2 <= r^2 (while r < 2K + 4*gap, the ring
+    shells nnz(k)*4*gap^2 <= r^2), keeping only the translates within r of
+    the base cube [-K, K]^n.  A lattice pair (x, x', k) counts only when the
+    window realizes it: some tile t holds x and tile t + k holds x'.  Window
+    rows are keyed by (tile, base index) for that lookup, and the distance
+    is taken between the matched window rows.  Radius and band carry a small
+    margin against rounding, so once a cross-tile pair lies within r, every
+    cross-tile pair of the window within r has been matched and the smallest
+    is the minimum.  Same-tile pairs, and the window's bulk, are never
+    visited.
     """
-    if len(np.unique(tiles)) < 2:
+    if len(pts) == 0:
         return math.inf
-    depth = c.base.K - np.abs(c.base.points[base_idx]).max(axis=1)
-    tol = 1e-6 * c.period
-    s = max(2.0 * float(depth.min()), tol)
+    lo = tiles.min(axis=0)
+    dims = tiles.max(axis=0) - lo + 1
+    if (dims == 1).all():
+        return math.inf
+    code = c.base
+    M, K, P = code.M, code.K, c.period
+    # ascending, since _window lists rows in (tile, base index) order
+    keys = np.ravel_multi_index(tuple((tiles - lo).T), dims) * M + base_idx
+    count = np.bincount(base_idx, minlength=M)
+    first = np.cumsum(count) - count
+    by_base = np.argsort(base_idx, kind="stable")
+    present = np.flatnonzero(count)
+    depth = K - np.abs(code.points).max(axis=1)
+    tol = 1e-6 * P
+    s = max(2.0 * float(depth[present].min()), tol)
+    bound = None
     while True:
         r = min(2.0 * c.gap + s, diameter)
-        band = np.flatnonzero(depth <= s + tol)
-        pairs = band[cKDTree(pts[band]).query_pairs(r * (1.0 + 1e-6), output_type="ndarray")]
-        pairs = pairs[tiles[pairs[:, 0]] != tiles[pairs[:, 1]]]
-        if len(pairs):
-            d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
-            d2 = float(np.einsum("ij,ij->i", d, d).min())
-            if d2 <= r * r or r >= diameter:
-                return d2
+        rq = r * (1.0 + 1e-6)
+        reach_bound = tuple(int(b) for b in np.minimum(dims - 1, int((rq + 2.0 * K) / P)))
+        if reach_bound != bound:
+            bound = reach_bound
+            grid = _offset_grid(bound)
+            reach = _offset_reach(grid, P, K)
+        ks = grid[reach <= rq * rq]
+        band = present[depth[present] <= s + tol]
+        X = code.points[band]
+        # translates x' + k*period within r of the base cube [-K, K]^n, in
+        # blocks of offsets
+        qk, qb, Q = [], [], []
+        step = max(1, 2**18 // X.size)
+        for j0 in range(0, len(ks), step):
+            Y = X[None, :, :] + (ks[j0 : j0 + step] * P)[:, None, :]
+            e = np.maximum(np.abs(Y) - K, 0.0)
+            kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= rq * rq)
+            qk.append(kj + j0)
+            qb.append(bj)
+            Q.append(Y[kj, bj])
+        if sum(map(len, qk)):
+            qk, qb = np.concatenate(qk), np.concatenate(qb)
+            found = cKDTree(X).sparse_distance_matrix(
+                cKDTree(np.concatenate(Q)), rq, output_type="ndarray"
+            )
+            a, j = band[found["i"]], found["j"]
+            # every window row of base point a, paired with tile + k, base b
+            reps = count[a]
+            rows = np.repeat(np.arange(len(a)), reps)
+            p = by_base[np.repeat(first[a] - np.cumsum(reps) + reps, reps) + np.arange(len(rows))]
+            t = tiles[p] + ks[qk[j[rows]]] - lo
+            inside = ((t >= 0) & (t < dims)).all(axis=1)
+            p, rows = p[inside], rows[inside]
+            key = np.ravel_multi_index(tuple(t[inside].T), dims) * M + band[qb[j[rows]]]
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            hit = keys[at] == key
+            if hit.any():
+                d = pts[p[hit]] - pts[at[hit]]
+                d2 = float(np.einsum("ij,ij->i", d, d).min())
+                if d2 <= r * r or r >= diameter:
+                    return d2
         s *= 2.0
 
 
@@ -406,16 +488,22 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     fallback lists the window's L-subsets with average squared radius <= n*N
     as near-pair cliques and reports the first that spans tiles.
 
-    D is exact: _min_cross_sq finds it from KD-tree near pairs of the points
-    near their tiles' faces, not from all W^2 window pairs.  Raises
-    ValueError unless 0 <= window_radius < inf.
+    D is exact, and no window-wide pair search finds it: every tile is a
+    translate of the base code, so _min_cross_sq searches the base points
+    near their cube's faces against their translates by the tile offsets
+    k != 0 that can reach the current radius, and keeps a lattice pair
+    (x, x', k) only when the window realizes it, with x in some tile t and
+    x' in tile t + k.  D is then measured between those window points.
+    Raises ValueError unless 0 <= window_radius < inf.
     """
     code = c.base
     L = code.L
     thr = code.n * code.N
     pts, tiles, base_idx = _window(c, np.zeros(code.n), window_radius)
 
-    _, per_tile = np.unique(tiles, return_counts=True)
+    new_tile = np.ones(len(tiles), dtype=bool)
+    new_tile[1:] = (tiles[1:] != tiles[:-1]).any(axis=1)
+    per_tile = np.diff(np.append(np.flatnonzero(new_tile), len(tiles)))
     same_tile_lists = sum(math.comb(int(m), L) for m in per_tile)
     origin = np.flatnonzero(np.abs(pts).max(axis=1) < c.period / 2.0)
     min_avg, subset = _min_list(pts[origin], L)
@@ -428,7 +516,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     elif 4 * (L - 1) * min_cross_half <= L * L * thr:
         lists, _ = _near_lists(pts, L, thr)
         lt = tiles[lists]
-        spans = np.flatnonzero(lt.min(axis=1) != lt.max(axis=1))
+        spans = np.flatnonzero((lt != lt[:, :1]).any(axis=(1, 2)))
         if len(spans):
             rows = lists[spans[0]]
     return PackingVerdict(

@@ -66,7 +66,10 @@ def chunk_rng(seed, chunk: int) -> np.random.Generator:
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count to use, honoring the MULTIPACK_THREADS cap (0 = auto)."""
+    """Worker count to use, honoring the MULTIPACK_THREADS cap (0 = auto).
+
+    ``workers`` is None (the cap, else 1) or an integer; integers <= 0 mean
+    all cores."""
     env = os.environ.get("MULTIPACK_THREADS", "").strip()
     cap = None
     if env:
@@ -78,6 +81,8 @@ def resolve_workers(workers=None) -> int:
             cap = os.cpu_count() or 1
     if workers is None:
         workers = cap if cap is not None else 1
+    elif not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     elif workers <= 0:
         workers = os.cpu_count() or 1
     if cap is not None:

@@ -2,7 +2,8 @@
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
 quadrature, the golden-section rate search, the first-order radius solvers
 (away-step conditional gradient for the enclosing ball, gradient descent for
-rad_p), and the straightforward forms of the analysis kernels.
+rad_p), the verifier's depth-band search over the whole window, and the
+straightforward forms of the analysis kernels.
 
 The exhaustive ones scan every L-subset, every window pair or tile, every
 tile of the 3^n ring, every circumscribed ball or a dense tensor grid, so
@@ -10,7 +11,8 @@ they are only for small inputs.  The straightforward ones (one quadrature
 per order and panel, two coordinate sums per tail block, the away step over
 the active indices, the mean in rad_p, a tree query for every coverage
 sample) do the same arithmetic as the production kernels, or as the
-first-order radius solvers, and must match them exactly.
+first-order radius solvers, and must match them exactly; so must the window
+band search, whose cross-tile minimum the base-translate search reproduces.
 """
 
 import itertools
@@ -88,8 +90,8 @@ def same_tile_min_per_tile(c, window_radius):
     code = c.base
     pts, tiles, base_idx = construction._window(c, np.zeros(code.n), window_radius)
     best, best_rows, lists = math.inf, None, 0
-    for t in np.unique(tiles):
-        rows = np.flatnonzero(tiles == t)
+    for t in np.unique(tiles, axis=0):
+        rows = np.flatnonzero((tiles == t).all(axis=1))
         lists += math.comb(len(rows), code.L)
         value, subset = construction._min_list(pts[rows], code.L)
         if value < best:
@@ -111,10 +113,44 @@ def cross_tile_min_sq_gram(c, window_radius):
             + np.einsum("ij,ij->i", pts, pts)[None, :]
             - 2.0 * pts[start:stop] @ pts.T
         )
-        cross = tiles[start:stop, None] != tiles[None, :]
+        cross = (tiles[start:stop, None] != tiles[None, :]).any(axis=2)
         if cross.any():
             best = min(best, float(d2[cross].min()))
     return best
+
+
+def cross_tile_min_sq_band(c, pts, tiles, base_idx, diameter):
+    """The smallest squared distance between the window points ``pts`` (with
+    the tile coordinates and base indices of construction._window) that lie
+    in different tiles, by the depth-band search over the whole window (inf
+    with fewer than two tiles); ``diameter`` bounds the distance between any
+    two of them.
+
+    Each point lies at depth K - |x - tile centre|_inf inside its tile's
+    cube, so a cross-tile pair at distance d has
+    d >= 2*gap + depth(x) + depth(y).  The near pairs are listed among the
+    window points of depth <= s, at radius r = 2*gap + s (at most
+    ``diameter``), with s doubling from twice the smallest depth, until
+    a cross-tile pair lies within r.
+    """
+    _, tiles = np.unique(tiles, axis=0, return_inverse=True)
+    tiles = tiles.reshape(-1)
+    if len(np.unique(tiles)) < 2:
+        return math.inf
+    depth = c.base.K - np.abs(c.base.points[base_idx]).max(axis=1)
+    tol = 1e-6 * c.period
+    s = max(2.0 * float(depth.min()), tol)
+    while True:
+        r = min(2.0 * c.gap + s, diameter)
+        band = np.flatnonzero(depth <= s + tol)
+        pairs = band[cKDTree(pts[band]).query_pairs(r * (1.0 + 1e-6), output_type="ndarray")]
+        pairs = pairs[tiles[pairs[:, 0]] != tiles[pairs[:, 1]]]
+        if len(pairs):
+            d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+            d2 = float(np.einsum("ij,ij->i", d, d).min())
+            if d2 <= r * r or r >= diameter:
+                return d2
+        s *= 2.0
 
 
 def ring_covered(c, P, mc_samples, seed):

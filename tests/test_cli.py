@@ -60,6 +60,14 @@ class TestBounds:
         assert rc == 2
         assert "N-max" in err
 
+    @pytest.mark.parametrize("entry, shown", [("x", "'x'"), ("1", "1"), ("2.0", "'2.0'")])
+    def test_bad_multi_L_entry_names_the_flag(self, tmp_path, capsys, entry, shown):
+        args = ["bounds", "--multi-L", f"3,{entry}", "--N-min", "0.001", "--N-max", "0.01", "--out", str(tmp_path / "b.csv")]
+        rc, _, err = run(args, capsys)
+        assert rc == 2
+        assert err.strip() == f"error: --multi-L must be an integer >= 2, got {shown}"
+        assert not list(tmp_path.iterdir())
+
 
 class TestConstructVerify:
     def test_pipeline(self, tmp_path, capsys):

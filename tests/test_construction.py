@@ -24,6 +24,7 @@ from multipack import (
 from multipack import construction
 from multipack.bounds import ExponentQuery
 from oracles import (
+    cross_tile_min_sq_band,
     cross_tile_min_sq_gram,
     ring_covered,
     same_tile_min_per_tile,
@@ -249,6 +250,17 @@ class TestTile:
         wide = enumerate_window(cons, np.zeros(1), 8.0)
         assert sorted(wide[:, 0].tolist()) == [-7.5, -3.5, 0.5, 4.5]
 
+    def test_window_rows_in_tile_order(self):
+        # the cross-tile search looks rows up by (tile, base index) keys,
+        # which must ascend in row order
+        code = sample_code(n=3, L=2, N=0.005, K=1.0, rate_margin=-0.1, seed=4)
+        cons = tile(code)
+        pts, tiles, base_idx = construction._window(cons, np.full(3, 0.3), 1.7 * cons.period)
+        assert tiles.dtype.kind == "i" and tiles.shape == pts.shape
+        assert np.array_equal(pts, tiles * cons.period + code.points[base_idx])
+        keys = [tuple(t) + (b,) for t, b in zip(tiles.tolist(), base_idx.tolist())]
+        assert keys == sorted(set(keys))
+
 
 class TestVerifyPacking:
     def make_cons(self, seed=3):
@@ -375,6 +387,63 @@ class TestVerifyPacking:
                     want = cross_tile_min_sq_gram(c, R) / 4
                     got = verify_packing(c, R).min_cross_half_dist_sq
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    def cross_tile_minima(c, periods=(0.8, 1.5, 2.7)):
+        """The base-translate search and the window band search at radius 0.5
+        (the base tile alone) and at the given multiples of the period: part
+        of the ring, the bench's window and more."""
+        for R in [0.5] + [f * c.period for f in periods]:
+            window = construction._window(c, np.zeros(c.base.n), R)
+            got = construction._min_cross_sq(c, *window, 2.0 * R)
+            yield R, got, cross_tile_min_sq_band(c, *window, 2.0 * R)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_cross_tile_distance_matches_band_oracle(self, L):
+        rng = np.random.default_rng(600 + L)
+        spread = [Constellation(FiniteCode(rng.uniform(-1, 1, size=(25, n)), n, L, 0.01, 1.0, None), 0.1)
+                  for n in (2, 3)]
+        for cons in list(self.oracle_constellations(L, rng)) + spread:
+            code = cons.base
+            g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
+            for c in (cons, tile(code, gap=g_min), tile(code), tile(code, gap=2.5)):
+                for R, got, want in self.cross_tile_minima(c):
+                    assert got == want, (c.gap, R)
+
+    @pytest.mark.parametrize("n,L,seed", [(3, 3, 1), (4, 2, 2), (5, 2, 3)])
+    def test_cross_tile_distance_matches_band_oracle_seeded(self, n, L, seed):
+        code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+        clean = expurgate(code, find_bad_lists(code))
+        g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(n * clean.N)
+        # in 5-D a 2.7-period window holds 2e5 points, and the window band
+        # search takes seconds on it: that radius at the default gap only
+        wide = (0.8, 1.5, 2.7)
+        other = wide if n < 5 else (0.8, 1.5)
+        for c, periods in ((tile(clean, gap=g_min), other), (tile(clean), wide), (tile(clean, gap=2.5), other)):
+            for R, got, want in self.cross_tile_minima(c, periods):
+                assert got == want, (c.gap, R)
+                if R == 0.5:
+                    assert math.isinf(got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_offset_rule_is_the_ring_below_2K_plus_4_gap(self, n):
+        # the offsets k != 0 that can reach r, sum_i (|k_i|*period - 2K)_+^2
+        # <= r^2, are the ring shells nnz(k)*4*gap^2 <= r^2 while
+        # r < 2K + 4*gap: |k_i| = 2 alone costs (2K + 4*gap)^2
+        K, gap = 1.0, 0.3
+        P = 2 * K + 2 * gap
+        grid = construction._offset_grid((2,) * n)
+        both = np.vstack([grid, -grid, np.zeros((1, n), dtype=np.intp)])
+        reach = construction._offset_reach(both, P, K)
+        edge = 2 * K + 4 * gap
+        # radii inside each shell, and just below the edge
+        for j, r in [(j, 2 * gap * math.sqrt(j + 0.5)) for j in range(n)] + [(n, edge * (1 - 1e-9))]:
+            want = {tuple(k) for k in construction._ring_offsets(n, j).astype(int)}
+            assert {tuple(k) for k in both[reach <= r * r]} == want
+        # just past it, |k_i| = 2 comes in
+        assert (np.abs(both[reach <= (edge * (1 + 1e-9)) ** 2]) == 2).any()
+        assert len(grid) == (5**n - 1) // 2
+        assert not (set(map(tuple, grid)) & set(map(tuple, -grid)))
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):

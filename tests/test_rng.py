@@ -67,6 +67,8 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("MULTIPACK_THREADS")
     # zero or negative requests mean "use all cores"
     assert resolve_workers(0) >= 1
+    assert resolve_workers(-3) == resolve_workers(0)
+    assert resolve_workers(np.int64(2)) == 2
 
 
 @pytest.mark.parametrize("value", ["1.5", "abc"])
@@ -106,6 +108,13 @@ def _code(**kw):
         pytest.param(lambda: _code(L=2.5), "L", id="FiniteCode-L"),
         pytest.param(lambda: _code(n=1.0, points=np.zeros((1, 1))), "n", id="FiniteCode-n"),
         pytest.param(lambda: _code(N=math.inf), "N", id="FiniteCode-N"),
+        pytest.param(lambda: _code(seed=1.5), "seed", id="FiniteCode-seed"),
+        pytest.param(lambda: _code(seed=-1), "seed", id="FiniteCode-negative-seed"),
+        pytest.param(lambda: _code(expurgated_count=-3), "expurgated_count", id="FiniteCode-expurgated_count"),
+        pytest.param(lambda: _code(expurgated_count=2.0), "expurgated_count", id="FiniteCode-integral-expurgated_count"),
+        pytest.param(lambda: resolve_workers(2.7), "workers", id="resolve_workers"),
+        pytest.param(lambda: resolve_workers(-0.5), "workers", id="resolve_workers-negative"),
+        pytest.param(lambda: mc_tail(2, 4, 1.0, 0.04, 5000, 0, workers=2.0), "workers", id="mc_tail-integral-workers"),
         pytest.param(lambda: verify_packing(tile(_code(K=math.inf)), 3.0), "K", id="verify_packing-K"),
         pytest.param(lambda: BoundQuery(N=math.inf, L=3), "N", id="BoundQuery-N"),
         pytest.param(lambda: ld_capacity(math.inf), "N", id="ld_capacity-N"),
