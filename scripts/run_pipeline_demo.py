@@ -3,7 +3,8 @@
 
 Samples a random cube code at the threshold density, expurgates it, tiles
 the survivors into a periodic constellation, verifies the packing property
-on a 3-period window, and closes with a Monte Carlo density measurement
+of the whole constellation (counting the points of a 1.5-period window
+around the origin), and closes with a Monte Carlo density measurement
 against the predicted value.
 """
 

@@ -2,7 +2,7 @@
 
 Subcommands: bounds (curve CSVs over a geometric N grid), radius (reports on
 a point-list file), construct (sample + expurgate a code), verify (finite
-code or constellation window), tail (Monte Carlo tail row), ratefn
+code or whole periodic constellation), tail (Monte Carlo tail row), ratefn
 (quadrature rate against the closed-form exponent).  Every output file gets
 a sibling ``<file>.manifest.json`` recording the command line, resolved
 parameters, seed, version, and wall time.  Exit codes: 0 success / verified,
@@ -155,10 +155,9 @@ def cmd_construct(args, argv) -> int:
 def cmd_verify(args, argv) -> int:
     obj = fileio.load(args.input)
     if isinstance(obj, construction.Constellation):
-        window = args.window if args.window is not None else 1.5 * obj.period
-        verdict = construction.verify_packing(obj, window)
-        print(f"window points: {verdict.window_points}")
-        print(f"same-tile lists checked: {verdict.same_tile_lists}")
+        verdict = construction.verify_packing(obj, 1.5 * obj.period)
+        print(f"window points (radius 1.5 periods): {verdict.window_points}")
+        print(f"same-tile lists in that window: {verdict.same_tile_lists}")
         print(f"threshold n*N: {verdict.threshold!r}")
         print(f"min same-tile avg_sq_radius: {verdict.min_avg_radius_sq!r}")
         print(f"min cross-tile (half distance)^2: {verdict.min_cross_half_dist_sq!r}")
@@ -252,10 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_construct)
 
-    v = sub.add_parser("verify", help="verify a code file or constellation window")
+    v = sub.add_parser("verify", help="verify a code file or a whole constellation")
     v.add_argument("input")
-    v.add_argument("--window", type=float, default=None,
-                   help="window radius around the origin (default 1.5 periods)")
     v.set_defaults(func=cmd_verify)
 
     t = sub.add_parser("tail", help="Monte Carlo tail estimate")

@@ -3,7 +3,8 @@
 The pipeline samples M uniform points in [-K, K]^n at the density threshold
 rate, removes points greedily until no L-subset has average squared radius
 at or below n*N, wraps the survivor set into a periodic constellation with a
-guard gap, and verifies the packing property on a finite window.
+guard gap, and verifies the packing property of the whole periodic
+constellation from the base code and its translates.
 """
 
 from __future__ import annotations
@@ -88,20 +89,26 @@ class Constellation:
 
 @dataclass(frozen=True)
 class PackingVerdict:
-    """Outcome of verify_packing on a window around the origin.
+    """Outcome of verify_packing for the whole constellation.
 
-    passed: no L-subset of the window has average squared radius <= threshold.
+    passed: no L-subset of the constellation has average squared radius
+        <= threshold; a cross-tile list has
+        avg >= 4(L-1)/L^2 * min_cross_half_dist_sq, so a pass is certified
+        when that exceeds the threshold, and listed exactly otherwise.
     threshold: n*N.
-    window_points: constellation points in the window.
-    same_tile_lists: sum over the window's tiles of C(points in the tile, L),
-        the same-tile L-subsets the check covers (not subsets enumerated).
+    window_points: constellation points within window_radius of the origin.
+    same_tile_lists: sum over the window's tiles of C(points in the tile, L).
+        These two counts are not used by the verdict; they are kept for the
+        benchmark's checks until it stops comparing them with
+        enumerate_window.
     min_avg_radius_sq: smallest average squared radius over the L-subsets of
-        the origin tile's window points, which is the smallest same-tile one
-        (inf when fewer than L points).
+        the base code, the smallest same-tile one (inf when fewer than L
+        points).
     min_cross_half_dist_sq: a quarter of the smallest squared distance between
-        window points of different tiles (inf with fewer than two tiles).
+        points of different tiles (inf for an empty base code).
     violation: the points of a violating list, None on a pass; a same-tile
-        violation is reported in the origin tile.
+        violation is reported in the base tile, a cross-tile one as a
+        translate with a member in the base tile.
     violation_base_indices: the base-code indices of those points.
     """
 
@@ -313,44 +320,39 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     return Constellation(base=code, gap=gap)
 
 
-def _window(c: Constellation, center, radius: float):
-    """Constellation points in the closed ball, with their integer tile
-    coordinates (the point is base point b translated by tile * period) and
-    base indices.  Rows come in lexicographic (tile, base index) order.
+def _tile_blocks(c: Constellation, center, radius: float):
+    """The integer tile coordinates t whose cube t*period + [-K, K]^n can
+    meet the closed ball (center, radius), in lexicographic order and blocks
+    of at most 2048 rows.
 
-    Raises ValueError unless 0 <= radius < inf and the centre is finite."""
-    base = c.base.points
-    n = c.base.n
-    center = np.asarray(center, dtype=float).reshape(n)
+    Raises ValueError unless 0 <= radius < inf and the centre is finite, and
+    BudgetError when the tiles number more than WINDOW_BUDGET."""
+    center = np.asarray(center, dtype=float).reshape(c.base.n)
     if not 0.0 <= radius < math.inf or not np.isfinite(center).all():
         raise ValueError(
             f"window needs a finite centre and a radius in [0, inf), got radius {radius!r}"
         )
-    P = c.period
-    K = c.base.K
+    P, K = c.period, c.base.K
     los = np.ceil((center - radius - K) / P)
     his = np.floor((center + radius + K) / P)
     tiles = np.prod(np.maximum(his - los + 1, 0))
     if tiles > WINDOW_BUDGET:
         raise BudgetError(f"window spans {tiles:.3g} tiles, over the {WINDOW_BUDGET:.0e} budget")
-    pts_out = [np.empty((0, n))]
-    tiles_out = [np.empty((0, n), dtype=np.intp)]
-    base_out = [np.empty(0, dtype=np.intp)]
     tile_iter = itertools.product(*[range(int(lo), int(hi) + 1) for lo, hi in zip(los, his)])
-    for block in iter(lambda: list(itertools.islice(tile_iter, 2048)), []):
-        block = np.array(block, dtype=np.intp)
-        cand = block.astype(float)[:, None, :] * P + base[None, :, :]
-        ti, bi = np.nonzero(((cand - center) ** 2).sum(axis=2) <= radius * radius)
-        pts_out.append(cand[ti, bi])
-        tiles_out.append(block[ti])
-        base_out.append(bi)
-    return np.concatenate(pts_out), np.concatenate(tiles_out), np.concatenate(base_out)
+    blocks = iter(lambda: list(itertools.islice(tile_iter, 2048)), [])
+    return (np.array(b, dtype=np.intp) for b in blocks)
 
 
 def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
-    """All constellation points within the closed ball (center, radius)."""
-    pts, _, _ = _window(c, center, radius)
-    return pts
+    """All constellation points within the closed ball (center, radius),
+    tile by tile in lexicographic tile order, each tile's in base order.
+    Raises ValueError unless 0 <= radius < inf and the centre is finite."""
+    center = np.asarray(center, dtype=float).reshape(c.base.n)
+    out = [np.empty((0, c.base.n))]
+    for block in _tile_blocks(c, center, radius):
+        cand = block.astype(float)[:, None, :] * c.period + c.base.points[None, :, :]
+        out.append(cand[((cand - center) ** 2).sum(axis=2) <= radius * radius])
+    return np.concatenate(out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -373,161 +375,152 @@ def _offset_reach(offsets, period, K):
     return (np.maximum(np.abs(offsets) * period - 2.0 * K, 0.0) ** 2).sum(axis=1)
 
 
-def _min_cross_sq(c, pts, tiles, base_idx, diameter):
-    """Smallest squared distance between two window points of ``c`` in
-    different tiles, from differences (inf when they occupy fewer than two
-    tiles); ``diameter`` bounds the distance between any two of them.
+def _translates(points, offsets, period, K, r):
+    """The translates x + k*period of ``points`` by the rows k of ``offsets``
+    that lie within r of the base cube [-K, K]^n, offset by offset, with the
+    row of x in ``points``.  Built in blocks of offsets, so only the kept
+    translates are held."""
+    rows, out = [np.empty(0, np.intp)], [np.empty((0, points.shape[1]))]
+    step = max(1, 2**18 // max(points.size, 1))
+    for j0 in range(0, len(offsets), step):
+        Y = points[None, :, :] + (offsets[j0 : j0 + step] * period)[:, None, :]
+        e = np.maximum(np.abs(Y) - K, 0.0)
+        kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= r * r)
+        rows.append(bj)
+        out.append(Y[kj, bj])
+    return np.concatenate(rows), np.concatenate(out)
 
-    Each point lies at depth K - |x - tile centre|_inf inside its tile's
-    cube, and two cubes are 2*gap apart in a coordinate that separates
-    them, so a cross-tile pair at distance d has
-    d >= 2*gap + depth(x) + depth(y).  Near pairs are therefore sought only
-    among the points of depth <= s, at radius r = 2*gap + s (at most
-    ``diameter``), with s doubling from twice the smallest depth.
+
+def _min_cross_sq(c: Constellation) -> float:
+    """Smallest squared distance between two points of ``c`` in different
+    tiles, from the differences x - (x' + k*period) (inf for an empty base
+    code).
 
     Every tile is a translate of the base code, so a cross-tile pair is a
-    translate of (x, x' + k*period) for base points x, x' and an offset
-    k != 0 between their tiles.  Each round searches the base points of the band
-    against their translates x' + k*period by the offsets that can reach r,
+    translate of (x, x' + k*period) with base points x, x' and a tile offset
+    k != 0.  A base point lies at depth K - |x|_inf inside the base cube, and
+    in a coordinate with k_i != 0,
+    |x_i - x'_i - k_i*period| >= period - 2K + depth(x) + depth(x'), so such
+    a pair at distance d has d >= 2*gap + depth(x) + depth(x').  Each round
+    therefore searches only the base points of depth <= s, at radius
+    r = 2*gap + s, with s doubling from twice the smallest depth, against
+    their translates by the offsets that can reach r,
     sum_i (|k_i|*period - 2K)_+^2 <= r^2 (while r < 2K + 4*gap, the ring
-    shells nnz(k)*4*gap^2 <= r^2), keeping only the translates within r of
-    the base cube [-K, K]^n.  A lattice pair (x, x', k) counts only when the
-    window realizes it: some tile t holds x and tile t + k holds x'.  Window
-    rows are keyed by (tile, base index) for that lookup, and the distance
-    is taken between the matched window rows.  Radius and band carry a small
-    margin against rounding, so once a cross-tile pair lies within r, every
-    cross-tile pair of the window within r has been matched and the smallest
-    is the minimum.  Same-tile pairs, and the window's bulk, are never
-    visited.
+    shells nnz(k)*4*gap^2 <= r^2), one of k and -k each, keeping only the
+    translates within r of the base cube.  Radius and band carry a small
+    margin against rounding, so once a pair lies within r every cross-tile
+    pair within r has been found and the smallest is the minimum.  The
+    search stops by r = period: x and x + period*e_1 are a cross-tile pair.
     """
-    if len(pts) == 0:
-        return math.inf
-    lo = tiles.min(axis=0)
-    dims = tiles.max(axis=0) - lo + 1
-    if (dims == 1).all():
-        return math.inf
     code = c.base
-    M, K, P = code.M, code.K, c.period
-    # ascending, since _window lists rows in (tile, base index) order
-    keys = np.ravel_multi_index(tuple((tiles - lo).T), dims) * M + base_idx
-    count = np.bincount(base_idx, minlength=M)
-    first = np.cumsum(count) - count
-    by_base = np.argsort(base_idx, kind="stable")
-    present = np.flatnonzero(count)
+    if code.M == 0:
+        return math.inf
+    K, P = code.K, c.period
     depth = K - np.abs(code.points).max(axis=1)
     tol = 1e-6 * P
-    s = max(2.0 * float(depth[present].min()), tol)
-    bound = None
+    s = max(2.0 * float(depth.min()), tol)
     while True:
-        r = min(2.0 * c.gap + s, diameter)
+        r = 2.0 * c.gap + s
         rq = r * (1.0 + 1e-6)
-        reach_bound = tuple(int(b) for b in np.minimum(dims - 1, int((rq + 2.0 * K) / P)))
-        if reach_bound != bound:
-            bound = reach_bound
-            grid = _offset_grid(bound)
-            reach = _offset_reach(grid, P, K)
-        ks = grid[reach <= rq * rq]
-        band = present[depth[present] <= s + tol]
-        X = code.points[band]
-        # translates x' + k*period within r of the base cube [-K, K]^n, in
-        # blocks of offsets
-        qk, qb, Q = [], [], []
-        step = max(1, 2**18 // X.size)
-        for j0 in range(0, len(ks), step):
-            Y = X[None, :, :] + (ks[j0 : j0 + step] * P)[:, None, :]
-            e = np.maximum(np.abs(Y) - K, 0.0)
-            kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= rq * rq)
-            qk.append(kj + j0)
-            qb.append(bj)
-            Q.append(Y[kj, bj])
-        if sum(map(len, qk)):
-            qk, qb = np.concatenate(qk), np.concatenate(qb)
-            found = cKDTree(X).sparse_distance_matrix(
-                cKDTree(np.concatenate(Q)), rq, output_type="ndarray"
-            )
-            a, j = band[found["i"]], found["j"]
-            # every window row of base point a, paired with tile + k, base b
-            reps = count[a]
-            rows = np.repeat(np.arange(len(a)), reps)
-            p = by_base[np.repeat(first[a] - np.cumsum(reps) + reps, reps) + np.arange(len(rows))]
-            t = tiles[p] + ks[qk[j[rows]]] - lo
-            inside = ((t >= 0) & (t < dims)).all(axis=1)
-            p, rows = p[inside], rows[inside]
-            key = np.ravel_multi_index(tuple(t[inside].T), dims) * M + band[qb[j[rows]]]
-            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            hit = keys[at] == key
-            if hit.any():
-                d = pts[p[hit]] - pts[at[hit]]
-                d2 = float(np.einsum("ij,ij->i", d, d).min())
-                if d2 <= r * r or r >= diameter:
-                    return d2
+        grid = _offset_grid((int((rq + 2.0 * K) / P),) * code.n)
+        X = code.points[depth <= s + tol]
+        _, Q = _translates(X, grid[_offset_reach(grid, P, K) <= rq * rq], P, K, rq)
+        found = cKDTree(X).sparse_distance_matrix(cKDTree(Q), rq, output_type="ndarray")
+        if len(found):
+            d = X[found["i"]] - Q[found["j"]]
+            d2 = float(np.einsum("ij,ij->i", d, d).min())
+            if d2 <= r * r:
+                return d2
         s *= 2.0
 
 
-def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
-    """Check the packing property on a window around the origin.
+def _cross_tile_list(c: Constellation):
+    """The points and base indices of the first list spanning tiles with
+    average squared radius <= n*N, or (None, None).
 
-    Same-tile lists are tested exactly, on the origin tile alone.  A base
-    point x lies in [-K, K]^n, and in every nonzero coordinate of a tile
-    offset k, |x_i + k_i*period| >= period - K = K + 2*gap > |x_i|, so
-    |x + k*period| > |x|: whenever a translate of x lies in the window, so
-    does x.  Every tile's window points are thus a translate of a subset, by
-    base index, of the origin tile's, and the smallest same-tile average
-    squared radius is that of the origin tile's window points (those with
-    |x|_inf < period/2), from the near-pair clique listing of min_avg_subset.
+    Every such list has one translate whose lexicographically smallest tile
+    is the base tile, so its other tiles are offsets k whose first nonzero
+    coordinate is positive.  Every member lies within sqrt(2L*n*N) of a
+    member x in the base tile (see _near_lists), so the lists are among
+    those of the base code and its translates by such offsets within that
+    radius of the base cube.  The base comes first, and the first list with
+    a base member is reported."""
+    code = c.base
+    M, K, P = code.M, code.K, c.period
+    thr = code.n * code.N
+    r = math.sqrt(2.0 * code.L * thr) * (1.0 + 1e-6)
+    grid = _offset_grid((int((r + 2.0 * K) / P),) * code.n)
+    bj, Q = _translates(code.points, grid[_offset_reach(grid, P, K) <= r * r], P, K, r)
+    pts = np.vstack([code.points, Q])
+    base_of = np.concatenate([np.arange(M), bj])
+    lists, _ = _near_lists(pts, code.L, thr)
+    # rows ascend, so a list spans tiles when it starts in the base and ends
+    # in a translate
+    spans = (lists[:, 0] < M) & (lists[:, -1] >= M)
+    if not spans.any():
+        return None, None
+    row = lists[np.argmax(spans)]
+    return pts[row], tuple(int(i) for i in base_of[row])
+
+
+def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
+    """Check the packing property of the whole constellation.
+
+    Every tile is a translate of the base code, so the smallest same-tile
+    average squared radius is the base code's, from the near-pair clique
+    listing of min_avg_subset.
 
     A list spanning tiles splits into a points inside one tile and L - a
     elsewhere, 1 <= a < L, and each of the a(L - a) >= L - 1 pairs across
     the split is a cross-tile pair at distance at least D, the smallest
-    cross-tile distance in the window.  Since L*avg = (1/L) *
-    sum_{i<j} |x_i - x_j|^2, every cross-tile list has
+    distance between points of different tiles.  Since
+    L*avg = (1/L) * sum_{i<j} |x_i - x_j|^2, every cross-tile list has
 
         avg >= (L-1)/L^2 * D^2 = 4(L-1)/L^2 * min_cross_half_dist_sq,
 
-    and the window is certified when that exceeds n*N.  Otherwise the exact
-    fallback lists the window's L-subsets with average squared radius <= n*N
-    as near-pair cliques and reports the first that spans tiles.
+    and every list of the constellation is certified when that exceeds n*N.
+    D is the lattice minimum of _min_cross_sq, taken over the base points
+    and their translates, so it is at most the minimum of any finite window
+    and the certificate covers every window.  Otherwise the exact fallback,
+    _cross_tile_list, lists the L-subsets with average squared radius
+    <= n*N among the base code and its translates within sqrt(2L*n*N) of
+    the base cube, and reports the first that has a base member and spans
+    tiles.
 
-    D is exact, and no window-wide pair search finds it: every tile is a
-    translate of the base code, so _min_cross_sq searches the base points
-    near their cube's faces against their translates by the tile offsets
-    k != 0 that can reach the current radius, and keeps a lattice pair
-    (x, x', k) only when the window realizes it, with x in some tile t and
-    x' in tile t + k.  D is then measured between those window points.
-    Raises ValueError unless 0 <= window_radius < inf.
+    ``window_radius`` only sizes the counts window_points and
+    same_tile_lists, taken tile by tile from a KD-tree of the base code
+    without listing the window.  Raises ValueError unless
+    0 <= window_radius < inf.
     """
     code = c.base
     L = code.L
     thr = code.n * code.N
-    pts, tiles, base_idx = _window(c, np.zeros(code.n), window_radius)
+    tree = cKDTree(code.points)
+    window_points = same_tile_lists = 0
+    for block in _tile_blocks(c, np.zeros(code.n), window_radius):
+        # x + t*period lies in the window when x is within its radius of -t*period
+        centres = -(block.astype(float) * c.period)
+        counts = tree.query_ball_point(centres, window_radius, return_length=True)
+        sizes, tiles = np.unique(counts, return_counts=True)
+        window_points += int(counts.sum())
+        same_tile_lists += sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, tiles))
+    min_avg, subset = _min_list(code.points, L)
+    min_cross_half = _min_cross_sq(c) / 4.0
 
-    new_tile = np.ones(len(tiles), dtype=bool)
-    new_tile[1:] = (tiles[1:] != tiles[:-1]).any(axis=1)
-    per_tile = np.diff(np.append(np.flatnonzero(new_tile), len(tiles)))
-    same_tile_lists = sum(math.comb(int(m), L) for m in per_tile)
-    origin = np.flatnonzero(np.abs(pts).max(axis=1) < c.period / 2.0)
-    min_avg, subset = _min_list(pts[origin], L)
-
-    min_cross_half = _min_cross_sq(c, pts, tiles, base_idx, 2.0 * window_radius) / 4.0
-
-    rows = None
+    violation, indices = None, None
     if min_avg <= thr:
-        rows = origin[list(subset)]
+        violation, indices = code.points[list(subset)], subset
     elif 4 * (L - 1) * min_cross_half <= L * L * thr:
-        lists, _ = _near_lists(pts, L, thr)
-        lt = tiles[lists]
-        spans = np.flatnonzero((lt != lt[:, :1]).any(axis=(1, 2)))
-        if len(spans):
-            rows = lists[spans[0]]
+        violation, indices = _cross_tile_list(c)
     return PackingVerdict(
-        passed=rows is None,
+        passed=violation is None,
         threshold=thr,
-        window_points=len(pts),
+        window_points=window_points,
         same_tile_lists=same_tile_lists,
         min_avg_radius_sq=min_avg,
         min_cross_half_dist_sq=min_cross_half,
-        violation=None if rows is None else pts[rows],
-        violation_base_indices=None if rows is None else tuple(int(i) for i in base_idx[rows]),
+        violation=violation,
+        violation_base_indices=indices,
     )
 
 

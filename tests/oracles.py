@@ -2,17 +2,20 @@
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
 quadrature, the golden-section rate search, the first-order radius solvers
 (away-step conditional gradient for the enclosing ball, gradient descent for
-rad_p), the verifier's depth-band search over the whole window, and the
-straightforward forms of the analysis kernels.
+rad_p), the depth-band search over a whole window, and the straightforward
+forms of the analysis kernels.
 
 The exhaustive ones scan every L-subset, every window pair or tile, every
-tile of the 3^n ring, every circumscribed ball or a dense tensor grid, so
-they are only for small inputs.  The straightforward ones (one quadrature
-per order and panel, two coordinate sums per tail block, the away step over
-the active indices, the mean in rad_p, a tree query for every coverage
-sample) do the same arithmetic as the production kernels, or as the
-first-order radius solvers, and must match them exactly; so must the window
-band search, whose cross-tile minimum the base-translate search reproduces.
+base pair against every neighbour translate, every tile of the 3^n ring,
+every circumscribed ball or a dense tensor grid, so they are only for small
+inputs.  The straightforward ones (one quadrature per order and panel, two
+coordinate sums per tail block, the away step over the active indices, the
+mean in rad_p, a tree query for every coverage sample) do the same
+arithmetic as the production kernels, or as the first-order radius solvers,
+and must match them exactly; so must the lattice scan, whose cross-tile
+minimum the verifier's base-translate search reproduces.  The window
+oracles bound the verifier from the other side: a finite window holds only
+some of the constellation's lists and pairs.
 """
 
 import itertools
@@ -73,6 +76,25 @@ def scan_subsets(points, L, threshold):
     return bad, best
 
 
+def window_rows(c, center, radius):
+    """The points of enumerate_window with their integer tile coordinates
+    (the point is base point b translated by tile * period) and base
+    indices.  Rows come in lexicographic (tile, base index) order."""
+    base = c.base.points
+    n = c.base.n
+    center = np.asarray(center, dtype=float).reshape(n)
+    pts_out = [np.empty((0, n))]
+    tiles_out = [np.empty((0, n), dtype=np.intp)]
+    base_out = [np.empty(0, dtype=np.intp)]
+    for block in construction._tile_blocks(c, center, radius):
+        cand = block.astype(float)[:, None, :] * c.period + base[None, :, :]
+        ti, bi = np.nonzero(((cand - center) ** 2).sum(axis=2) <= radius * radius)
+        pts_out.append(cand[ti, bi])
+        tiles_out.append(block[ti])
+        base_out.append(bi)
+    return np.concatenate(pts_out), np.concatenate(tiles_out), np.concatenate(base_out)
+
+
 def window_bad_lists(c, window_radius):
     """The window points around the origin and every L-subset of them with
     average squared radius <= n*N, same-tile or not."""
@@ -88,7 +110,7 @@ def same_tile_min_per_tile(c, window_radius):
     the base indices of the first subset attaining it (in tile order), and
     the same-tile list count sum C(tile size, L)."""
     code = c.base
-    pts, tiles, base_idx = construction._window(c, np.zeros(code.n), window_radius)
+    pts, tiles, base_idx = window_rows(c, np.zeros(code.n), window_radius)
     best, best_rows, lists = math.inf, None, 0
     for t in np.unique(tiles, axis=0):
         rows = np.flatnonzero((tiles == t).all(axis=1))
@@ -104,7 +126,7 @@ def cross_tile_min_sq_gram(c, window_radius):
     """The smallest squared distance between window points of different
     tiles, over all W^2 pairs in 512-row blocks of the Gram form
     |x|^2 + |y|^2 - 2 x.y (inf with fewer than two tiles)."""
-    pts, tiles, _ = construction._window(c, np.zeros(c.base.n), window_radius)
+    pts, tiles, _ = window_rows(c, np.zeros(c.base.n), window_radius)
     best = math.inf
     for start in range(0, len(pts), 512):
         stop = min(start + 512, len(pts))
@@ -121,7 +143,7 @@ def cross_tile_min_sq_gram(c, window_radius):
 
 def cross_tile_min_sq_band(c, pts, tiles, base_idx, diameter):
     """The smallest squared distance between the window points ``pts`` (with
-    the tile coordinates and base indices of construction._window) that lie
+    the tile coordinates and base indices of window_rows) that lie
     in different tiles, by the depth-band search over the whole window (inf
     with fewer than two tiles); ``diameter`` bounds the distance between any
     two of them.
@@ -151,6 +173,28 @@ def cross_tile_min_sq_band(c, pts, tiles, base_idx, diameter):
             if d2 <= r * r or r >= diameter:
                 return d2
         s *= 2.0
+
+
+def cross_tile_min_sq_lattice(c):
+    """The smallest squared distance between points of different tiles (inf
+    for an empty base code), over every ordered pair (a, b) of base points
+    and every tile offset k in {-1, 0, 1}^n whose first nonzero coordinate
+    is positive, as the difference x_a - (x_b + k*period).
+
+    One of k and -k suffices, since (b, a, k) is a translate of (a, b, -k).
+    Offsets with some |k_i| >= 2 are left out: they put x_b + k*period at
+    least 2*period - 2K > period from x_a, and x_a + period*e_1 is a
+    cross-tile point at distance period."""
+    X = c.base.points
+    n = c.base.n
+    best = math.inf
+    for k in itertools.product((-1, 0, 1), repeat=n):
+        k = np.array(k)
+        if len(X) == 0 or not k.any() or k[np.flatnonzero(k)[0]] < 0:
+            continue
+        d = (X[:, None, :] - (X + k * c.period)[None, :, :]).reshape(-1, n)
+        best = min(best, float(np.einsum("ij,ij->i", d, d).min()))
+    return best
 
 
 def ring_covered(c, P, mc_samples, seed):

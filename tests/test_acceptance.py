@@ -223,7 +223,7 @@ def test_criterion_09_tiling():
     vp = verify_packing(tile(planted), 1.5 * cons.period)
     ok &= (not vp.passed) and vp.violation_base_indices == (0, pts.shape[0] - 1)
     ok &= vp.violation is not None and vp.violation.shape == (2, 4)
-    record(9, "guarded tilings verify on a 3-period window; planted violations are reported", ok, t0, 60.0)
+    record(9, "guarded tilings verify as whole constellations; planted violations are reported", ok, t0, 60.0)
 
 
 def test_criterion_10_density_sandwich():

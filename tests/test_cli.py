@@ -118,14 +118,6 @@ class TestConstructVerify:
         rc, text, _ = run(["verify", str(cpath.with_name("nope.csv"))], capsys)
         assert rc == 2
 
-    @pytest.mark.parametrize("window", ["inf", "nan", "-1"])
-    def test_verify_rejects_bad_window(self, tmp_path, capsys, window):
-        cpath = tmp_path / "cons.csv"
-        fileio.write_constellation(cpath, tile(FiniteCode(np.zeros((1, 2)), 2, 2, 0.01, 1.0, None)))
-        rc, _, err = run(["verify", str(cpath), "--window", window], capsys)
-        assert rc == 2
-        assert "radius" in err
-
     def test_construct_names_infinite_noise(self, tmp_path, capsys):
         args = ["construct", "--n", "3", "--L", "2", "--N", "inf", "--K", "1", "--seed", "1"]
         rc, _, err = run(args + ["--out", str(tmp_path / "c.csv")], capsys)

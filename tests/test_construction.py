@@ -26,11 +26,13 @@ from multipack.bounds import ExponentQuery
 from oracles import (
     cross_tile_min_sq_band,
     cross_tile_min_sq_gram,
+    cross_tile_min_sq_lattice,
     ring_covered,
     same_tile_min_per_tile,
     scan_subsets,
     tree_covered,
     window_bad_lists,
+    window_rows,
 )
 
 
@@ -251,11 +253,12 @@ class TestTile:
         assert sorted(wide[:, 0].tolist()) == [-7.5, -3.5, 0.5, 4.5]
 
     def test_window_rows_in_tile_order(self):
-        # the cross-tile search looks rows up by (tile, base index) keys,
-        # which must ascend in row order
+        # the window oracles split enumerate_window's points by tile and base
+        # index, with rows ascending by (tile, base index)
         code = sample_code(n=3, L=2, N=0.005, K=1.0, rate_margin=-0.1, seed=4)
         cons = tile(code)
-        pts, tiles, base_idx = construction._window(cons, np.full(3, 0.3), 1.7 * cons.period)
+        pts, tiles, base_idx = window_rows(cons, np.full(3, 0.3), 1.7 * cons.period)
+        assert np.array_equal(pts, enumerate_window(cons, np.full(3, 0.3), 1.7 * cons.period))
         assert tiles.dtype.kind == "i" and tiles.shape == pts.shape
         assert np.array_equal(pts, tiles * cons.period + code.points[base_idx])
         keys = [tuple(t) + (b,) for t, b in zip(tiles.tolist(), base_idx.tolist())]
@@ -318,6 +321,19 @@ class TestVerifyPacking:
         wide = tile(code)
         assert verify_packing(wide, 1.5 * wide.period).passed
 
+    def test_diagonal_translate_caught(self):
+        # the only close pair joins opposite corners through the diagonal
+        # tile offset (1, 1): at half the minimum gap it is 0.22*sqrt(2)
+        # apart, and the face translates lie farther than sqrt(2L*n*N)
+        code = FiniteCode([[0.99, 0.99], [-0.99, -0.99]], 2, 2, 0.02, 1.0, None)
+        cons = Constellation(base=code, gap=0.1)
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert not v.passed and v.min_avg_radius_sq > v.threshold
+        assert v.violation_base_indices == (0, 1)
+        assert np.allclose(v.violation, [[0.99, 0.99], [1.21, 1.21]], rtol=0, atol=1e-12)
+        _, bad = window_bad_lists(cons, 1.5 * cons.period)
+        assert bad
+
     @pytest.mark.parametrize("L,N,passed", [(2, 0.25, False), (5, 0.25, True)])
     def test_gap_at_minimum_runs_exact_fallback(self, L, N, passed):
         # points on the cube faces put the nearest cross-tile pair exactly
@@ -332,8 +348,9 @@ class TestVerifyPacking:
         _, bad = window_bad_lists(cons, 1.5 * cons.period)
         assert (not bad) is passed
         if not passed:
-            # the cross-tile pair {-2, -1} at distance 1 has avg exactly nN
-            assert v.violation[:, 0].tolist() == [-2.0, -1.0]
+            # the cross-tile pair {1, 2} at distance 1 has avg exactly nN:
+            # base point 0 with base point 1 translated by one period
+            assert v.violation[:, 0].tolist() == [1.0, 2.0]
             assert v.violation_base_indices == (0, 1)
 
     @staticmethod
@@ -355,15 +372,32 @@ class TestVerifyPacking:
             # only the constructor accepts a gap below the minimum
             yield Constellation(base=code, gap=gap) if gap < g_min else tile(code, gap=gap)
 
-    @pytest.mark.parametrize("L", [2, 3, 4])
+    @staticmethod
+    def planted_at_gap_bound(L):
+        # one point on the face x = 1 and L - 1 on x = -1, at the minimum gap:
+        # the first with the translates of the others, 2*gap away, has
+        # avg = (L-1)/L^2 * (2*gap)^2 = nN, which rounds to <= nN at
+        # N = 1/16 for every L in 2..5
+        code = FiniteCode([[1.0]] + [[-1.0]] * (L - 1), 1, L, 0.0625, 1.0, None)
+        return tile(code, gap=L / (2.0 * math.sqrt(L - 1)) * math.sqrt(0.0625))
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_matches_window_oracle(self, L):
         rng = np.random.default_rng(300 + L)
         kinds = set()
-        for cons in self.oracle_constellations(L, rng):
+        planted = self.planted_at_gap_bound(L)
+        for cons in list(self.oracle_constellations(L, rng)) + [planted]:
             R = 1.5 * cons.period
             v = verify_packing(cons, R)
-            pts, bad = window_bad_lists(cons, R)
-            assert v.window_points == len(pts)
+            for r in (0.5, 0.8 * cons.period, R):
+                pts, bad = window_bad_lists(cons, r)
+                w = verify_packing(cons, r)
+                assert w.window_points == len(pts)
+                # the window sizes only the counts: the verdict is the
+                # constellation's, which fails wherever a window does
+                assert (w.passed, w.violation_base_indices) == (v.passed, v.violation_base_indices)
+                assert not (bad and v.passed)
+            # the 1.5-period window holds a translate of every list
             assert v.passed == (not bad)
             if not v.passed:
                 assert avg_sq_radius(PointList(v.violation)) <= v.threshold * (1 + 1e-12)
@@ -371,6 +405,12 @@ class TestVerifyPacking:
                 assert np.allclose(back, cons.base.points[list(v.violation_base_indices)], atol=1e-12)
             kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
         assert {"pass", "cross-tile"} <= kinds
+        # the certificate is inconclusive at the bound, and the fallback
+        # finds the planted list
+        v = verify_packing(planted, 1.5 * planted.period)
+        assert 4 * (L - 1) * v.min_cross_half_dist_sq <= L * L * v.threshold
+        assert not v.passed and v.min_avg_radius_sq > v.threshold
+        assert sorted(v.violation_base_indices) == list(range(L))
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_cross_tile_distance_matches_gram_oracle(self, L):
@@ -382,21 +422,37 @@ class TestVerifyPacking:
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
             # a gap wider than the cube keeps same-tile pairs closer than D
             for c in (cons, tile(code, gap=g_min), tile(code, gap=2.5)):
-                # a window of radius 0.5 holds the base tile alone: D is inf
+                got = verify_packing(c, 1.5 * c.period).min_cross_half_dist_sq
+                assert got == cross_tile_min_sq_lattice(c) / 4
+                # a window of radius 0.5 holds the base tile alone: its D is inf
                 for R in (1.5 * c.period, 0.5):
-                    want = cross_tile_min_sq_gram(c, R) / 4
-                    got = verify_packing(c, R).min_cross_half_dist_sq
-                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                    window = cross_tile_min_sq_gram(c, R) / 4
+                    assert got <= window * (1 + 1e-12)
+                    if R >= 1.5 * c.period:
+                        assert got == pytest.approx(window, rel=1e-12, abs=0.0)
 
     @staticmethod
-    def cross_tile_minima(c, periods=(0.8, 1.5, 2.7)):
-        """The base-translate search and the window band search at radius 0.5
-        (the base tile alone) and at the given multiples of the period: part
-        of the ring, the bench's window and more."""
+    def window_minima(c, periods=(0.8, 1.5, 2.7)):
+        """The window band search at radius 0.5 (the base tile alone) and at
+        the given multiples of the period: part of the ring, the bench's
+        window and more."""
         for R in [0.5] + [f * c.period for f in periods]:
-            window = construction._window(c, np.zeros(c.base.n), R)
-            got = construction._min_cross_sq(c, *window, 2.0 * R)
-            yield R, got, cross_tile_min_sq_band(c, *window, 2.0 * R)
+            window = window_rows(c, np.zeros(c.base.n), R)
+            yield R, cross_tile_min_sq_band(c, *window, 2.0 * R)
+
+    @staticmethod
+    def check_lattice_minimum(c, periods=(0.8, 1.5, 2.7)):
+        """The base-translate search equals the lattice scan, is at most
+        every window's minimum, and is that minimum once the window reaches
+        1.5 periods."""
+        got = construction._min_cross_sq(c)
+        assert got == cross_tile_min_sq_lattice(c), c.gap
+        for R, want in TestVerifyPacking.window_minima(c, periods):
+            assert got <= want * (1 + 1e-12), (c.gap, R)
+            if R >= 1.5 * c.period:
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (c.gap, R)
+            if R == 0.5:
+                assert math.isinf(want)
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_cross_tile_distance_matches_band_oracle(self, L):
@@ -407,8 +463,7 @@ class TestVerifyPacking:
             code = cons.base
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
             for c in (cons, tile(code, gap=g_min), tile(code), tile(code, gap=2.5)):
-                for R, got, want in self.cross_tile_minima(c):
-                    assert got == want, (c.gap, R)
+                self.check_lattice_minimum(c)
 
     @pytest.mark.parametrize("n,L,seed", [(3, 3, 1), (4, 2, 2), (5, 2, 3)])
     def test_cross_tile_distance_matches_band_oracle_seeded(self, n, L, seed):
@@ -420,10 +475,7 @@ class TestVerifyPacking:
         wide = (0.8, 1.5, 2.7)
         other = wide if n < 5 else (0.8, 1.5)
         for c, periods in ((tile(clean, gap=g_min), other), (tile(clean), wide), (tile(clean, gap=2.5), other)):
-            for R, got, want in self.cross_tile_minima(c, periods):
-                assert got == want, (c.gap, R)
-                if R == 0.5:
-                    assert math.isinf(got)
+            self.check_lattice_minimum(c, periods)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_offset_rule_is_the_ring_below_2K_plus_4_gap(self, n):
@@ -469,27 +521,58 @@ class TestVerifyPacking:
             for R in [f * code.K * math.sqrt(code.n) for f in (0.3, 0.7, 1.0)] + [1.5 * cons.period]:
                 v = verify_packing(cons, R)
                 want, want_indices, lists = same_tile_min_per_tile(cons, R)
-                _, bad = window_bad_lists(cons, R)
-                assert v.passed == (not bad)
+                pts, bad = window_bad_lists(cons, R)
+                assert v.window_points == len(pts)
                 assert v.same_tile_lists == lists
-                if math.isinf(want):
-                    assert v.min_avg_radius_sq == math.inf
-                else:
-                    assert v.min_avg_radius_sq == pytest.approx(want, rel=1e-12, abs=0.0)
+                # a window FAIL is a constellation FAIL, and every window
+                # tile holds a translated subset of the base code
+                assert not (bad and v.passed)
+                assert v.min_avg_radius_sq <= want * (1 + 1e-12)
+                if R >= 1.5 * cons.period:
+                    assert v.passed == (not bad)
+                    if math.isinf(want):
+                        assert v.min_avg_radius_sq == math.inf
+                    else:
+                        assert v.min_avg_radius_sq == pytest.approx(want, rel=1e-12, abs=0.0)
+                    if v.min_avg_radius_sq <= v.threshold:
+                        assert v.violation_base_indices == want_indices
                 if v.min_avg_radius_sq <= v.threshold:
-                    assert v.violation_base_indices == want_indices
                     assert np.array_equal(v.violation, code.points[list(v.violation_base_indices)])
                 kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
         assert {"pass", "same-tile"} <= kinds
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_tile_minimum_is_the_base_minimum(self, seed):
-        # the origin tile holds the base code untranslated, so the minimum
+        # the same-tile minimum is taken on the base code untranslated, so it
         # is min_avg_subset's bit for bit, not a rounded translated copy
         code = sample_code(n=3, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
         cons = tile(expurgate(code, find_bad_lists(code)))
         v = verify_packing(cons, 1.5 * cons.period)
         assert v.min_avg_radius_sq == min_avg_subset(cons.base)[0]
+
+    def test_empty_base_passes(self):
+        # a base code with no points left is an empty constellation
+        cons = tile(FiniteCode(np.empty((0, 3)), 3, 3, 0.005, 1.0, None))
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert v.passed and v.violation is None and v.violation_base_indices is None
+        assert v.min_cross_half_dist_sq == math.inf and v.min_avg_radius_sq == math.inf
+        assert v.window_points == 0 and v.same_tile_lists == 0
+
+    def test_single_point_is_one_period_from_its_translates(self):
+        # x = 0 and its translates k*period differ exactly, so D = period
+        cons = tile(FiniteCode(np.zeros((1, 3)), 3, 3, 0.005, 1.0, None))
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert v.passed and v.min_avg_radius_sq == math.inf
+        assert v.min_cross_half_dist_sq == cons.period**2 / 4
+
+    @pytest.mark.parametrize("M", [2, 3])
+    def test_fewer_points_than_list_size(self, M):
+        rng = np.random.default_rng(M)
+        cons = tile(FiniteCode(rng.uniform(-1, 1, size=(M, 2)), 2, 4, 0.005, 1.0, None))
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert v.min_avg_radius_sq == math.inf
+        assert v.same_tile_lists == 0
+        assert v.passed
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
     def test_rejects_bad_window_radius(self, radius):
