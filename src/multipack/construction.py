@@ -355,17 +355,43 @@ def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     return np.concatenate(out)
 
 
-@functools.lru_cache(maxsize=16)
-def _offset_grid(bound: tuple) -> np.ndarray:
-    """The tile offsets k with |k_i| <= bound_i whose first nonzero coordinate
-    is positive: one of k and -k for every k != 0.  Read-only, as it is
-    cached."""
-    axes = [np.arange(-b, b + 1) for b in bound]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
-    grid = grid[first > 0]
-    grid.flags.writeable = False
-    return grid
+@functools.lru_cache(maxsize=64)
+def _offset_rows(n, bound, nonzero, large):
+    """The tile offsets k with |k_i| <= bound, at most ``nonzero`` nonzero
+    coordinates and at most ``large`` with |k_i| >= 2, whose first nonzero
+    coordinate is positive (one of k and -k for every k != 0), in
+    lexicographic order.  Grown one coordinate at a time, so only prefixes
+    of kept rows are held.  Read-only, as it is cached."""
+    values = np.arange(-bound, bound + 1)
+    rows = np.zeros((1, 0), dtype=np.intp)
+    nnz = big = first = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        i = np.repeat(np.arange(len(rows)), len(values))
+        v = np.tile(values, len(rows))
+        nnz, big = nnz[i] + (v != 0), big[i] + (np.abs(v) >= 2)
+        first = np.where(first[i] != 0, first[i], np.sign(v))
+        keep = (nnz <= nonzero) & (big <= large) & (first >= 0)
+        rows = np.column_stack([rows[i[keep]], v[keep]])
+        nnz, big, first = nnz[keep], big[keep], first[keep]
+    rows = rows[first > 0]
+    rows.flags.writeable = False
+    return rows
+
+
+def _offsets_within(n, period, K, r):
+    """The tile offsets k with sum_i (|k_i|*period - 2K)_+^2 <= r^2, one of k
+    and -k for every k != 0, in lexicographic order.
+
+    Each nonzero coordinate costs at least (period - 2K)^2 = 4*gap^2 and
+    each with |k_i| >= 2 at least (2*period - 2K)^2, which bounds how many
+    of each a row can have; _offset_rows lists the rows within those counts
+    and |k_i| <= (r + 2K)/period, and the exact sum filters them."""
+    bound = int((r + 2.0 * K) / period)
+    r2 = r * r * (1.0 + 1e-9)
+    nonzero = max(j for j in range(n + 1) if j * (period - 2.0 * K) ** 2 <= r2)
+    large = max(j for j in range(nonzero + 1) if j * (2.0 * period - 2.0 * K) ** 2 <= r2)
+    rows = _offset_rows(n, bound, nonzero, large)
+    return rows[_offset_reach(rows, period, K) <= r * r]
 
 
 def _offset_reach(offsets, period, K):
@@ -422,9 +448,8 @@ def _min_cross_sq(c: Constellation) -> float:
     while True:
         r = 2.0 * c.gap + s
         rq = r * (1.0 + 1e-6)
-        grid = _offset_grid((int((rq + 2.0 * K) / P),) * code.n)
         X = code.points[depth <= s + tol]
-        _, Q = _translates(X, grid[_offset_reach(grid, P, K) <= rq * rq], P, K, rq)
+        _, Q = _translates(X, _offsets_within(code.n, P, K, rq), P, K, rq)
         found = cKDTree(X).sparse_distance_matrix(cKDTree(Q), rq, output_type="ndarray")
         if len(found):
             d = X[found["i"]] - Q[found["j"]]
@@ -449,8 +474,7 @@ def _cross_tile_list(c: Constellation):
     M, K, P = code.M, code.K, c.period
     thr = code.n * code.N
     r = math.sqrt(2.0 * code.L * thr) * (1.0 + 1e-6)
-    grid = _offset_grid((int((r + 2.0 * K) / P),) * code.n)
-    bj, Q = _translates(code.points, grid[_offset_reach(grid, P, K) <= r * r], P, K, r)
+    bj, Q = _translates(code.points, _offsets_within(code.n, P, K, r), P, K, r)
     pts = np.vstack([code.points, Q])
     base_of = np.concatenate([np.arange(M), bj])
     lists, _ = _near_lists(pts, code.L, thr)
@@ -542,13 +566,105 @@ def _cell_samples(n, period, R, mc_samples, seed):
     for chunk in range((mc_samples + CHUNK - 1) // CHUNK):
         m = min(CHUNK, mc_samples - chunk * CHUNK)
         rng = chunk_rng(seed, chunk)
-        g = rng.standard_normal(size=(m, n))
+        y = rng.standard_normal(size=(m, n))
         u = rng.random(size=m)
-        norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+        norms = np.sqrt(np.einsum("ij,ij->i", y, y))
         np.maximum(norms, 1e-300, out=norms)
-        y = g * (R * u ** (1.0 / n) / norms)[:, None]
-        y -= period * np.round(y / period)
+        y *= (R * u ** (1.0 / n) / norms)[:, None]
+        t = y / period
+        np.round(t, out=t)
+        t *= period
+        y -= t
         yield y
+
+
+def _registrations(pts, corner, h, strides):
+    """The (cell id, row of ``pts``) pairs of a cell index of side h, sorted
+    by cell id, each cell's rows ascending.
+
+    A point x is registered in its own cell and in those of the 3^n - 1
+    around it whose box lies within h of x: from x the box of the cell one
+    step down on axis i is low_i = x_i - (cell's lower face) away, and one
+    step up h - low_i.
+    """
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=pts.shape[1])))
+    # the corner lies h below every point, but rounding can put a point in
+    # cell 0; from cell 1 every neighbour lies inside the box
+    cell = np.maximum(((pts - corner) / h).astype(np.intp), 1)
+    low = pts - (corner + cell * h)
+    point, step = np.nonzero((low**2) @ (steps < 0).T + ((h - low) ** 2) @ (steps > 0).T <= h * h)
+    ids = (cell @ strides)[point] + (steps @ strides)[step]
+    order = np.argsort(ids, kind="stable")
+    return ids[order], point[order]
+
+
+class _CellIndex:
+    """Cells of side h over a box, each listing the points that can lie
+    within h of it (_registrations), so every point within r < h of a
+    sample y is among the candidates of y's cell, with a margin of h - r
+    against rounding.
+
+    The lists are CSR over the occupied cells.  A cell's slot (0 when it is
+    empty) takes the narrowest unsigned type that numbers them: two bytes
+    per cell while fewer than 65536 cells are occupied.
+    """
+
+    def __init__(self, pts, corner, h, shape):
+        self.pts, self.corner, self.h = pts, corner, h
+        self.strides = np.array([math.prod(shape[j + 1 :]) for j in range(len(shape))], dtype=np.intp)
+        ids, self.members = _registrations(pts, corner, h, self.strides)
+        first = np.flatnonzero(np.diff(ids, prepend=-1))
+        # slot j >= 1 lists members[bounds[j]:bounds[j + 1]], slot 0 none
+        self.bounds = np.concatenate([[0], first, [len(ids)]])
+        self.slots = np.zeros(math.prod(shape), dtype=np.min_scalar_type(len(first)))
+        self.slots[ids[first]] = np.arange(1, len(first) + 1)
+
+    def min_sq(self, y):
+        """The smallest |y - x|^2 over each sample's candidates (inf when
+        its cell has none)."""
+        slot = self.slots[((y - self.corner) / self.h).astype(np.intp) @ self.strides]
+        hit = np.flatnonzero(slot)
+        out = np.full(len(y), np.inf)
+        if not len(hit):
+            return out
+        slot = slot[hit].astype(np.intp)  # slot + 1 must not wrap
+        begin = self.bounds[slot]
+        cnt = self.bounds[slot + 1] - begin
+        seg = np.cumsum(cnt) - cnt
+        k = np.repeat(begin - seg, cnt) + np.arange(seg[-1] + cnt[-1])
+        d = np.repeat(y[hit], cnt, axis=0) - self.pts[self.members[k]]
+        out[hit] = np.minimum.reduceat(np.einsum("ij,ij->i", d, d), seg)
+        return out
+
+
+def _cell_index(pts, r, half):
+    """The _CellIndex of side h = r*(1 + 1e-6) over ``pts`` and the cell
+    [-half, half]^n, or None when its cells number more than WINDOW_BUDGET.
+    A spare cell on each side holds the samples that rounding in the fold
+    leaves just outside the cell."""
+    h = r * (1.0 + 1e-6)
+    corner = np.minimum(pts.min(axis=0), -half) - h
+    shape = ((np.maximum(pts.max(axis=0), half) - corner) / h).astype(np.intp) + 2
+    if math.prod(shape.astype(float)) > WINDOW_BUDGET:
+        return None
+    return _CellIndex(pts, corner, h, shape)
+
+
+def _covered(y, tree, index, r):
+    """Which samples y lie within r of a point of ``tree``: from the index
+    where its smallest squared distance lies outside a relative 1e-12 of
+    r^2, from the tree (as dmin <= r) inside that band and when there is no
+    index."""
+    h = r * (1.0 + 1e-6)
+    if index is None:
+        # samples with no point within the bound come back at distance inf
+        return tree.query(y, k=1, distance_upper_bound=h)[0] <= r
+    d2 = index.min_sq(y)
+    out = d2 < r * r * (1.0 - 1e-12)
+    tie = np.flatnonzero(~out & (d2 <= r * r * (1.0 + 1e-12)))
+    if len(tie):
+        out[tie] = tree.query(y[tie], k=1, distance_upper_bound=h)[0] <= r
+    return out
 
 
 def density_report(c: Constellation, P: float, mc_samples: int, seed) -> DensityReport:
@@ -570,13 +686,15 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     codes whose kept translates hold more than WINDOW_BUDGET points.
 
     When the cells of side h = r*(1 + 1e-6) over all n axes fit in
-    WINDOW_BUDGET, a table of them rules samples out before the tree is
-    asked.  A sample y within r of a point x has |y_i - x_i| <= r < h, so
-    y's cell is within one cell of x's on every axis; the table marks each
-    kept point's cell and its neighbours, and a sample in an unmarked cell
-    is uncovered.  The tree decides every sample in a marked cell (and every
-    sample when there is no table), so the count equals that of querying
-    the tree for every sample.
+    WINDOW_BUDGET, a cell index (_CellIndex) decides most samples.  A sample
+    y within r of a point x has |y_i - x_i| <= r < h, so x is a candidate of
+    y's cell, and the smallest |y - x|^2 over the candidates decides y
+    outright unless it lies within a relative 1e-12 of r^2.  A KD-tree of
+    the kept points decides the samples in that band, and every sample when
+    there is no index (at n >= 6 near the threshold density, or a single
+    axis too long for the budget).  The tree's squared distance differs from
+    the index's only in summation order, about n*eps relative, so the count
+    equals that of querying the tree for every sample.
     """
     P = check_positive("P", P)
     mc_samples = check_count("mc_samples", mc_samples, 1)
@@ -593,33 +711,10 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     offsets = _ring_offsets(n, nonzero) * c.period
     pts = (offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n)
     tree = cKDTree(pts)
-    h = r_cov * (1.0 + 1e-6)
-    # cells of side h over the points and the cell; a spare cell on each side
-    # holds the samples that rounding in the fold leaves just outside the cell
-    corner = np.minimum(pts.min(axis=0), -c.period / 2.0) - h
-    shape = ((np.maximum(pts.max(axis=0), c.period / 2.0) - corner) / h).astype(np.intp) + 2
-    near = None
-    if math.prod(shape.astype(float)) <= WINDOW_BUDGET:
-        strides = np.array([math.prod(shape[j + 1 :]) for j in range(n)], dtype=np.intp)
-
-        def cells(v):
-            return ((v - corner) / h).astype(np.intp) @ strides
-
-        table = np.zeros(shape, dtype=bool)
-        table.reshape(-1)[cells(pts)] = True
-        for axis in range(n):
-            t = np.moveaxis(table, axis, 0)
-            src = t.copy()
-            t[1:] |= src[:-1]
-            t[:-1] |= src[1:]
-        near = table.reshape(-1)
+    index = _cell_index(pts, r_cov, c.period / 2.0)
     covered = 0
     for y in _cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
-        if near is not None:
-            y = y[near[cells(y)]]
-        # samples with no point within the bound come back at distance inf
-        dmin, _ = tree.query(y, k=1, distance_upper_bound=h)
-        covered += int((dmin <= r_cov).sum())
+        covered += int(_covered(y, tree, index, r_cov).sum())
 
     lo, hi = _clopper_pearson(covered, mc_samples)
     return DensityReport(

@@ -197,6 +197,16 @@ def cross_tile_min_sq_lattice(c):
     return best
 
 
+def offset_box(bound):
+    """The tile offsets k with |k_i| <= bound_i whose first nonzero
+    coordinate is positive, from the whole box {-b..b}^n in lexicographic
+    order (the verifier's offset list before it was pruned by reach)."""
+    axes = [np.arange(-b, b + 1) for b in bound]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
+    return grid[first > 0]
+
+
 def ring_covered(c, P, mc_samples, seed):
     """density_report's covered count, tested against the base code and all
     3^n - 1 neighbour translates of it."""
@@ -211,7 +221,7 @@ def ring_covered(c, P, mc_samples, seed):
 
 def tree_covered(c, P, mc_samples, seed):
     """density_report's covered count with every sample queried against the
-    base code and its kept translates (no cell prefilter)."""
+    base code and its kept translates (no cell index)."""
     code = c.base
     n = code.n
     r_cov = math.sqrt(n * code.N)

@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from multipack import (
     BudgetError,
@@ -27,6 +29,7 @@ from oracles import (
     cross_tile_min_sq_band,
     cross_tile_min_sq_gram,
     cross_tile_min_sq_lattice,
+    offset_box,
     ring_covered,
     same_tile_min_per_tile,
     scan_subsets,
@@ -484,7 +487,7 @@ class TestVerifyPacking:
         # r < 2K + 4*gap: |k_i| = 2 alone costs (2K + 4*gap)^2
         K, gap = 1.0, 0.3
         P = 2 * K + 2 * gap
-        grid = construction._offset_grid((2,) * n)
+        grid = offset_box((2,) * n)
         both = np.vstack([grid, -grid, np.zeros((1, n), dtype=np.intp)])
         reach = construction._offset_reach(both, P, K)
         edge = 2 * K + 4 * gap
@@ -496,6 +499,36 @@ class TestVerifyPacking:
         assert (np.abs(both[reach <= (edge * (1 + 1e-9)) ** 2]) == 2).any()
         assert len(grid) == (5**n - 1) // 2
         assert not (set(map(tuple, grid)) & set(map(tuple, -grid)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_offsets_within_are_the_filtered_box(self, n):
+        # the same rows in the same order as the whole box filtered by reach,
+        # so the fallback still reports the first clique in row order
+        for K, gap in ((1.0, 0.3), (1.0, 0.05), (0.5, 0.7)):
+            P = 2 * K + 2 * gap
+            radii = [2 * gap * math.sqrt(j) for j in range(1, n + 1)] + [2 * K + 4 * gap]
+            radii += list(np.linspace(0.01, 1.6 * P if n < 8 else 0.9 * P, 9))
+            for r in radii:
+                box = offset_box((int((r + 2 * K) / P),) * n)
+                want = box[construction._offset_reach(box, P, K) <= r * r]
+                got = construction._offsets_within(n, P, K, r)
+                assert got.shape == want.shape and (got == want).all()
+
+    def test_offsets_stay_small_at_n13(self):
+        # the box {-1..1}^13 has 797161 rows; the reach filter keeps at most
+        # the 27625 with <= 5 nonzero coordinates in the search's last round
+        rng = np.random.default_rng(0)
+        code = FiniteCode(rng.uniform(-1, 1, size=(40, 13)), 13, 3, 0.01, 1.0, None)
+        c = tile(code)
+        construction._offset_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            verdict = verify_packing(c, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.passed
+        assert peak <= 32 * 2**20
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):
@@ -657,15 +690,21 @@ class TestDensityReport:
         with pytest.raises(BudgetError, match="neighbor tiles"):
             density_report(Constellation(base=code, gap=0.1), 0.3, 2_000, seed=4)
 
-    # The cell prefilter only removes tree queries, so the counts are equal
-    # to those of the tree alone; 6000 samples are one and a partial chunk.
+    # The cell index sends only rounding ties to the tree, so the counts are
+    # equal to those of the tree alone, with and without the index; 6000
+    # samples are one and a partial chunk.
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
-    def test_covered_equals_tree_oracle_on_expurgated_codes(self, n, L):
+    def test_covered_equals_tree_oracle_on_expurgated_codes(self, n, L, monkeypatch):
         code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=10 * n + L)
         c = tile(expurgate(code, find_bad_lists(code)))
         rep = density_report(c, 9.0, 6_000, seed=5)
         assert rep.covered == tree_covered(c, 9.0, 6_000, 5)
+        # a budget of the kept points alone leaves no room for the cells
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", c.base.M)
+        r = math.sqrt(n * c.base.N)
+        assert construction._cell_index(c.base.points, r, c.period / 2) is None
+        assert density_report(c, 9.0, 6_000, seed=5).covered == rep.covered
 
     @pytest.mark.parametrize("factor", [1.0, 0.8, 0.6, 0.3])
     def test_covered_equals_tree_oracle_with_translates(self, factor):
@@ -681,9 +720,59 @@ class TestDensityReport:
         rep = density_report(c, 9.0, 20_001, seed=8)
         assert 0 < rep.covered == tree_covered(c, 9.0, 20_001, 8)
 
+    def test_tie_band_decisions_equal_the_tree(self):
+        # samples planted at r, r*(1 +- 1e-13) and r*(1 +- 1e-6) from base
+        # points and from their face translates at gap = r: the index decides
+        # the outer ones, the tree the ties, and every decision is the tree's
+        faces = np.array([[1.0, 0.2, -0.3], [-1.0, 0.5, 0.0], [0.1, 1.0, 0.4], [0.3, -1.0, -1.0], [0.0, 0.0, 1.0]])
+        code = FiniteCode(faces, 3, 2, 0.05, 1.0, None)
+        r = math.sqrt(3 * 0.05)
+        c = Constellation(base=code, gap=r)
+        pts = (construction._ring_offsets(3, 1)[:, None, :] * c.period + faces[None, :, :]).reshape(-1, 3)
+        rng = np.random.default_rng(40)
+        u = rng.standard_normal((len(pts), 64, 3))
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+        rho = r * np.array([1.0, 1 - 1e-13, 1 + 1e-13, 1 - 1e-6, 1 + 1e-6])
+        y = (pts[:, None, None, :] + rho[None, None, :, None] * u[:, :, None, :]).reshape(-1, 3)
+        y = y[np.abs(y).max(axis=1) <= c.period / 2]
+        tree = cKDTree(pts)
+        index = construction._cell_index(pts, r, c.period / 2)
+        got = construction._covered(y, tree, index, r)
+        want = tree.query(y, k=1)[0] <= r
+        assert (got == want).all() and want.any() and not want.all()
+        # the index misses no point within h, and ties reach the band
+        d2 = index.min_sq(y)
+        brute = ((y[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+        near = brute <= (r * (1 + 1e-6)) ** 2
+        assert np.allclose(d2[near], brute[near], rtol=1e-12, atol=0)
+        assert (np.abs(d2 / (r * r) - 1) <= 1e-12).sum() > 0
+
+    # Seeded outputs pinned at the commit before the cell index: covered and
+    # repr(delta_hat) must repeat to the bit, through the fold and the index.
+    @pytest.mark.parametrize(
+        "n, L, seed, covered, delta_hat",
+        [
+            (4, 2, 41, 197, "-1.256437232976576"),
+            (2, 4, 24, 7093, "-0.7210444997211028"),
+            (3, 3, 33, 1794, "-0.9389165393418503"),
+            (5, 2, 52, 70, "-1.2120914837189867"),
+        ],
+    )
+    def test_golden_seeded_reports(self, n, L, seed, covered, delta_hat):
+        code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+        c = tile(expurgate(code, find_bad_lists(code)))
+        rep = density_report(c, 25.0, 30_000, seed=seed + 1)
+        assert (rep.covered, repr(rep.delta_hat)) == (covered, delta_hat)
+
+    def test_golden_face_translates(self):
+        faces = np.array([[1.0, 0.2, -0.3], [-1.0, 0.5, 0.0], [0.1, 1.0, 0.4], [0.3, -1.0, -1.0], [0.0, 0.0, 1.0]])
+        c = tile(FiniteCode(faces, 3, 2, 0.05, 1.0, None), gap=math.sqrt(3 * 0.05))
+        rep = density_report(c, 9.0, 30_000, seed=5)
+        assert (rep.covered, repr(rep.delta_hat)) == (1643, "-0.9682245142023415")
+
     def test_covered_equals_tree_oracle_on_projected_table(self):
         # at n = 8 the cells of side sqrt(nN) number more than WINDOW_BUDGET,
-        # so there is no table and every sample goes to the tree
+        # so there is no cell index and every sample goes to the tree
         rng = np.random.default_rng(30)
         code = FiniteCode(rng.uniform(0, 1, size=(2000, 8)), 8, 2, 0.015, 1.0, None)
         c = tile(code)
