@@ -76,7 +76,9 @@ def cmd_bounds(args, argv) -> int:
     if check_positive("--N-min", args.N_min) > check_positive("--N-max", args.N_max):
         raise ValueError("--N-max must be >= --N-min")
     check_count("--steps", args.steps, 1)
-    Ls = [check_count("--multi-L", _as_int(s), 2) for s in args.multi_L.split(",")] if args.multi_L else [args.L]
+    Ls = [check_count("--multi-L", _as_int(s), 2) for s in args.multi_L.split(",")] if args.multi_L else [check_count("--L", args.L, 2)]
+    if len(set(Ls)) < len(Ls):
+        raise ValueError(f"--multi-L must not repeat an entry, got {args.multi_L!r}")
     grid = np.geomspace(args.N_min, args.N_max, args.steps)
     out = Path(args.out)
     for L in Ls:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import erf
+import scipy  # submodules load on first attribute access: scipy.optimize only in rate_function
 
 from .errors import BudgetError, ConvergenceWarning
 from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, resolve_workers
@@ -125,7 +124,7 @@ def _shoulder_integrals(L: int, c: float, order: int) -> tuple[float, float]:
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     mu = mid[:, None] + half[:, None] * X
-    gpow = (0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))) ** L
+    gpow = (0.5 * (scipy.special.erf(rc * (1.0 - mu)) + scipy.special.erf(rc * (1.0 + mu)))) ** L
     j1 = j2 = 0.0
     for h, row in zip(half, gpow):
         j1 += h * float(w1 @ row[:order])
@@ -221,7 +220,7 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
         if neg_psi(hi) > neg_psi(0.99 * hi):
             break
         hi *= 2.0
-    res = minimize_scalar(neg_psi, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-10})
+    res = scipy.optimize.minimize_scalar(neg_psi, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-10})
     if not res.success:
         warnings.warn(f"rate search did not converge: {res.message}", ConvergenceWarning)
     evaluations += res.nfev

@@ -17,7 +17,7 @@ import numbers
 import os
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 # Samples per chunk.  Fixed constant: changing it changes the draws.
 CHUNK = 4096
@@ -54,8 +54,8 @@ def _clopper_pearson(hits: int, samples: int) -> tuple[float, float]:
     alpha = 0.05
     if hits == 0:
         return 0.0, 1.0 - (alpha / 2.0) ** (1.0 / samples)
-    lo = float(beta_dist.ppf(alpha / 2.0, hits, samples - hits + 1))
-    hi = 1.0 if hits == samples else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, samples - hits))
+    lo = float(betaincinv(hits, samples - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == samples else float(betaincinv(hits + 1, samples - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 

@@ -2,8 +2,9 @@
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
 quadrature, the golden-section rate search, the first-order radius solvers
 (away-step conditional gradient for the enclosing ball, gradient descent for
-rad_p), the depth-band search over a whole window, and the straightforward
-forms of the analysis kernels.
+rad_p), the depth-band search over a whole window, the straightforward
+forms of the analysis kernels, and the Clopper-Pearson interval through
+scipy.stats' beta quantile.
 
 The exhaustive ones scan every L-subset, every window pair or tile, every
 base pair against every neighbour translate, every tile of the 3^n ring,
@@ -25,6 +26,7 @@ import warnings
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import erf
+from scipy.stats import beta as beta_dist
 
 from multipack import BudgetError, ConvergenceWarning, construction, enumerate_window
 from multipack.deviation import (
@@ -405,6 +407,16 @@ def rate_function_golden(L: int, K: float, N: float, quad_order: int = 64) -> Ra
         mgf_log_at_opt=mgf_at,
         iterations=iterations,
     )
+
+
+def clopper_pearson_beta_ppf(hits: int, samples: int) -> tuple[float, float]:
+    """The 95% Clopper-Pearson interval with its bounds as beta.ppf quantiles."""
+    alpha = 0.05
+    if hits == 0:
+        return 0.0, 1.0 - (alpha / 2.0) ** (1.0 / samples)
+    lo = float(beta_dist.ppf(alpha / 2.0, hits, samples - hits + 1))
+    hi = 1.0 if hits == samples else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, samples - hits))
+    return lo, hi
 
 
 def tail_hits_two_sums(L, n, K, N, samples, seed):

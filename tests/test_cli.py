@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import multipack
 from multipack import FiniteCode, fileio, tile
 from multipack.cli import main
 
@@ -66,6 +69,21 @@ class TestBounds:
         rc, _, err = run(args, capsys)
         assert rc == 2
         assert err.strip() == f"error: --multi-L must be an integer >= 2, got {shown}"
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_multi_L_entry_is_refused(self, tmp_path, capsys):
+        args = ["bounds", "--multi-L", "3,3", "--N-min", "0.001", "--N-max", "0.01", "--out", str(tmp_path / "b.csv")]
+        rc, text, err = run(args, capsys)
+        assert rc == 2
+        assert err.strip() == "error: --multi-L must not repeat an entry, got '3,3'"
+        assert text == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_single_L_names_the_flag(self, tmp_path, capsys):
+        args = ["bounds", "--L", "1", "--N-min", "0.001", "--N-max", "0.01", "--out", str(tmp_path / "b.csv")]
+        rc, _, err = run(args, capsys)
+        assert rc == 2
+        assert err.strip() == "error: --L must be an integer >= 2, got 1"
         assert not list(tmp_path.iterdir())
 
 
@@ -204,3 +222,16 @@ class TestUsage:
             text=True,
         )
         assert proc.returncode == 0
+
+    def test_cold_import_loads_neither_stats_nor_optimize(self):
+        # scipy.stats is never needed; scipy.optimize loads on rate_function's first call
+        script = (
+            "import sys, multipack.cli\n"
+            "assert 'scipy.stats' not in sys.modules and 'scipy.optimize' not in sys.modules\n"
+            "from multipack import rate_function\n"
+            "assert rate_function(3, 4.0, 0.01).rate > 0\n"
+            "assert 'scipy.optimize' in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(multipack.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr

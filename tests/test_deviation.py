@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
@@ -18,7 +19,6 @@ from multipack import (
     mgf_log,
     rate_function,
 )
-from multipack import deviation
 from multipack.bounds import BoundQuery
 from multipack.deviation import _shoulder_integrals, cube_form_mean
 from oracles import (
@@ -220,12 +220,12 @@ class TestRateFunction:
             self.assert_matches_golden(L, K, N)
 
     def test_unconverged_search_warns(self, monkeypatch):
-        search = deviation.minimize_scalar
+        search = scipy.optimize.minimize_scalar
 
         def capped(*args, **kwargs):
             return search(*args, **kwargs | {"options": {"xatol": 1e-10, "maxiter": 3}})
 
-        monkeypatch.setattr(deviation, "minimize_scalar", capped)
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", capped)
         with pytest.warns(ConvergenceWarning, match="rate search"):
             rate_function(3, 4.0, 0.01)
 

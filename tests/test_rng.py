@@ -28,6 +28,7 @@ from multipack.rng import (
     chunk_rng,
     resolve_workers,
 )
+from oracles import clopper_pearson_beta_ppf
 
 
 def test_check_seed_range():
@@ -145,3 +146,11 @@ def test_clopper_pearson_interval():
         assert 0.0 < lo < hits / samples < hi <= 1.0
         mirror = _clopper_pearson(samples - hits, samples)
         assert (lo, hi) == pytest.approx((1.0 - mirror[1], 1.0 - mirror[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1000, 4096, 20000, 10**5, 10**6])
+def test_clopper_pearson_equals_beta_ppf(samples):
+    rng = np.random.default_rng(samples)
+    hits = [*range(51), *rng.integers(51, samples - 1, size=50).tolist(), samples - 1, samples]
+    for h in hits:
+        assert _clopper_pearson(h, samples) == clopper_pearson_beta_ppf(h, samples), h
