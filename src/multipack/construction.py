@@ -10,9 +10,9 @@ constellation from the base code and its translates.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -274,19 +274,39 @@ def expurgate(code: FiniteCode, bad: list[tuple[int, ...]]) -> FiniteCode:
 
     Greedy maximum coverage: repeatedly delete the point lying in the most
     surviving bad lists (lowest index on ties).  ``bad`` must be the exact
-    output of find_bad_lists(code).
+    output of find_bad_lists(code).  A lazy max-heap keyed by (-count,
+    index) holds one entry per point; counts only fall, so an entry whose
+    count is stale is pushed back with its current count, and the first
+    current entry popped is the greedy pick.  Each removal visits only the
+    lists through the removed point, so the cost is near-linear in the
+    total list size.
     """
     if not bad:
         return code
     lists = [frozenset(t) for t in bad]
+    incidence: dict[int, list[int]] = {}
+    for k, s in enumerate(lists):
+        for i in s:
+            incidence.setdefault(i, []).append(k)
+    counts = {i: len(ks) for i, ks in incidence.items()}
+    heap = [(-c, i) for i, c in counts.items()]
+    heapq.heapify(heap)
+    alive = [True] * len(lists)
+    surviving = len(lists)
     removed = []
-    while lists:
-        counts = Counter()
-        for s in lists:
-            counts.update(s)
-        pick = min(counts, key=lambda i: (-counts[i], i))
+    while surviving:
+        negc, pick = heapq.heappop(heap)
+        if -negc != counts[pick]:
+            if counts[pick]:
+                heapq.heappush(heap, (-counts[pick], pick))
+            continue
         removed.append(pick)
-        lists = [s for s in lists if pick not in s]
+        for k in incidence[pick]:
+            if alive[k]:
+                alive[k] = False
+                surviving -= 1
+                for i in lists[k]:
+                    counts[i] -= 1
     keep = np.setdiff1d(np.arange(code.M), np.array(removed, dtype=np.intp))
     return replace(
         code,

@@ -11,14 +11,13 @@ Carlo estimate with an exact binomial confidence interval.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy  # submodules load on first attribute access: scipy.optimize only in rate_function
+from scipy.special import erf
 
 from .errors import BudgetError, ConvergenceWarning
 from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, resolve_workers
@@ -26,8 +25,15 @@ from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_see
 # coordinates are generated in blocks of this many dimensions per chunk;
 # fixed constant, part of the (seed, index) -> draw mapping
 NBLOCK = 128
+# a block is drawn in slices of at most this many floats (256 KB); the slices
+# follow the block's sample-major order, so they do not change the draws
+SLICE = 2**15
 
 LOG2 = math.log(2.0)
+
+# Newton/bisection steps of the rate search after its bracket; bisection
+# alone closes any bracket the doubling leaves in fewer
+RATE_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,16 @@ def _gauss_nodes(order: int):
     return X, w1, w2
 
 
-def _shoulder_integrals(L: int, c: float, order: int) -> tuple[float, float]:
-    """integral over mu of G(mu)^L, G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu)))/2,
-    by composite Gauss-Legendre at ``order`` and at ``2 * order`` nodes per panel.
+def _shoulder_nodes(c: float, order: int):
+    """The panel half-widths, the nodes mu of the order and 2*order
+    Gauss-Legendre rules on every panel (one row per panel, the order rule's
+    nodes first), G at those nodes from one erf pass, and the two rules'
+    weights.
 
-    G is a smoothed indicator of [-1, 1] with shoulder width 1/sqrt(c), so
-    the panels are pinned to the shoulders; the integrand is negligible
-    beyond 8 widths outside.  Both rules share one erf pass over all panels.
+    G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu)))/2 is a smoothed
+    indicator of [-1, 1] with shoulder width 1/sqrt(c), so the panels are
+    pinned to the shoulders; the integrands are negligible beyond 8 widths
+    outside.
     """
     rc = math.sqrt(c)
     w = 8.0 / rc
@@ -124,12 +133,46 @@ def _shoulder_integrals(L: int, c: float, order: int) -> tuple[float, float]:
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[:-1] + edges[1:])
     mu = mid[:, None] + half[:, None] * X
-    gpow = (0.5 * (scipy.special.erf(rc * (1.0 - mu)) + scipy.special.erf(rc * (1.0 + mu)))) ** L
+    g = 0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))
+    return half, mu, g, w1, w2
+
+
+def _shoulder_integrals(L: int, c: float, order: int) -> tuple[float, float]:
+    """integral over mu of G(mu)^L by composite Gauss-Legendre at ``order``
+    and at ``2 * order`` nodes per panel, both from one erf pass."""
+    half, _, g, w1, w2 = _shoulder_nodes(c, order)
+    gpow = g**L
     j1 = j2 = 0.0
     for h, row in zip(half, gpow):
         j1 += h * float(w1 @ row[:order])
         j2 += h * float(w2 @ row[order:])
     return j1, j2
+
+
+def _checked_c(K: float, lam: float) -> float:
+    c = K * K * lam
+    if not 0.0 < c < math.inf:
+        raise ValueError(
+            f"c = K^2 * lam must be a positive finite float, got {c!r} (K = {K!r}, lam = {lam!r})"
+        )
+    return c
+
+
+def _mgf_log_value(L: int, c: float, j1: float, j2: float, quad_order: int) -> float:
+    """mgf_log from the two rules' integrals, warning when they disagree."""
+    if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
+        warnings.warn(
+            f"quadrature not converged at order {quad_order}: "
+            f"delta = {abs(j2 - j1):.3e}",
+            ConvergenceWarning,
+        )
+    val = (
+        -L * LOG2
+        + 0.5 * (L - 1) * (math.log(math.pi) - math.log(c))
+        + 0.5 * math.log(L)
+        + math.log(j2)
+    )
+    return min(val, 0.0)
 
 
 def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
@@ -152,25 +195,8 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
     if lam == 0.0:
         return 0.0
-    c = K * K * lam
-    if not 0.0 < c < math.inf:
-        raise ValueError(
-            f"c = K^2 * lam must be a positive finite float, got {c!r} (K = {K!r}, lam = {lam!r})"
-        )
-    j1, j2 = _shoulder_integrals(L, c, quad_order)
-    if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
-        warnings.warn(
-            f"quadrature not converged at order {quad_order}: "
-            f"delta = {abs(j2 - j1):.3e}",
-            ConvergenceWarning,
-        )
-    val = (
-        -L * LOG2
-        + 0.5 * (L - 1) * (math.log(math.pi) - math.log(c))
-        + 0.5 * math.log(L)
-        + math.log(j2)
-    )
-    return min(val, 0.0)
+    c = _checked_c(K, lam)
+    return _mgf_log_value(L, c, *_shoulder_integrals(L, c, quad_order), quad_order)
 
 
 def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> LaplaceCheck:
@@ -187,17 +213,71 @@ def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> Laplace
     )
 
 
+def _shoulder_derivatives(L: int, c: float, order: int) -> tuple[float, float, float, float]:
+    """_shoulder_integrals' pair (j1, j2) and, on the 2*order nodes, J'(c)
+    and J''(c) of J = j2, from the same erf pass and one exp pair.
+
+    With a = 1 - mu, b = 1 + mu and E(x) = x exp(-c x^2),
+        dG/dc   = (E(a) + E(b)) / (2 sqrt(pi c)),
+        d2G/dc2 = -(E(a)(1/(2c) + a^2) + E(b)(1/(2c) + b^2)) / (2 sqrt(pi c)),
+        J'  = integral L G^(L-1) dG/dc,
+        J'' = integral L(L-1) G^(L-2) (dG/dc)^2 + L G^(L-1) d2G/dc2.
+    """
+    half, mu, g, w1, w2 = _shoulder_nodes(c, order)
+    gpow = g**L
+    mu, g = mu[:, order:], g[:, order:]
+    a, b = 1.0 - mu, 1.0 + mu
+    ea = a * np.exp(-c * a * a)
+    eb = b * np.exp(-c * b * b)
+    scale = 1.0 / (2.0 * math.sqrt(math.pi * c))
+    gc = (ea + eb) * scale
+    gcc = -(ea * (0.5 / c + a * a) + eb * (0.5 / c + b * b)) * scale
+    gl1 = L * g ** (L - 1)
+    d1 = gl1 * gc
+    d2 = L * (L - 1) * g ** (L - 2) * gc * gc + gl1 * gcc
+    j1 = j2 = dj = d2j = 0.0
+    for h, row, r1, r2 in zip(half, gpow, d1, d2):
+        j1 += h * float(w1 @ row[:order])
+        j2 += h * float(w2 @ row[order:])
+        dj += h * float(w2 @ r1)
+        d2j += h * float(w2 @ r2)
+    return j1, j2, dj, d2j
+
+
+def _mgf_log_derivatives(L: int, K: float, lam: float, quad_order: int) -> tuple[float, float, float]:
+    """mgf_log at lam > 0 (bit-identical to mgf_log) and its first and second
+    derivatives in lam, from one quadrature pass:
+        d/dlam   = K^2 (-(L-1)/(2c) + J'/J),
+        d2/dlam2 = K^4 ((L-1)/(2c^2) + J''/J - (J'/J)^2).
+    """
+    c = _checked_c(K, lam)
+    j1, j2, dj, d2j = _shoulder_derivatives(L, c, quad_order)
+    value = _mgf_log_value(L, c, j1, j2, quad_order)
+    r1 = float(dj / j2)
+    k2 = K * K
+    return (
+        value,
+        k2 * (-0.5 * (L - 1) / c + r1),
+        k2 * k2 * (0.5 * (L - 1) / (c * c) + float(d2j / j2) - r1 * r1),
+    )
+
+
 def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunctionResult:
     """Cramer rate of the event {average squared radius <= n*N} per dimension.
 
-    Maximizes psi(lam) = -lam*L*N - mgf_log(lam) over lam >= 0: the bracket
-    [0, hi] is doubled until psi is decreasing at hi, then one bounded Brent
-    search (scipy's ``minimize_scalar``, xatol 1e-10) finds the maximum.  The
-    rate is the search's own optimum value, and ``mgf_log_at_opt`` is derived
-    from it, so no quadrature follows the search.  ``iterations`` counts the
-    psi evaluations of bracket and search together.  The tail must be rare:
-    L*N may not exceed the mean of the per-coordinate form; at the mean
-    (within 1e-12 relative) Jensen gives psi <= 0, and the rate is exactly 0.
+    Maximizes psi(lam) = -lam*L*N - mgf_log(lam) over lam >= 0.  mgf_log is
+    a log moment generating function, hence convex, so psi is concave and its
+    maximizer is the unique root of psi'.  Each evaluation takes psi, psi'
+    and psi'' from one quadrature pass (_mgf_log_derivatives).  The bracket
+    [lo, hi] is doubled until psi' < 0 at hi; then Newton steps on psi' = 0
+    follow, with a bisection whenever a step would leave the bracket, until a
+    step is at most 1e-10 * max(1, lam); more than RATE_MAX_STEPS steps
+    warn.  The rate is psi at that last iterate, capped by Jensen's bound
+    lam * (mean - L*N), and ``mgf_log_at_opt`` is derived from it, so no
+    quadrature follows the search.  ``iterations`` counts the psi
+    evaluations of bracket and search together.  The tail must be rare: L*N
+    may not exceed the mean of the per-coordinate form; at the mean (within
+    1e-12 relative) Jensen gives psi <= 0, and the rate is exactly 0.
     """
     L, K, _, quad_order = _validate_quad_args(L, K, 0.0, quad_order)
     N = check_positive("N", N)
@@ -210,49 +290,74 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     if L * N >= mean * (1.0 - 1e-12):
         return RateFunctionResult(rate=0.0, lambda_opt=0.0, mgf_log_at_opt=0.0, iterations=0)
 
-    def neg_psi(lam):
-        return lam * L * N + mgf_log(L, K, lam, quad_order)
+    def psi(lam):
+        m, dm, d2m = _mgf_log_derivatives(L, K, lam, quad_order)
+        return -lam * L * N - m, -L * N - dm, -d2m
 
-    hi = 4.0 * (L - 1) / (2.0 * L * N)
-    evaluations = 0
-    for _ in range(70):
-        evaluations += 2
-        if neg_psi(hi) > neg_psi(0.99 * hi):
+    lo, lam = 0.0, 4.0 * (L - 1) / (2.0 * L * N)
+    evaluations = 1
+    value, d1, d2 = psi(lam)
+    while d1 >= 0.0 and evaluations < 70:
+        lo, lam = lam, 2.0 * lam
+        evaluations += 1
+        value, d1, d2 = psi(lam)
+    hi = lam
+    for _ in range(RATE_MAX_STEPS):
+        if d1 > 0.0:
+            lo = lam
+        elif d1 < 0.0:
+            hi = lam
+        else:
             break
-        hi *= 2.0
-    res = scipy.optimize.minimize_scalar(neg_psi, bounds=(0.0, hi), method="bounded", options={"xatol": 1e-10})
-    if not res.success:
-        warnings.warn(f"rate search did not converge: {res.message}", ConvergenceWarning)
-    evaluations += res.nfev
-    rate = -float(res.fun)
+        # a NaN step (d2 = 0) fails the bracket test too
+        step = -d1 / d2 if d2 < 0.0 else math.nan
+        if not lo < lam + step < hi:
+            step = 0.5 * (lo + hi) - lam
+        if abs(step) <= 1e-10 * max(1.0, lam):
+            break
+        lam += step
+        evaluations += 1
+        value, d1, d2 = psi(lam)
+    else:
+        warnings.warn(
+            f"rate search did not converge in {RATE_MAX_STEPS} steps: bracket [{lo!r}, {hi!r}]",
+            ConvergenceWarning,
+        )
+    # Jensen: psi(lam) <= lam * (mean - L*N); near the mean this is below
+    # the rounding of psi, which the search can otherwise end on
+    rate = min(value, lam * (mean - L * N))
     if rate <= 0.0:
         return RateFunctionResult(rate=0.0, lambda_opt=0.0, mgf_log_at_opt=0.0, iterations=evaluations)
-    lam_opt = float(res.x)
     return RateFunctionResult(
         rate=rate,
-        lambda_opt=lam_opt,
-        mgf_log_at_opt=-rate - lam_opt * L * N,
+        lambda_opt=lam,
+        mgf_log_at_opt=-rate - lam * L * N,
         iterations=evaluations,
     )
 
 
-def _tail_chunk(L, n, K, threshold, seed, chunk, count, buf):
-    """Hits in one chunk; ``buf`` holds at least count * L * min(n, NBLOCK)
-    floats and is overwritten."""
+def _tail_chunk(L, n, K, threshold, seed, chunk, count):
+    """Hits in one chunk.  Each coordinate block is filled sample-major, in
+    slices of at most SLICE floats (or one sample's block, if longer), so the
+    stream is consumed in the same order as one fill of the whole block."""
     rng = chunk_rng(seed, chunk)
     q = np.zeros(count)
     s2 = np.zeros(count)
+    rows = max(1, SLICE // (L * min(n, NBLOCK)))
+    buf = np.empty(min(count, rows) * L * min(n, NBLOCK))
     for j0 in range(0, n, NBLOCK):
         nb = min(NBLOCK, n - j0)
-        x = buf[: count * L * nb].reshape(count, L, nb)
-        # the draws and arithmetic of rng.uniform(-K, K, size=x.shape):
-        # -K + (K - (-K)) * U, with U the standard uniform stream
-        rng.random(out=x)
-        x *= 2.0 * K
-        x -= K
-        q += np.einsum("ilj,ilj->i", x, x)
-        s = x.sum(axis=1)
-        s2 += np.einsum("ij,ij->i", s, s)
+        for r0 in range(0, count, rows):
+            r1 = min(count, r0 + rows)
+            x = buf[: (r1 - r0) * L * nb].reshape(r1 - r0, L, nb)
+            # the draws and arithmetic of rng.uniform(-K, K, size=x.shape):
+            # -K + (K - (-K)) * U, with U the standard uniform stream
+            rng.random(out=x)
+            x *= 2.0 * K
+            x -= K
+            q[r0:r1] += np.einsum("ilj,ilj->i", x, x)
+            s = x.sum(axis=1)
+            s2[r0:r1] += np.einsum("ij,ij->i", s, s)
     stat = q - s2 / L
     return int((stat <= threshold).sum())
 
@@ -263,9 +368,12 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     Draws ``samples`` independent L-lists with coordinates uniform on
     [-K, K]^n and counts hits of the closed event, accumulating the
     quadratic form coordinate-block by coordinate-block so full lists are
-    never materialized for large n.  Sampling is chunked over counter-based
-    streams, making the hit count a pure function of (seed, sample index)
-    and bit-identical for every worker count.
+    never materialized for large n.  Each block of NBLOCK coordinates is
+    drawn in slices of at most SLICE = 2^15 floats (256 KB), so a worker
+    holds one slice, not a chunk's whole block.  Sampling is chunked over
+    counter-based streams, making the hit count a pure function of
+    (seed, sample index) and bit-identical for every worker count and slice
+    size.
     """
     L, n = check_count("L", L, 2), check_count("n", n, 1)
     K, N = check_positive("K", K), check_positive("N", N)
@@ -273,14 +381,10 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     seed = check_seed(seed)
     threshold = L * n * N
     nchunks = (samples + CHUNK - 1) // CHUNK
-    # one block buffer per worker thread, reused for every chunk it runs
-    local = threading.local()
 
     def run(chunk):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty(CHUNK * L * min(n, NBLOCK))
         count = min(CHUNK, samples - chunk * CHUNK)
-        return _tail_chunk(L, n, K, threshold, seed, chunk, count, local.buf)
+        return _tail_chunk(L, n, K, threshold, seed, chunk, count)
 
     w = resolve_workers(workers)
     if w == 1 or nchunks == 1:

@@ -1,15 +1,16 @@
 """Exhaustive references for the near-pair list engine, the verifier, the
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
-quadrature, the golden-section rate search, the first-order radius solvers
-(away-step conditional gradient for the enclosing ball, gradient descent for
-rad_p), the depth-band search over a whole window, the straightforward
-forms of the analysis kernels, and the Clopper-Pearson interval through
-scipy.stats' beta quantile.
+quadrature, the Counter-rebuilding expurgation greedy, the golden-section
+rate search, the first-order radius solvers (away-step conditional gradient
+for the enclosing ball, gradient descent for rad_p), the depth-band search
+over a whole window, the straightforward forms of the analysis kernels, and
+the Clopper-Pearson interval through scipy.stats' beta quantile.
 
 The exhaustive ones scan every L-subset, every window pair or tile, every
 base pair against every neighbour translate, every tile of the 3^n ring,
 every circumscribed ball or a dense tensor grid, so they are only for small
-inputs.  The straightforward ones (one quadrature per order and panel, two
+inputs.  The straightforward ones (a Counter over every surviving list per
+removal, one quadrature per order and panel, two
 coordinate sums per tail block, the away step over the active indices, the
 mean in rad_p, a tree query for every coverage sample) do the same
 arithmetic as the production kernels, or as the first-order radius solvers,
@@ -22,6 +23,8 @@ some of the constellation's lists and pairs.
 import itertools
 import math
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -76,6 +79,25 @@ def scan_subsets(points, L, threshold):
         for row in np.flatnonzero(avg <= threshold):
             bad.append(tuple(int(v) for v in C[row]))
     return bad, best
+
+
+def expurgate_counter(code, bad):
+    """expurgate's greedy with a Counter rebuilt over every surviving list for
+    each removal: the point in the most surviving lists goes, lowest index on
+    ties."""
+    if not bad:
+        return code
+    lists = [frozenset(t) for t in bad]
+    removed = []
+    while lists:
+        counts = Counter()
+        for s in lists:
+            counts.update(s)
+        pick = min(counts, key=lambda i: (-counts[i], i))
+        removed.append(pick)
+        lists = [s for s in lists if pick not in s]
+    keep = np.setdiff1d(np.arange(code.M), np.array(removed, dtype=np.intp))
+    return replace(code, points=code.points[keep], expurgated_count=code.expurgated_count + len(removed))
 
 
 def window_rows(c, center, radius):

@@ -29,6 +29,7 @@ from oracles import (
     cross_tile_min_sq_band,
     cross_tile_min_sq_gram,
     cross_tile_min_sq_lattice,
+    expurgate_counter,
     offset_box,
     ring_covered,
     same_tile_min_per_tile,
@@ -165,6 +166,32 @@ class TestExpurgate:
             code = sample_code(n=3, L=2, N=0.02, K=1.0, rate_margin=-0.05, seed=seed)
             clean = expurgate(code, find_bad_lists(code))
             assert find_bad_lists(clean) == []
+
+    @staticmethod
+    def assert_matches_counter_greedy(code, bad):
+        clean, ref = expurgate(code, bad), expurgate_counter(code, bad)
+        assert np.array_equal(clean.points, ref.points)
+        assert clean.expurgated_count == ref.expurgated_count
+
+    # the construct benchmark's shapes at its defaults, and the (6,3) frontier
+    @pytest.mark.parametrize("n, L", [(4, 2), (5, 2), (6, 2), (2, 4), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_counter_greedy(self, n, L, seed):
+        code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+        self.assert_matches_counter_greedy(code, find_bad_lists(code))
+
+    def test_matches_counter_greedy_at_frontier(self):
+        code = sample_code(n=6, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=0)
+        self.assert_matches_counter_greedy(code, find_bad_lists(code))
+
+    def test_planted_tie_with_stale_counts(self):
+        # points 3, 4 and 5 lie in two lists each: 3 goes first on the index;
+        # that leaves 4 in one list, so 5 (still in two) goes next
+        code = code_1d(np.arange(6.0), N=0.001)
+        bad = [(0, 3), (3, 4), (4, 5), (1, 5)]
+        clean = expurgate(code, bad)
+        assert clean.points[:, 0].tolist() == [0.0, 1.0, 2.0, 4.0]
+        self.assert_matches_counter_greedy(code, bad)
 
 
 class TestSampleCode:

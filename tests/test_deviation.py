@@ -1,9 +1,9 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
@@ -19,8 +19,10 @@ from multipack import (
     mgf_log,
     rate_function,
 )
+from multipack import deviation
 from multipack.bounds import BoundQuery
-from multipack.deviation import _shoulder_integrals, cube_form_mean
+from multipack.deviation import _mgf_log_derivatives, _shoulder_integrals, cube_form_mean
+from multipack.rng import CHUNK
 from oracles import (
     mgf_log_panels,
     mgf_log_tensor,
@@ -117,6 +119,22 @@ class TestMgfLog:
             assert with_warnings(mgf_log, L, K, lam, order) == with_warnings(
                 mgf_log_panels, L, K, lam, order
             )
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_derivatives_match_central_differences(self, L):
+        # psi' = -L*N - dm/dlam and psi'' = -d2m/dlam2, so the quadrature's
+        # derivatives of m = mgf_log are checked; five-point stencils at a
+        # step of 1% of max(lam, 0.01), which keeps the rounding of m's O(10)
+        # terms below 1e-6 of the second difference at c = 1e-3
+        for c in (1e-3, 0.7, 40.0, 255.0, 256.0, 257.0, 5e3, 1e6):
+            for K in (1.0, 2.0):
+                lam = c / (K * K)
+                value, d1, d2 = _mgf_log_derivatives(L, K, lam, 64)
+                assert value == mgf_log(L, K, lam, 64)
+                h = 0.01 * max(lam, 0.01)
+                fm2, fm1, f0, fp1, fp2 = (mgf_log(L, K, lam + j * h, 64) for j in (-2, -1, 0, 1, 2))
+                assert d1 == pytest.approx((fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h), rel=1e-6)
+                assert d2 == pytest.approx((-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h), rel=1e-4)
 
     # the last two have finite K and lam, but c = K^2 * lam overflows to inf
     # or underflows to 0
@@ -219,13 +237,27 @@ class TestRateFunction:
             N = cube_form_mean(L, K) / L * float(np.exp(rng.uniform(math.log(1e-4), math.log(0.999))))
             self.assert_matches_golden(L, K, N)
 
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_near_the_mean(self, L):
+        # at N = mean/L * (1 - 10^-k), lambda_opt ~ 10^-k and the rate ~ 10^-2k
+        # sinks into the rounding of mgf_log's terms, which no search can
+        # resolve; the search must still end cleanly, at a rate >= 0 within
+        # Jensen's bound
+        for k in range(2, 9):
+            N = cube_form_mean(L, 1.0) / L * (1.0 - 10.0**-k)
+            res, caught = with_warnings(rate_function, L, 1.0, N, 96)
+            assert caught == []
+            assert math.isfinite(res.rate) and res.rate >= 0.0
+            assert res.rate <= res.lambda_opt * (cube_form_mean(L, 1.0) - L * N)
+            if res.rate > 1e-12:
+                # the searches end at different lambda, and each evaluation of
+                # mgf_log there rounds terms of up to 30 (ln c is -13 at k = 6):
+                # the rates agree to 8 units in the last place of 30
+                ref = rate_function_golden(L, 1.0, N, quad_order=96)
+                assert res.rate == pytest.approx(ref.rate, rel=1e-12, abs=8 * math.ulp(30.0))
+
     def test_unconverged_search_warns(self, monkeypatch):
-        search = scipy.optimize.minimize_scalar
-
-        def capped(*args, **kwargs):
-            return search(*args, **kwargs | {"options": {"xatol": 1e-10, "maxiter": 3}})
-
-        monkeypatch.setattr(scipy.optimize, "minimize_scalar", capped)
+        monkeypatch.setattr(deviation, "RATE_MAX_STEPS", 1)
         with pytest.warns(ConvergenceWarning, match="rate search"):
             rate_function(3, 4.0, 0.01)
 
@@ -331,6 +363,18 @@ class TestMcTail:
         est = mc_tail(L=2, n=300, K=0.7, N=N, samples=9000, seed=5, workers=workers)
         assert 0 < est.hits < est.samples
         assert est.hits == tail_hits_two_sums(2, 300, 0.7, N, 9000, 5)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_stays_within_slices(self, workers):
+        # a whole (5, 128) block for a chunk would be 4096 * 5 * 128 floats,
+        # 21 MB; slices of 2^15 floats keep a call far below 2 MB
+        tracemalloc.start()
+        try:
+            mc_tail(5, 128, 1.0, 0.2, 2 * CHUNK, 0, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_probability_scales_with_threshold(self):
         small = mc_tail(L=2, n=2, K=1.0, N=0.01, samples=100_000, seed=4)
