@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
 from .errors import BudgetError
@@ -195,6 +194,8 @@ def _near_lists(points, L, t):
     filters the cliques.  Refuses inputs whose candidate cliques, summed over
     the clique sizes 2..L, exceed SUBSET_BUDGET.
     """
+    from scipy.spatial import cKDTree
+
     M = len(points)
     if M < L:
         return np.empty((0, L), dtype=np.intp), np.empty(0)
@@ -235,6 +236,8 @@ def _min_list(points, L):
     Each point with its L-1 nearest neighbours is an L-subset, so the smallest
     of their radii is an upper bound t on the minimum, and _near_lists at t
     holds the minimiser."""
+    from scipy.spatial import cKDTree
+
     if len(points) < L:
         return math.inf, None
     _, nn = cKDTree(points).query(points, k=L)
@@ -458,6 +461,8 @@ def _min_cross_sq(c: Constellation) -> float:
     pair within r has been found and the smallest is the minimum.  The
     search stops by r = period: x and x + period*e_1 are a cross-tile pair.
     """
+    from scipy.spatial import cKDTree
+
     code = c.base
     if code.M == 0:
         return math.inf
@@ -536,6 +541,8 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     without listing the window.  Raises ValueError unless
     0 <= window_radius < inf.
     """
+    from scipy.spatial import cKDTree
+
     code = c.base
     L = code.L
     thr = code.n * code.N
@@ -716,6 +723,8 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     the index's only in summation order, about n*eps relative, so the count
     equals that of querying the tree for every sample.
     """
+    from scipy.spatial import cKDTree
+
     P = check_positive("P", P)
     mc_samples = check_count("mc_samples", mc_samples, 1)
     seed = check_seed(seed)

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import BudgetError, ConvergenceWarning
 from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, resolve_workers
@@ -123,6 +121,8 @@ def _shoulder_nodes(c: float, order: int):
     pinned to the shoulders; the integrands are negligible beyond 8 widths
     outside.
     """
+    from scipy.special import erf
+
     rc = math.sqrt(c)
     w = 8.0 / rc
     if w < 0.5:
@@ -390,6 +390,8 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     if w == 1 or nchunks == 1:
         hits = sum(run(c) for c in range(nchunks))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=w) as pool:
             hits = sum(pool.map(run, range(nchunks)))
 

@@ -17,7 +17,6 @@ import numbers
 import os
 
 import numpy as np
-from scipy.special import betaincinv
 
 # Samples per chunk.  Fixed constant: changing it changes the draws.
 CHUNK = 4096
@@ -51,6 +50,8 @@ def check_positive(name: str, value) -> float:
 def _clopper_pearson(hits: int, samples: int) -> tuple[float, float]:
     """Two-sided 95% Clopper-Pearson interval for a binomial proportion, with
     the closed form 1 - 0.025^(1/samples) as the ceiling when nothing hit."""
+    from scipy.special import betaincinv
+
     alpha = 0.05
     if hits == 0:
         return 0.0, 1.0 - (alpha / 2.0) ** (1.0 / samples)

@@ -209,6 +209,18 @@ class TestRadius:
         assert "junk.csv:3" in err
 
 
+# the scipy modules a fresh process holds after cli.main runs one command:
+# (loaded, absent), where an absent name covers the module and its submodules
+IMPORT_MAP = {
+    "radius": ([], ["scipy"]),
+    "bounds": ([], ["scipy"]),
+    "ratefn": (["scipy.special"], ["scipy.spatial"]),
+    "tail": (["scipy.special"], ["scipy.spatial"]),
+    "construct": (["scipy.spatial"], []),
+    "verify": (["scipy.spatial"], []),
+}
+
+
 class TestUsage:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -225,14 +237,52 @@ class TestUsage:
         assert proc.returncode == 0
 
     def test_cold_import_loads_neither_stats_nor_optimize(self):
-        # scipy.stats is never needed, and rate_function's search is its own
+        # scipy.stats is never needed, rate_function's search is its own, and
+        # every scipy import sits in the function that calls it
         script = (
             "import sys, multipack.cli\n"
             "assert 'scipy.stats' not in sys.modules and 'scipy.optimize' not in sys.modules\n"
+            "assert not [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
             "from multipack import rate_function\n"
             "assert rate_function(3, 4.0, 0.01).rate > 0\n"
             "assert 'scipy.optimize' not in sys.modules\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(multipack.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        _cold_run(script)
+
+    @pytest.mark.parametrize("command", IMPORT_MAP)
+    def test_import_map(self, tmp_path, command):
+        pts = tmp_path / "pts.csv"
+        fileio.write_points(pts, fileio.PointList(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])))
+        code = tmp_path / "code.csv"
+        construct = ["construct", "--n", "3", "--L", "2", "--N", "0.01", "--K", "1", "--seed", "1", "--out", str(code)]
+        runs = {
+            "radius": [["radius", str(pts), "--mode", m] for m in ("avg", "cheb", "p")],
+            "bounds": [["bounds", "--N-min", "0.01", "--N-max", "0.02", "--steps", "2", "--out", str(tmp_path / "b.csv")]],
+            "ratefn": [["ratefn", "--L", "3", "--K", "4", "--N", "0.01"]],
+            "tail": [["tail", "--L", "2", "--n", "8", "--K", "1", "--N", "0.14", "--samples", "20000", "--seed", "1"]],
+            "construct": [construct],
+            "verify": [["verify", str(code)]],
+        }[command]
+        if command == "verify":
+            assert main(construct) == 0
+        script = (
+            "import json, sys, multipack.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert multipack.cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        modules = json.loads(_cold_run(script, json.dumps(runs)).stdout.splitlines()[-1])
+        loaded, absent = IMPORT_MAP[command]
+        for name in loaded:
+            assert name in modules
+        for name in absent:
+            assert not [m for m in modules if m == name or m.startswith(name + ".")]
+
+
+def _cold_run(script, *args):
+    """Run ``script`` in a fresh Python that imports multipack from this
+    checkout; the child's stderr goes into the assertion message."""
+    env = dict(os.environ, PYTHONPATH=str(Path(multipack.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
