@@ -6,7 +6,8 @@ code or whole periodic constellation), tail (Monte Carlo tail row), ratefn
 (quadrature rate against the closed-form exponent).  Every output file gets
 a sibling ``<file>.manifest.json`` recording the command line, resolved
 parameters, seed, version, and wall time.  Exit codes: 0 success / verified,
-1 verification failure, 2 budget or usage error.
+1 verification failure, 2 budget or usage error, 141 (128 + SIGPIPE) when the
+reader of standard output closes it early, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -283,7 +285,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, argv)
+        code = args.func(args, argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull, so the flush
+        # at exit does not fail again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2

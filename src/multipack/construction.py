@@ -384,11 +384,14 @@ def _offset_rows(n, bound, nonzero, large):
     coordinates and at most ``large`` with |k_i| >= 2, whose first nonzero
     coordinate is positive (one of k and -k for every k != 0), in
     lexicographic order.  Grown one coordinate at a time, so only prefixes
-    of kept rows are held.  Read-only, as it is cached."""
+    of kept rows are held; raises BudgetError when a step's candidates
+    exceed WINDOW_BUDGET.  Read-only, as it is cached."""
     values = np.arange(-bound, bound + 1)
     rows = np.zeros((1, 0), dtype=np.intp)
     nnz = big = first = np.zeros(1, dtype=np.intp)
     for _ in range(n):
+        if len(rows) * len(values) > WINDOW_BUDGET:
+            raise BudgetError(f"{len(rows) * len(values)} candidate tile offsets exceed the window budget")
         i = np.repeat(np.arange(len(rows)), len(values))
         v = np.tile(values, len(rows))
         nnz, big = nnz[i] + (v != 0), big[i] + (np.abs(v) >= 2)
@@ -401,39 +404,41 @@ def _offset_rows(n, bound, nonzero, large):
     return rows
 
 
-def _offsets_within(n, period, K, r):
-    """The tile offsets k with sum_i (|k_i|*period - 2K)_+^2 <= r^2, one of k
-    and -k for every k != 0, in lexicographic order.
+def _offsets_within(n, period, w, r):
+    """The tile offsets k != 0 with sum_i (|k_i|*period - w)_+^2 <= r^2 (see
+    _offset_reach), one of k and -k each, in lexicographic order.
 
-    Each nonzero coordinate costs at least (period - 2K)^2 = 4*gap^2 and
-    each with |k_i| >= 2 at least (2*period - 2K)^2, which bounds how many
-    of each a row can have; _offset_rows lists the rows within those counts
-    and |k_i| <= (r + 2K)/period, and the exact sum filters them."""
-    bound = int((r + 2.0 * K) / period)
+    Each nonzero coordinate costs at least (period - w)^2 and each with
+    |k_i| >= 2 at least (2*period - w)^2, which bounds how many of each a
+    row can have; _offset_rows lists the rows within those counts and
+    |k_i| <= (r + w)/period, and the exact sum filters them."""
+    bound = int((r + w) / period)
     r2 = r * r * (1.0 + 1e-9)
-    nonzero = max(j for j in range(n + 1) if j * (period - 2.0 * K) ** 2 <= r2)
-    large = max(j for j in range(nonzero + 1) if j * (2.0 * period - 2.0 * K) ** 2 <= r2)
+    nonzero = max(j for j in range(n + 1) if j * (period - w) ** 2 <= r2)
+    large = max(j for j in range(nonzero + 1) if j * (2.0 * period - w) ** 2 <= r2)
     rows = _offset_rows(n, bound, nonzero, large)
-    return rows[_offset_reach(rows, period, K) <= r * r]
+    return rows[_offset_reach(rows, period, w) <= r * r]
 
 
-def _offset_reach(offsets, period, K):
-    """sum_i (|k_i|*period - 2K)_+^2 for each row k: a squared lower bound on
-    the distance between a base point and any base point translated by
-    k*period, since |x_i - x'_i - k_i*period| >= |k_i|*period - 2K."""
-    return (np.maximum(np.abs(offsets) * period - 2.0 * K, 0.0) ** 2).sum(axis=1)
+def _offset_reach(offsets, period, w):
+    """sum_i (|k_i|*period - w)_+^2 for each row k: a squared lower bound on
+    the distance between two boxes centred on the origin and on k*period
+    whose half-widths sum to w, since their coordinates differ by at least
+    |k_i|*period - w.  w = 2K bounds a base point against a translated base
+    point, w = period/2 + K a point of the fold cell against one."""
+    return (np.maximum(np.abs(offsets) * period - w, 0.0) ** 2).sum(axis=1)
 
 
-def _translates(points, offsets, period, K, r):
+def _translates(points, offsets, period, half, r):
     """The translates x + k*period of ``points`` by the rows k of ``offsets``
-    that lie within r of the base cube [-K, K]^n, offset by offset, with the
+    that lie within r of the box [-half, half]^n, offset by offset, with the
     row of x in ``points``.  Built in blocks of offsets, so only the kept
     translates are held."""
     rows, out = [np.empty(0, np.intp)], [np.empty((0, points.shape[1]))]
     step = max(1, 2**18 // max(points.size, 1))
     for j0 in range(0, len(offsets), step):
         Y = points[None, :, :] + (offsets[j0 : j0 + step] * period)[:, None, :]
-        e = np.maximum(np.abs(Y) - K, 0.0)
+        e = np.maximum(np.abs(Y) - half, 0.0)
         kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= r * r)
         rows.append(bj)
         out.append(Y[kj, bj])
@@ -456,10 +461,12 @@ def _min_cross_sq(c: Constellation) -> float:
     their translates by the offsets that can reach r,
     sum_i (|k_i|*period - 2K)_+^2 <= r^2 (while r < 2K + 4*gap, the ring
     shells nnz(k)*4*gap^2 <= r^2), one of k and -k each, keeping only the
-    translates within r of the base cube.  Radius and band carry a small
-    margin against rounding, so once a pair lies within r every cross-tile
-    pair within r has been found and the smallest is the minimum.  The
-    search stops by r = period: x and x + period*e_1 are a cross-tile pair.
+    translates within r of the base cube.  One KD-tree of those translates
+    gives each band point its nearest translate within r.  Radius and band
+    carry a small margin against rounding, so once a pair lies within r
+    every cross-tile pair within r has been found and the smallest is the
+    minimum.  The search stops by r = period: x and x + period*e_1 are a
+    cross-tile pair.
     """
     from scipy.spatial import cKDTree
 
@@ -474,10 +481,12 @@ def _min_cross_sq(c: Constellation) -> float:
         r = 2.0 * c.gap + s
         rq = r * (1.0 + 1e-6)
         X = code.points[depth <= s + tol]
-        _, Q = _translates(X, _offsets_within(code.n, P, K, rq), P, K, rq)
-        found = cKDTree(X).sparse_distance_matrix(cKDTree(Q), rq, output_type="ndarray")
-        if len(found):
-            d = X[found["i"]] - Q[found["j"]]
+        _, Q = _translates(X, _offsets_within(code.n, P, 2.0 * K, rq), P, K, rq)
+        # a band point with no translate within rq gets index len(Q)
+        _, j = cKDTree(Q).query(X, distance_upper_bound=rq)
+        hit = j < len(Q)
+        if hit.any():
+            d = X[hit] - Q[j[hit]]
             d2 = float(np.einsum("ij,ij->i", d, d).min())
             if d2 <= r * r:
                 return d2
@@ -499,7 +508,7 @@ def _cross_tile_list(c: Constellation):
     M, K, P = code.M, code.K, c.period
     thr = code.n * code.N
     r = math.sqrt(2.0 * code.L * thr) * (1.0 + 1e-6)
-    bj, Q = _translates(code.points, _offsets_within(code.n, P, K, r), P, K, r)
+    bj, Q = _translates(code.points, _offsets_within(code.n, P, 2.0 * K, r), P, K, r)
     pts = np.vstack([code.points, Q])
     base_of = np.concatenate([np.arange(M), bj])
     lists, _ = _near_lists(pts, code.L, thr)
@@ -573,18 +582,6 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
         violation=violation,
         violation_base_indices=indices,
     )
-
-
-def _ring_offsets(n, nonzero):
-    """The points of {-1, 0, 1}^n with at most ``nonzero`` nonzero coordinates."""
-    rows = []
-    for j in range(nonzero + 1):
-        for axes in itertools.combinations(range(n), j):
-            for signs in itertools.product((-1.0, 1.0), repeat=j):
-                k = np.zeros(n)
-                k[list(axes)] = signs
-                rows.append(k)
-    return np.array(rows)
 
 
 def _cell_samples(n, period, R, mc_samples, seed):
@@ -700,17 +697,17 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
 
     Samples uniformly from the ball of radius sqrt(n*P), folds each sample
     into the cell [-period/2, period/2]^n, and tests coverage against the
-    base code and those of its translates by k*period, k in {-1, 0, 1}^n,
-    whose noise balls can reach the cell.  Translate k lies in
-    k*period + [-K, K]^n, so in each of its nnz(k) nonzero coordinates it is
-    at least period/2 - K = gap from the cell, and at least gap*sqrt(nnz(k))
-    away in all.  Only the translates with nnz(k)*gap^2 <= r^2 (with a small
-    relative margin against rounding) can cover a sample: just the base for
-    any gap above r, as tile() gives at L >= 3 and by default, and 1 + 2n
-    translates at gap = r.
-    Translates farther out never hold the nearest copy of a base point x:
-    |y_i - x_i| <= period/2 + K < 1.5*period in every coordinate.  Refuses
-    codes whose kept translates hold more than WINDOW_BUDGET points.
+    points of the constellation within h = r*(1 + 1e-6) of the cell: the
+    base code and the points of its translates by k*period within h of the
+    cell, for the offsets k whose cube can reach that far.  The cell and the
+    cube k*period + [-K, K]^n have half-widths summing to period/2 + K, so
+    the offsets are those of _offsets_within at w = period/2 + K and radius
+    h, with k and -k both.  Each nonzero coordinate costs at least
+    (period/2 - K)^2 = gap^2, so only the base is kept for any gap above h,
+    as tile() gives at L >= 3 and by default, and the 2n face translates at
+    gap = r.  Refuses codes whose base and kept translates, counted as
+    whole tiles, hold more than WINDOW_BUDGET points, before any translate
+    is formed.
 
     When the cells of side h = r*(1 + 1e-6) over all n axes fit in
     WINDOW_BUDGET, a cell index (_CellIndex) decides most samples.  A sample
@@ -733,14 +730,15 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     if M == 0:
         raise ValueError("empty base code")
     r_cov = math.sqrt(n * code.N)
-    nonzero = max(j for j in range(n + 1) if j * c.gap**2 <= r_cov**2 * (1.0 + 1e-9))
-    count = sum(math.comb(n, j) * 2**j for j in range(nonzero + 1))
-    if count * M > WINDOW_BUDGET:
-        raise BudgetError(f"{count} neighbor tiles * {M} points exceed the window budget")
-    offsets = _ring_offsets(n, nonzero) * c.period
-    pts = (offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n)
+    h, half = r_cov * (1.0 + 1e-6), c.period / 2.0
+    offsets = _offsets_within(n, c.period, half + code.K, h)
+    tiles = 1 + 2 * len(offsets)
+    if tiles * M > WINDOW_BUDGET:
+        raise BudgetError(f"{tiles} neighbor tiles * {M} points exceed the window budget")
+    _, Q = _translates(code.points, np.vstack([offsets, -offsets]), c.period, half, h)
+    pts = np.vstack([code.points, Q])
     tree = cKDTree(pts)
-    index = _cell_index(pts, r_cov, c.period / 2.0)
+    index = _cell_index(pts, r_cov, half)
     covered = 0
     for y in _cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
         covered += int(_covered(y, tree, index, r_cov).sum())

@@ -68,21 +68,7 @@ class TailEstimate:
     CSV_HEADER = "L,n,K,N,samples,hits,p_hat,exponent_hat,ci_low,ci_high,seed"
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                str(self.L),
-                str(self.n),
-                repr(self.K),
-                repr(self.N),
-                str(self.samples),
-                str(self.hits),
-                repr(self.p_hat),
-                repr(self.exponent_hat),
-                repr(self.ci_low),
-                repr(self.ci_high),
-                str(self.seed),
-            ]
-        )
+        return ",".join(repr(getattr(self, name)) for name in self.CSV_HEADER.split(","))
 
 
 def cube_form_mean(L: int, K: float) -> float:

@@ -16,10 +16,6 @@ from .errors import ParseError
 from .geometry import PointList
 
 
-def _fmt_row(row) -> str:
-    return ",".join(repr(float(v)) for v in row)
-
-
 def _parse_rows(lines, n, path, first_lineno):
     rows = []
     for off, line in enumerate(lines):
@@ -104,11 +100,27 @@ def _constellation(path, headers, rows) -> Constellation:
     return c
 
 
-def write_points(path, pl: PointList) -> None:
+def _write(path, headers: dict, points) -> None:
+    """A '# key=value' line for each header that is not None, then one
+    point per row."""
     with open(path, "w") as fh:
-        fh.write(f"# n={pl.n}\n")
-        for row in pl.points:
-            fh.write(_fmt_row(row) + "\n")
+        fh.writelines(f"# {key}={value}\n" for key, value in headers.items() if value is not None)
+        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in points)
+
+
+def _code_headers(code: FiniteCode) -> dict:
+    return {
+        "n": code.n,
+        "L": code.L,
+        "N": repr(code.N),
+        "K": repr(code.K),
+        "seed": code.seed,
+        "expurgated": code.expurgated_count,
+    }
+
+
+def write_points(path, pl: PointList) -> None:
+    _write(path, {"n": pl.n}, pl.points)
 
 
 def read_points(path) -> PointList:
@@ -116,30 +128,12 @@ def read_points(path) -> PointList:
     return _point_list(path, rows)
 
 
-def _write_code_headers(fh, code: FiniteCode) -> None:
-    fh.write(f"# n={code.n}\n")
-    fh.write(f"# L={code.L}\n")
-    fh.write(f"# N={code.N!r}\n")
-    fh.write(f"# K={code.K!r}\n")
-    if code.seed is not None:
-        fh.write(f"# seed={code.seed}\n")
-    fh.write(f"# expurgated={code.expurgated_count}\n")
-
-
 def write_code(path, code: FiniteCode) -> None:
-    with open(path, "w") as fh:
-        _write_code_headers(fh, code)
-        for row in code.points:
-            fh.write(_fmt_row(row) + "\n")
+    _write(path, _code_headers(code), code.points)
 
 
 def write_constellation(path, c: Constellation) -> None:
-    with open(path, "w") as fh:
-        _write_code_headers(fh, c.base)
-        fh.write(f"# period={c.period!r}\n")
-        fh.write(f"# gap={c.gap!r}\n")
-        for row in c.base.points:
-            fh.write(_fmt_row(row) + "\n")
+    _write(path, {**_code_headers(c.base), "period": repr(c.period), "gap": repr(c.gap)}, c.base.points)
 
 
 def read_code(path) -> FiniteCode:

@@ -231,6 +231,19 @@ def offset_box(bound):
     return grid[first > 0]
 
 
+def ring_offsets(n, nonzero):
+    """The points of {-1, 0, 1}^n with at most ``nonzero`` nonzero
+    coordinates, by count of nonzeros, then axes, then signs."""
+    rows = []
+    for j in range(nonzero + 1):
+        for axes in itertools.combinations(range(n), j):
+            for signs in itertools.product((-1.0, 1.0), repeat=j):
+                k = np.zeros(n)
+                k[list(axes)] = signs
+                rows.append(k)
+    return np.array(rows)
+
+
 def ring_covered(c, P, mc_samples, seed):
     """density_report's covered count, tested against the base code and all
     3^n - 1 neighbour translates of it."""
@@ -245,12 +258,16 @@ def ring_covered(c, P, mc_samples, seed):
 
 def tree_covered(c, P, mc_samples, seed):
     """density_report's covered count with every sample queried against the
-    base code and its kept translates (no cell index)."""
+    base code and its whole translates by the ring offsets k with
+    nnz(k)*gap^2 <= r^2 (no cell index): translate k lies at least
+    gap*sqrt(nnz(k)) from the cell, and a copy x + k*period with some
+    |k_i| >= 2 is never the nearest one to a sample of the cell, since
+    |y_i - x_i| <= period/2 + K < 1.5*period - K."""
     code = c.base
     n = code.n
     r_cov = math.sqrt(n * code.N)
     nonzero = max(j for j in range(n + 1) if j * c.gap**2 <= r_cov**2 * (1.0 + 1e-9))
-    offsets = construction._ring_offsets(n, nonzero) * c.period
+    offsets = ring_offsets(n, nonzero) * c.period
     tree = cKDTree((offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n))
     covered = 0
     for y in construction._cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):

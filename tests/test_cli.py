@@ -236,6 +236,28 @@ class TestUsage:
         )
         assert proc.returncode == 0
 
+    def test_closed_pipe_exits_141_quietly(self, tmp_path):
+        # the reader of stdout is gone before the first write, as after
+        # `multipack radius ... | grep -q`: the work is done, so the command
+        # exits as SIGPIPE would, with nothing on stderr
+        pts = tmp_path / "pts.csv"
+        fileio.write_points(pts, fileio.PointList(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])))
+        env = dict(os.environ, PYTHONPATH=str(Path(multipack.__file__).parents[1]))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "multipack.cli", "radius", str(pts), "--mode", "cheb"],
+                stdout=w,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_cold_import_loads_neither_stats_nor_optimize(self):
         # scipy.stats is never needed, rate_function's search is its own, and
         # every scipy import sits in the function that calls it

@@ -32,6 +32,7 @@ from oracles import (
     expurgate_counter,
     offset_box,
     ring_covered,
+    ring_offsets,
     same_tile_min_per_tile,
     scan_subsets,
     tree_covered,
@@ -516,11 +517,11 @@ class TestVerifyPacking:
         P = 2 * K + 2 * gap
         grid = offset_box((2,) * n)
         both = np.vstack([grid, -grid, np.zeros((1, n), dtype=np.intp)])
-        reach = construction._offset_reach(both, P, K)
+        reach = construction._offset_reach(both, P, 2 * K)
         edge = 2 * K + 4 * gap
         # radii inside each shell, and just below the edge
         for j, r in [(j, 2 * gap * math.sqrt(j + 0.5)) for j in range(n)] + [(n, edge * (1 - 1e-9))]:
-            want = {tuple(k) for k in construction._ring_offsets(n, j).astype(int)}
+            want = {tuple(k) for k in ring_offsets(n, j).astype(int)}
             assert {tuple(k) for k in both[reach <= r * r]} == want
         # just past it, |k_i| = 2 comes in
         assert (np.abs(both[reach <= (edge * (1 + 1e-9)) ** 2]) == 2).any()
@@ -537,9 +538,24 @@ class TestVerifyPacking:
             radii += list(np.linspace(0.01, 1.6 * P if n < 8 else 0.9 * P, 9))
             for r in radii:
                 box = offset_box((int((r + 2 * K) / P),) * n)
-                want = box[construction._offset_reach(box, P, K) <= r * r]
-                got = construction._offsets_within(n, P, K, r)
+                want = box[construction._offset_reach(box, P, 2 * K) <= r * r]
+                got = construction._offsets_within(n, P, 2 * K, r)
                 assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cell_offsets_are_the_ring_within_r(self, n):
+        # from the fold cell, half-width period/2, each nonzero coordinate of
+        # a translate of the base cube costs (period/2 - K)^2 = gap^2, so the
+        # offsets that reach r, with k and -k both, are the ring shells
+        # nnz(k)*gap^2 <= r^2; |k_i| = 2 alone costs (2K + 3*gap)^2 > r^2
+        for K, gap in ((1.0, 0.3), (1.0, 0.05), (0.5, 0.7), (0.01, 1.0)):
+            P = 2 * K + 2 * gap
+            for j in range(n + 1):
+                r = gap * math.sqrt(j + 0.5)
+                got = construction._offsets_within(n, P, P / 2 + K, r)
+                both = {tuple(k) for k in np.vstack([got, -got])}
+                want = {tuple(k) for k in ring_offsets(n, j).astype(int)} - {(0,) * n}
+                assert both == want and 2 * len(got) == len(want)
 
     def test_offsets_stay_small_at_n13(self):
         # the box {-1..1}^13 has 797161 rows; the reach filter keeps at most
@@ -556,6 +572,15 @@ class TestVerifyPacking:
             tracemalloc.stop()
         assert verdict.passed
         assert peak <= 32 * 2**20
+
+    def test_offset_rows_are_refused_while_grown(self, monkeypatch):
+        # every ring offset reaches r, 3^10/2 rows: the growth stops at the
+        # last step, whose 3^9 + 1 prefixes times 3 values exceed the budget
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", 10**4)
+        construction._offset_rows.cache_clear()
+        with pytest.raises(BudgetError, match="29526 candidate tile offsets"):
+            construction._offsets_within(10, 2.2, 2.1, 1.0)
+        construction._offset_rows.cache_clear()
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):
@@ -755,7 +780,7 @@ class TestDensityReport:
         code = FiniteCode(faces, 3, 2, 0.05, 1.0, None)
         r = math.sqrt(3 * 0.05)
         c = Constellation(base=code, gap=r)
-        pts = (construction._ring_offsets(3, 1)[:, None, :] * c.period + faces[None, :, :]).reshape(-1, 3)
+        pts = (ring_offsets(3, 1)[:, None, :] * c.period + faces[None, :, :]).reshape(-1, 3)
         rng = np.random.default_rng(40)
         u = rng.standard_normal((len(pts), 64, 3))
         u /= np.linalg.norm(u, axis=2, keepdims=True)
