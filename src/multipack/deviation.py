@@ -76,14 +76,11 @@ def cube_form_mean(L: int, K: float) -> float:
     return K * K * (L - 1) / 3.0
 
 
-def _validate_quad_args(L, K, lam, quad_order):
+def _validate_quad_args(L, K, quad_order):
     L = check_count("L", L, 2)
     if L > 5:
         raise BudgetError(f"quadrature supports 2 <= L <= 5, got L = {L}")
-    K = check_positive("K", K)
-    if not 0 <= lam < math.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    return L, K, float(lam), check_count("quad_order", quad_order, 16)
+    return L, check_positive("K", K), check_count("quad_order", quad_order, 16)
 
 
 @lru_cache(maxsize=64)
@@ -123,44 +120,6 @@ def _shoulder_nodes(c: float, order: int):
     return half, mu, g, w1, w2
 
 
-def _shoulder_integrals(L: int, c: float, order: int) -> tuple[float, float]:
-    """integral over mu of G(mu)^L by composite Gauss-Legendre at ``order``
-    and at ``2 * order`` nodes per panel, both from one erf pass."""
-    half, _, g, w1, w2 = _shoulder_nodes(c, order)
-    gpow = g**L
-    j1 = j2 = 0.0
-    for h, row in zip(half, gpow):
-        j1 += h * float(w1 @ row[:order])
-        j2 += h * float(w2 @ row[order:])
-    return j1, j2
-
-
-def _checked_c(K: float, lam: float) -> float:
-    c = K * K * lam
-    if not 0.0 < c < math.inf:
-        raise ValueError(
-            f"c = K^2 * lam must be a positive finite float, got {c!r} (K = {K!r}, lam = {lam!r})"
-        )
-    return c
-
-
-def _mgf_log_value(L: int, c: float, j1: float, j2: float, quad_order: int) -> float:
-    """mgf_log from the two rules' integrals, warning when they disagree."""
-    if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
-        warnings.warn(
-            f"quadrature not converged at order {quad_order}: "
-            f"delta = {abs(j2 - j1):.3e}",
-            ConvergenceWarning,
-        )
-    val = (
-        -L * LOG2
-        + 0.5 * (L - 1) * (math.log(math.pi) - math.log(c))
-        + 0.5 * math.log(L)
-        + math.log(j2)
-    )
-    return min(val, 0.0)
-
-
 def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     """Log moment generating function of the scaled centering form.
 
@@ -178,19 +137,21 @@ def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     every call compares the two and raises a ConvergenceWarning if they differ
     by more than 1e-9 (the doubled-order value is returned either way).
     """
-    L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
+    L, K, quad_order = _validate_quad_args(L, K, quad_order)
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     if lam == 0.0:
         return 0.0
-    c = _checked_c(K, lam)
-    return _mgf_log_value(L, c, *_shoulder_integrals(L, c, quad_order), quad_order)
+    return _mgf_log_derivatives(L, K, float(lam), quad_order)[0]
 
 
 def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> LaplaceCheck:
     """Raw integral of exp(-K^2*lam*t'At) over the cube against its
     large-c saddle value (pi/c)^((L-1)/2) * 2*sqrt(L)."""
-    L, K, lam, quad_order = _validate_quad_args(L, K, check_positive("lam", lam), quad_order)
+    lam = check_positive("lam", lam)
+    L, K, quad_order = _validate_quad_args(L, K, quad_order)
     c = K * K * lam
-    log_numeric = mgf_log(L, K, lam, quad_order) + L * LOG2
+    log_numeric = _mgf_log_derivatives(L, K, lam, quad_order)[0] + L * LOG2
     log_asym = 0.5 * (L - 1) * math.log(math.pi / c) + math.log(2.0 * math.sqrt(L))
     return LaplaceCheck(
         numeric=math.exp(log_numeric),
@@ -200,8 +161,11 @@ def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> Laplace
 
 
 def _shoulder_derivatives(L: int, c: float, order: int) -> tuple[float, float, float, float]:
-    """_shoulder_integrals' pair (j1, j2) and, on the 2*order nodes, J'(c)
-    and J''(c) of J = j2, from the same erf pass and one exp pair.
+    """The integral of G(mu)^L by composite Gauss-Legendre at ``order`` and
+    at ``2 * order`` nodes per panel, (j1, j2), and, on the 2*order nodes,
+    J'(c) and J''(c) of J = j2, from one erf pass and one exp pair.  This is
+    the only sum over the panels: mgf_log, laplace_check and rate_function
+    all take their integrals from it.
 
     With a = 1 - mu, b = 1 + mu and E(x) = x exp(-c x^2),
         dG/dc   = (E(a) + E(b)) / (2 sqrt(pi c)),
@@ -231,18 +195,34 @@ def _shoulder_derivatives(L: int, c: float, order: int) -> tuple[float, float, f
 
 
 def _mgf_log_derivatives(L: int, K: float, lam: float, quad_order: int) -> tuple[float, float, float]:
-    """mgf_log at lam > 0 (bit-identical to mgf_log) and its first and second
-    derivatives in lam, from one quadrature pass:
+    """mgf_log at lam > 0 and its first and second derivatives in lam, from
+    one quadrature pass, for arguments that passed _validate_quad_args:
         d/dlam   = K^2 (-(L-1)/(2c) + J'/J),
         d2/dlam2 = K^4 ((L-1)/(2c^2) + J''/J - (J'/J)^2).
+    Warns when the two rules' integrals disagree.
     """
-    c = _checked_c(K, lam)
+    c = K * K * lam
+    if not 0.0 < c < math.inf:
+        raise ValueError(
+            f"c = K^2 * lam must be a positive finite float, got {c!r} (K = {K!r}, lam = {lam!r})"
+        )
     j1, j2, dj, d2j = _shoulder_derivatives(L, c, quad_order)
-    value = _mgf_log_value(L, c, j1, j2, quad_order)
+    if abs(j2 - j1) > 1e-9 * max(1.0, abs(j2)):
+        warnings.warn(
+            f"quadrature not converged at order {quad_order}: "
+            f"delta = {abs(j2 - j1):.3e}",
+            ConvergenceWarning,
+        )
+    value = (
+        -L * LOG2
+        + 0.5 * (L - 1) * (math.log(math.pi) - math.log(c))
+        + 0.5 * math.log(L)
+        + math.log(j2)
+    )
     r1 = float(dj / j2)
     k2 = K * K
     return (
-        value,
+        min(value, 0.0),
         k2 * (-0.5 * (L - 1) / c + r1),
         k2 * k2 * (0.5 * (L - 1) / (c * c) + float(d2j / j2) - r1 * r1),
     )
@@ -265,7 +245,7 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     may not exceed the mean of the per-coordinate form; at the mean (within
     1e-12 relative) Jensen gives psi <= 0, and the rate is exactly 0.
     """
-    L, K, _, quad_order = _validate_quad_args(L, K, 0.0, quad_order)
+    L, K, quad_order = _validate_quad_args(L, K, quad_order)
     N = check_positive("N", N)
     mean = cube_form_mean(L, K)
     if L * N > mean * (1.0 + 1e-12):

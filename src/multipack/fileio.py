@@ -105,7 +105,7 @@ def _write(path, headers: dict, points) -> None:
     point per row."""
     with open(path, "w") as fh:
         fh.writelines(f"# {key}={value}\n" for key, value in headers.items() if value is not None)
-        fh.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in points)
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.asarray(points, dtype=float).tolist())
 
 
 def _code_headers(code: FiniteCode) -> dict:

@@ -19,6 +19,11 @@ from .rng import check_count, check_positive
 
 AVG_FORMULAS = ("centroid", "norm_minus_center", "correlation", "pairwise")
 
+# cap on the enclosing-ball solver's major steps, per point and per e-fold
+# of 1/tol, and on rad_p's damped Newton steps
+CHEB_STEPS = 100
+RAD_P_STEPS = 20000
+
 
 @dataclass(frozen=True)
 class PointList:
@@ -228,7 +233,7 @@ def _step_to_face(z: np.ndarray, S: list, dz: np.ndarray, cap: float) -> list:
     return [i for i in S if z[i] > 0]
 
 
-def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = None) -> ChebResult:
+def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
     """Squared radius of the smallest ball enclosing the list.
 
     Maximizes the concave dual f(z) = sum_i z_i ||x_i||^2 - ||sum_i z_i x_i||^2
@@ -249,23 +254,23 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
     3 * eps * upper) does.  lower <= upper keeps it at least as strict as
     tol * max(1, upper), and lower = 0 on the first support makes even a
     tol >= 1 take a major step.  f rises at every major step, so no support
-    recurs in exact arithmetic; when one does (round-off) or ``max_iters``
-    major steps (by default 100 * L * max(1, ceil(ln(1/tol)))) run out
-    first, a ConvergenceWarning is raised and the gap is reported as-is.
+    recurs in exact arithmetic, and the farthest point is never one of S,
+    which y is equidistant from.  When either happens (round-off) or the
+    CHEB_STEPS * L * max(1, ceil(ln(1/tol))) major steps run out first, the
+    solver stops, a ConvergenceWarning is raised and the gap is reported
+    as-is.
     """
     tol = check_positive("tol", tol)
     xbar = pl.centroid()
     X = pl.points - xbar
     L = pl.L
-    if max_iters is None:
-        max_iters = 100 * L * max(1, math.ceil(math.log(1.0 / tol)))
-    max_iters = check_count("max_iters", max_iters, 0)
+    max_steps = CHEB_STEPS * L * max(1, math.ceil(math.log(1.0 / tol)))
     S = [int(np.argmax(np.einsum("ij,ij->i", X, X)))]
     z = np.zeros(L)
     z[S[0]] = 1.0
     seen = set()
     iterations = 0
-    for iterations in range(max_iters + 1):
+    for iterations in range(max_steps + 1):
         y = z @ X
         diff = X - y
         d = np.einsum("ij,ij->i", diff, diff)
@@ -274,8 +279,9 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
         upper = float(d[s])
         gap = upper - lower
         converged = gap <= tol * max(1.0, lower)
-        # f rises at every major step, so a support met again means round-off
-        if converged or iterations == max_iters or frozenset(S) in seen:
+        # f rises at every major step, so a support met again means round-off;
+        # so does a farthest point s in S, as y is equidistant from all of S
+        if converged or iterations == max_steps or s in S or frozenset(S) in seen:
             break
         seen.add(frozenset(S))
         S.append(s)
@@ -308,7 +314,7 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9, max_iters: int | None = N
     )
 
 
-def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) -> float:
+def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     """Power-mean relaxation of the squared list radius.
 
     Minimizes G(y) = F(y)^(1/p), F(y) = mean_i ||x_i - y||^(2p), over the
@@ -329,14 +335,14 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) ->
     sqrt(m) ||grad F|| / (p F) is at most ``tol``, a test independent of the
     scale of the list, or when a step lowers F by no more than 1e-18 F
     (round-off), then counting as converged only if the relative gradient is
-    at most 1e-6; otherwise a ConvergenceWarning is raised.  p = 1 gives
-    avg_sq_radius up to round-off; the value is nondecreasing in p, at most
-    the squared Chebyshev radius, and approaches it as p grows.
+    at most 1e-6; otherwise, and when RAD_P_STEPS steps run out first, a
+    ConvergenceWarning is raised.  p = 1 gives avg_sq_radius up to
+    round-off; the value is nondecreasing in p, at most the squared
+    Chebyshev radius, and approaches it as p grows.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
     tol = check_positive("tol", tol)
-    max_iters = check_count("max_iters", max_iters, 1)
     X = pl.points
     L = pl.L
     if (X == X[0]).all():
@@ -354,7 +360,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9, max_iters: int = 20000) ->
     # (r2/m)^p at a trial point of the line search may overflow to inf, which
     # the Armijo test rejects
     with np.errstate(over="ignore"):
-        for _ in range(max_iters):
+        for _ in range(RAD_P_STEPS):
             m = float(r2.max())
             w = (r2 / m) ** (p - 1.0)
             obj = float(((r2 / m) ** p).sum() / L)  # F / m^p

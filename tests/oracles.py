@@ -336,7 +336,7 @@ def mgf_log_tensor(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     by the per-axis rule, so this serves as an independent cross-check at
     moderate K^2*lam, not as the production path.
     """
-    L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
+    L, K, quad_order = _validate_quad_args(L, K, quad_order)
     if quad_order**L > 2 * 10**7:
         raise BudgetError(f"tensor grid {quad_order}^{L} exceeds the 2e7 budget")
     if lam == 0.0:
@@ -376,7 +376,7 @@ def shoulder_integral_panels(L: int, c: float, order: int) -> float:
 def mgf_log_panels(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     """mgf_log with the integral evaluated separately at quad_order and at
     twice the order, including the ConvergenceWarning."""
-    L, K, lam, quad_order = _validate_quad_args(L, K, lam, quad_order)
+    L, K, quad_order = _validate_quad_args(L, K, quad_order)
     if lam == 0.0:
         return 0.0
     c = K * K * lam

@@ -33,6 +33,13 @@ class TestPoints:
         fileio.write_points(b, fileio.read_points(a))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_exact_text(self, tmp_path):
+        # shortest round-trip repr: signed zero, the smallest subnormal, an
+        # inexact decimal, an exponent at 1e16 and a tiny negative
+        p = tmp_path / "pts.csv"
+        fileio.write_points(p, PointList(np.array([[-0.0, 5e-324, 0.1], [1e16, -1e-300, 1.0]])))
+        assert p.read_text() == "# n=3\n-0.0,5e-324,0.1\n1e+16,-1e-300,1.0\n"
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("1.0,2.0\n3.0,4.0\n")

@@ -19,6 +19,7 @@ from multipack import (
     rad_p,
     spectral_pair,
 )
+from multipack import geometry
 from oracles import (
     chebyshev_radius_active,
     chebyshev_radius_exact,
@@ -284,10 +285,46 @@ class TestChebyshev:
         with pytest.raises(ValueError, match="tol"):
             chebyshev_radius(PointList(np.eye(2)), tol=tol)
 
-    @pytest.mark.parametrize("max_iters", [-1, 2.5, 10.0, "3"])
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, 10.0, "3", 100])
     def test_rejects_bad_max_iters(self, max_iters):
-        with pytest.raises(ValueError, match="max_iters"):
+        # the step cap is fixed, so no value is accepted, not even a count
+        with pytest.raises(TypeError, match="max_iters"):
             chebyshev_radius(PointList(np.eye(2)), max_iters=max_iters)
+
+    def test_step_cap_warns_and_still_encloses(self, monkeypatch):
+        # with no major step left the solver stops on its first support, the
+        # point farthest from the centroid: unconverged, but upper is still
+        # the largest squared distance from the returned center
+        rng = np.random.default_rng(55)
+        lists = [random_list(rng) for _ in range(30)]
+        exact = [chebyshev_radius(pl).upper for pl in lists]
+        monkeypatch.setattr(geometry, "CHEB_STEPS", 0)
+        for pl, r in zip(lists, exact):
+            with pytest.warns(ConvergenceWarning, match="after 0 iterations"):
+                res = chebyshev_radius(pl)
+            assert not res.converged and res.iterations == 0
+            d = ((pl.points - res.center) ** 2).sum(axis=1)
+            assert d.max() <= res.upper * (1 + 1e-12)
+            assert res.lower <= r * (1 + 1e-12) and r <= res.upper
+
+    def test_round_off_stop_keeps_the_solution(self):
+        # a tol below round-off cannot be met; the solver stops once the
+        # farthest point is already in the support, where the default tol
+        # converged, instead of stepping on round-off
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            pl = PointList(rng.normal(size=(int(rng.integers(3, 13)), int(rng.integers(1, 7)))))
+            ref = chebyshev_radius(pl)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = chebyshev_radius(pl, tol=1e-300)
+            assert res.converged == (not caught)
+            if caught:
+                assert issubclass(caught[0].category, ConvergenceWarning)
+                assert res.gap <= 1e-12 * res.upper
+            d = ((pl.points - res.center) ** 2).sum(axis=1)
+            assert d.max() <= res.upper * (1 + 1e-12)
+            assert res.upper == pytest.approx(ref.upper, rel=1e-12)
 
     def test_property_lists(self):
         # exact to round-off on degenerate lists too: the certificate closes,
@@ -399,6 +436,29 @@ class TestRadP:
     def test_rejects_bad_tol(self, tol):
         with pytest.raises(ValueError, match="tol"):
             rad_p(PointList(np.eye(2)), 2.0, tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [-1, 20000])
+    def test_rejects_max_iters(self, max_iters):
+        with pytest.raises(TypeError, match="max_iters"):
+            rad_p(PointList(np.eye(2)), 2.0, max_iters=max_iters)
+
+    def test_step_cap_warns_and_stays_a_descent(self, monkeypatch):
+        # stopped early, the value is F^(1/p) at an iterate of a descent from
+        # the centroid: at least the converged value, hence avg_sq_radius, and
+        # at most the centroid's value (no step at all)
+        rng = np.random.default_rng(56)
+        for _ in range(20):
+            pl = random_list(rng, L=6, n=3)
+            avg, converged = avg_sq_radius(pl), rad_p(pl, 4.0)
+            values = []
+            for steps in (0, 1, 2):
+                monkeypatch.setattr(geometry, "RAD_P_STEPS", steps)
+                with pytest.warns(ConvergenceWarning, match="rad_p"):
+                    values.append(rad_p(pl, 4.0))
+            monkeypatch.undo()
+            assert avg <= converged * (1 + 1e-12)
+            assert converged <= values[2] * (1 + 1e-12)
+            assert values[2] <= values[1] * (1 + 1e-12) and values[1] <= values[0] * (1 + 1e-12)
 
     def test_within_descent_oracle(self):
         # never above the gradient-descent value; equal to it within 1e-12 at

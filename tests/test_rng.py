@@ -14,7 +14,6 @@ from multipack import (
     ld_capacity,
     mc_tail,
     mgf_log,
-    rad_p,
     sample_code,
     tile,
     verify_packing,
@@ -123,7 +122,6 @@ def _code(**kw):
         pytest.param(lambda: ball_log_volume_rate_finite(math.inf, 3), "N", id="ball_log_volume_rate_finite-N"),
         pytest.param(lambda: avg_sq_radius_spherical(PointList(np.eye(2)), math.inf), "P", id="spherical-P"),
         pytest.param(lambda: mgf_log(3, 1.0, 1.0, quad_order=16.7), "quad_order", id="mgf_log-quad_order"),
-        pytest.param(lambda: rad_p(PointList(np.eye(2)), 2.0, max_iters=-1), "max_iters", id="rad_p-max_iters"),
         # integral floats are refused like any other float
         pytest.param(lambda: BoundQuery(N=0.01, L=3.0), "L", id="BoundQuery-integral-L"),
         pytest.param(lambda: lambda_n_threshold(ExponentQuery(N=0.005, L=3, K=1.0), 4.0), "n", id="lambda_n_threshold-integral-n"),
