@@ -228,12 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="density bound curves over a geometric N grid")
-    b.add_argument("--L", type=int, default=3)
+    sizes = b.add_mutually_exclusive_group()
+    sizes.add_argument("--L", type=int, default=3)
+    sizes.add_argument("--multi-L", dest="multi_L", default=None,
+                       help="comma-separated list sizes; one file per L")
     b.add_argument("--N-min", dest="N_min", type=float, required=True)
     b.add_argument("--N-max", dest="N_max", type=float, required=True)
     b.add_argument("--steps", type=int, default=100)
-    b.add_argument("--multi-L", dest="multi_L", default=None,
-                   help="comma-separated list sizes; one file per L")
     b.add_argument("--out", required=True)
     b.set_defaults(func=cmd_bounds)
 

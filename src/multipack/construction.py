@@ -343,90 +343,58 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     return Constellation(base=code, gap=gap)
 
 
-def _tile_blocks(c: Constellation, center, radius: float):
-    """The integer tile coordinates t whose cube t*period + [-K, K]^n can
-    meet the closed ball (center, radius), in lexicographic order and blocks
-    of at most 2048 rows.
+@functools.lru_cache(maxsize=256)
+def _tile_offsets(period, w, r, center, half):
+    """The tile offsets k with sum_i (|k_i*period - center_i| - w)_+^2 <= r^2,
+    in lexicographic order; with ``half``, only the k != 0 whose first
+    nonzero coordinate is positive (one of k and -k, about a zero centre).
+    ``center`` is a tuple, as the rows are cached read-only.
 
-    Raises ValueError unless 0 <= radius < inf and the centre is finite, and
-    BudgetError when the tiles number more than WINDOW_BUDGET."""
-    center = np.asarray(center, dtype=float).reshape(c.base.n)
-    if not 0.0 <= radius < math.inf or not np.isfinite(center).all():
-        raise ValueError(
-            f"window needs a finite centre and a radius in [0, inf), got radius {radius!r}"
-        )
-    P, K = c.period, c.base.K
-    los = np.ceil((center - radius - K) / P)
-    his = np.floor((center + radius + K) / P)
-    tiles = np.prod(np.maximum(his - los + 1, 0))
-    if tiles > WINDOW_BUDGET:
-        raise BudgetError(f"window spans {tiles:.3g} tiles, over the {WINDOW_BUDGET:.0e} budget")
-    tile_iter = itertools.product(*[range(int(lo), int(hi) + 1) for lo, hi in zip(los, his)])
-    blocks = iter(lambda: list(itertools.islice(tile_iter, 2048)), [])
-    return (np.array(b, dtype=np.intp) for b in blocks)
+    The sum is a squared lower bound on the distance between two boxes
+    centred on ``center`` and on k*period whose half-widths sum to w: w = K
+    puts a tile's cube against a ball, w = 2K a base point against a
+    translated one, w = period/2 + K the fold cell against a tile's cube.
+    The rows grow one coordinate at a time over the k_i whose own term is
+    at most r^2, dropping a prefix once its partial sum passes
+    r^2*(1 + 1e-9), so only prefixes of kept rows are held; the exact sum
+    filters the rows at the end.  Raises ValueError unless 0 <= r < inf and
+    the centre is finite, and BudgetError when a step's candidates exceed
+    WINDOW_BUDGET."""
+    if not 0.0 <= r < math.inf or not np.isfinite(center).all():
+        raise ValueError(f"window needs a finite centre and a radius in [0, inf), got radius {r!r}")
+    rows, reach = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
+    for ci in center:
+        lo, hi = math.ceil((ci - w - r) / period), math.floor((ci + w + r) / period)
+        if len(rows) * (hi - lo + 1) > WINDOW_BUDGET:
+            raise BudgetError(f"{len(rows) * (hi - lo + 1)} candidate tile offsets exceed the window budget")
+        values = np.arange(lo, hi + 1)
+        cost = np.maximum(np.abs(values * period - ci) - w, 0.0) ** 2
+        keep = reach[:, None] + cost <= r * r * (1.0 + 1e-9)
+        if half:
+            # every kept prefix but the zero one starts with a positive entry
+            keep[~rows.any(axis=1)] &= values >= 0
+        i, j = np.nonzero(keep)
+        rows, reach = np.column_stack([rows[i], values[j]]), reach[i] + cost[j]
+    if half:
+        rows = rows[rows.any(axis=1)]
+    rows = rows[(np.maximum(np.abs(rows * period - np.array(center)) - w, 0.0) ** 2).sum(axis=1) <= r * r]
+    rows.flags.writeable = False
+    return rows
 
 
 def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     """All constellation points within the closed ball (center, radius),
     tile by tile in lexicographic tile order, each tile's in base order.
-    Raises ValueError unless 0 <= radius < inf and the centre is finite."""
+    The tiles are those whose cube t*period + [-K, K]^n reaches the ball,
+    _tile_offsets at w = K.  Raises ValueError unless 0 <= radius < inf and
+    the centre is finite."""
     center = np.asarray(center, dtype=float).reshape(c.base.n)
+    tiles = _tile_offsets(c.period, c.base.K, radius, tuple(center.tolist()), False)
     out = [np.empty((0, c.base.n))]
-    for block in _tile_blocks(c, center, radius):
-        cand = block.astype(float)[:, None, :] * c.period + c.base.points[None, :, :]
+    for j0 in range(0, len(tiles), 2048):
+        cand = tiles[j0 : j0 + 2048].astype(float)[:, None, :] * c.period + c.base.points[None, :, :]
         out.append(cand[((cand - center) ** 2).sum(axis=2) <= radius * radius])
     return np.concatenate(out)
-
-
-@functools.lru_cache(maxsize=64)
-def _offset_rows(n, bound, nonzero, large):
-    """The tile offsets k with |k_i| <= bound, at most ``nonzero`` nonzero
-    coordinates and at most ``large`` with |k_i| >= 2, whose first nonzero
-    coordinate is positive (one of k and -k for every k != 0), in
-    lexicographic order.  Grown one coordinate at a time, so only prefixes
-    of kept rows are held; raises BudgetError when a step's candidates
-    exceed WINDOW_BUDGET.  Read-only, as it is cached."""
-    values = np.arange(-bound, bound + 1)
-    rows = np.zeros((1, 0), dtype=np.intp)
-    nnz = big = first = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        if len(rows) * len(values) > WINDOW_BUDGET:
-            raise BudgetError(f"{len(rows) * len(values)} candidate tile offsets exceed the window budget")
-        i = np.repeat(np.arange(len(rows)), len(values))
-        v = np.tile(values, len(rows))
-        nnz, big = nnz[i] + (v != 0), big[i] + (np.abs(v) >= 2)
-        first = np.where(first[i] != 0, first[i], np.sign(v))
-        keep = (nnz <= nonzero) & (big <= large) & (first >= 0)
-        rows = np.column_stack([rows[i[keep]], v[keep]])
-        nnz, big, first = nnz[keep], big[keep], first[keep]
-    rows = rows[first > 0]
-    rows.flags.writeable = False
-    return rows
-
-
-def _offsets_within(n, period, w, r):
-    """The tile offsets k != 0 with sum_i (|k_i|*period - w)_+^2 <= r^2 (see
-    _offset_reach), one of k and -k each, in lexicographic order.
-
-    Each nonzero coordinate costs at least (period - w)^2 and each with
-    |k_i| >= 2 at least (2*period - w)^2, which bounds how many of each a
-    row can have; _offset_rows lists the rows within those counts and
-    |k_i| <= (r + w)/period, and the exact sum filters them."""
-    bound = int((r + w) / period)
-    r2 = r * r * (1.0 + 1e-9)
-    nonzero = max(j for j in range(n + 1) if j * (period - w) ** 2 <= r2)
-    large = max(j for j in range(nonzero + 1) if j * (2.0 * period - w) ** 2 <= r2)
-    rows = _offset_rows(n, bound, nonzero, large)
-    return rows[_offset_reach(rows, period, w) <= r * r]
-
-
-def _offset_reach(offsets, period, w):
-    """sum_i (|k_i|*period - w)_+^2 for each row k: a squared lower bound on
-    the distance between two boxes centred on the origin and on k*period
-    whose half-widths sum to w, since their coordinates differ by at least
-    |k_i|*period - w.  w = 2K bounds a base point against a translated base
-    point, w = period/2 + K a point of the fold cell against one."""
-    return (np.maximum(np.abs(offsets) * period - w, 0.0) ** 2).sum(axis=1)
 
 
 def _translates(points, offsets, period, half, r):
@@ -459,9 +427,9 @@ def _min_cross_sq(c: Constellation) -> float:
     therefore searches only the base points of depth <= s, at radius
     r = 2*gap + s, with s doubling from twice the smallest depth, against
     their translates by the offsets that can reach r,
-    sum_i (|k_i|*period - 2K)_+^2 <= r^2 (while r < 2K + 4*gap, the ring
-    shells nnz(k)*4*gap^2 <= r^2), one of k and -k each, keeping only the
-    translates within r of the base cube.  One KD-tree of those translates
+    sum_i (|k_i|*period - 2K)_+^2 <= r^2, one of k and -k each (the walk of
+    _tile_offsets at w = 2K with ``half``), keeping only the translates
+    within r of the base cube.  One KD-tree of those translates
     gives each band point its nearest translate within r.  Radius and band
     carry a small margin against rounding, so once a pair lies within r
     every cross-tile pair within r has been found and the smallest is the
@@ -481,7 +449,7 @@ def _min_cross_sq(c: Constellation) -> float:
         r = 2.0 * c.gap + s
         rq = r * (1.0 + 1e-6)
         X = code.points[depth <= s + tol]
-        _, Q = _translates(X, _offsets_within(code.n, P, 2.0 * K, rq), P, K, rq)
+        _, Q = _translates(X, _tile_offsets(P, 2.0 * K, rq, (0.0,) * code.n, True), P, K, rq)
         # a band point with no translate within rq gets index len(Q)
         _, j = cKDTree(Q).query(X, distance_upper_bound=rq)
         hit = j < len(Q)
@@ -502,13 +470,13 @@ def _cross_tile_list(c: Constellation):
     coordinate is positive.  Every member lies within sqrt(2L*n*N) of a
     member x in the base tile (see _near_lists), so the lists are among
     those of the base code and its translates by such offsets within that
-    radius of the base cube.  The base comes first, and the first list with
-    a base member is reported."""
+    radius of the base cube (_tile_offsets at w = 2K with ``half``).  The
+    base comes first, and the first list with a base member is reported."""
     code = c.base
     M, K, P = code.M, code.K, c.period
     thr = code.n * code.N
     r = math.sqrt(2.0 * code.L * thr) * (1.0 + 1e-6)
-    bj, Q = _translates(code.points, _offsets_within(code.n, P, 2.0 * K, r), P, K, r)
+    bj, Q = _translates(code.points, _tile_offsets(P, 2.0 * K, r, (0.0,) * code.n, True), P, K, r)
     pts = np.vstack([code.points, Q])
     base_of = np.concatenate([np.arange(M), bj])
     lists, _ = _near_lists(pts, code.L, thr)
@@ -543,12 +511,13 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     _cross_tile_list, lists the L-subsets with average squared radius
     <= n*N among the base code and its translates within sqrt(2L*n*N) of
     the base cube, and reports the first that has a base member and spans
-    tiles.
+    tiles.  Both take their tile offsets from one pruned walk,
+    _tile_offsets.
 
     ``window_radius`` only sizes the counts window_points and
-    same_tile_lists, taken tile by tile from a KD-tree of the base code
-    without listing the window.  Raises ValueError unless
-    0 <= window_radius < inf.
+    same_tile_lists, taken from a KD-tree of the base code for each tile
+    whose cube reaches the window (the walk at w = K), without listing the
+    window.  Raises ValueError unless 0 <= window_radius < inf.
     """
     from scipy.spatial import cKDTree
 
@@ -556,14 +525,12 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     L = code.L
     thr = code.n * code.N
     tree = cKDTree(code.points)
-    window_points = same_tile_lists = 0
-    for block in _tile_blocks(c, np.zeros(code.n), window_radius):
-        # x + t*period lies in the window when x is within its radius of -t*period
-        centres = -(block.astype(float) * c.period)
-        counts = tree.query_ball_point(centres, window_radius, return_length=True)
-        sizes, tiles = np.unique(counts, return_counts=True)
-        window_points += int(counts.sum())
-        same_tile_lists += sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, tiles))
+    tiles = _tile_offsets(c.period, code.K, window_radius, (0.0,) * code.n, False)
+    # x + t*period lies in the window when x is within its radius of -t*period
+    counts = tree.query_ball_point(-(tiles * c.period), window_radius, return_length=True)
+    sizes, repeats = np.unique(counts, return_counts=True)
+    window_points = int(counts.sum())
+    same_tile_lists = sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, repeats))
     min_avg, subset = _min_list(code.points, L)
     min_cross_half = _min_cross_sq(c) / 4.0
 
@@ -698,16 +665,16 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     Samples uniformly from the ball of radius sqrt(n*P), folds each sample
     into the cell [-period/2, period/2]^n, and tests coverage against the
     points of the constellation within h = r*(1 + 1e-6) of the cell: the
-    base code and the points of its translates by k*period within h of the
+    points of the base code and its translates by k*period within h of the
     cell, for the offsets k whose cube can reach that far.  The cell and the
     cube k*period + [-K, K]^n have half-widths summing to period/2 + K, so
-    the offsets are those of _offsets_within at w = period/2 + K and radius
-    h, with k and -k both.  Each nonzero coordinate costs at least
-    (period/2 - K)^2 = gap^2, so only the base is kept for any gap above h,
-    as tile() gives at L >= 3 and by default, and the 2n face translates at
-    gap = r.  Refuses codes whose base and kept translates, counted as
-    whole tiles, hold more than WINDOW_BUDGET points, before any translate
-    is formed.
+    the offsets are the walk of _tile_offsets at w = period/2 + K and radius
+    h, with k and -k both and k = 0 for the base.  Each nonzero coordinate
+    costs at least (period/2 - K)^2 = gap^2, so only the base is kept for
+    any gap above h, as tile() gives at L >= 3 and by default, and the 2n
+    face translates at gap = r.  Refuses codes whose kept tiles, counted
+    whole, hold more than WINDOW_BUDGET points, before any translate is
+    formed.
 
     When the cells of side h = r*(1 + 1e-6) over all n axes fit in
     WINDOW_BUDGET, a cell index (_CellIndex) decides most samples.  A sample
@@ -731,12 +698,10 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
         raise ValueError("empty base code")
     r_cov = math.sqrt(n * code.N)
     h, half = r_cov * (1.0 + 1e-6), c.period / 2.0
-    offsets = _offsets_within(n, c.period, half + code.K, h)
-    tiles = 1 + 2 * len(offsets)
-    if tiles * M > WINDOW_BUDGET:
-        raise BudgetError(f"{tiles} neighbor tiles * {M} points exceed the window budget")
-    _, Q = _translates(code.points, np.vstack([offsets, -offsets]), c.period, half, h)
-    pts = np.vstack([code.points, Q])
+    offsets = _tile_offsets(c.period, half + code.K, h, (0.0,) * n, False)
+    if len(offsets) * M > WINDOW_BUDGET:
+        raise BudgetError(f"{len(offsets)} neighbor tiles * {M} points exceed the window budget")
+    _, pts = _translates(code.points, offsets, c.period, half, h)
     tree = cKDTree(pts)
     index = _cell_index(pts, r_cov, half)
     covered = 0

@@ -336,9 +336,11 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     scale of the list, or when a step lowers F by no more than 1e-18 F
     (round-off), then counting as converged only if the relative gradient is
     at most 1e-6; otherwise, and when RAD_P_STEPS steps run out first, a
-    ConvergenceWarning is raised.  p = 1 gives avg_sq_radius up to
-    round-off; the value is nondecreasing in p, at most the squared
-    Chebyshev radius, and approaches it as p grows.
+    ConvergenceWarning is raised and the smaller of G at the last iterate
+    and G at chebyshev_radius's centre is returned, so an unconverged value
+    too stays at most the squared Chebyshev radius.  p = 1 gives
+    avg_sq_radius up to round-off; the value is nondecreasing in p, at most
+    the squared Chebyshev radius, and approaches it as p grows.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -352,6 +354,10 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     def radii(yv):
         diff = yv - X
         return diff, np.einsum("ij,ij->i", diff, diff)
+
+    def value(r2v):
+        m = float(r2v.max())
+        return m * float(((r2v / m) ** p).sum() / L) ** (1.0 / p)
 
     y = pl.centroid()
     diff, r2 = radii(y)
@@ -400,5 +406,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
             f"rad_p Newton iteration left relative gradient norm {rel_grad:.3e} at p = {p}",
             ConvergenceWarning,
         )
-    m = float(r2.max())
-    return m * float(((r2 / m) ** p).sum() / L) ** (1.0 / p)
+        # a stalled descent can stop above the squared Chebyshev radius, which
+        # G at the enclosing ball's centre never exceeds
+        return min(value(r2), value(radii(chebyshev_radius(pl).center)[1]))
+    return value(r2)

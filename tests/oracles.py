@@ -6,8 +6,9 @@ for the enclosing ball, gradient descent for rad_p), the depth-band search
 over a whole window, the straightforward forms of the analysis kernels, and
 the Clopper-Pearson interval through scipy.stats' beta quantile.
 
-The exhaustive ones scan every L-subset, every window pair or tile, every
-base pair against every neighbour translate, every tile of the 3^n ring,
+The exhaustive ones scan every L-subset, every window pair, every tile of
+the window's bounding box, every base pair against every neighbour
+translate, every tile of the 3^n ring,
 every circumscribed ball or a dense tensor grid, so they are only for small
 inputs.  The straightforward ones (a Counter over every surviving list per
 removal, one quadrature per order and panel, two
@@ -100,17 +101,31 @@ def expurgate_counter(code, bad):
     return replace(code, points=code.points[keep], expurgated_count=code.expurgated_count + len(removed))
 
 
+def window_tiles(c, center, radius):
+    """The integer tile coordinates t whose cube t*period + [-K, K]^n meets
+    the box [center - radius, center + radius] on every axis, the bounding
+    box of the ball's tiles, in lexicographic order."""
+    P, K = c.period, c.base.K
+    los = np.ceil((center - radius - K) / P).astype(int)
+    his = np.floor((center + radius + K) / P).astype(int)
+    tiles = itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)])
+    return np.array(list(tiles), dtype=np.intp).reshape(-1, c.base.n)
+
+
 def window_rows(c, center, radius):
     """The points of enumerate_window with their integer tile coordinates
     (the point is base point b translated by tile * period) and base
-    indices.  Rows come in lexicographic (tile, base index) order."""
+    indices, from every tile of window_tiles.  Rows come in lexicographic
+    (tile, base index) order."""
     base = c.base.points
     n = c.base.n
     center = np.asarray(center, dtype=float).reshape(n)
+    tiles = window_tiles(c, center, radius)
     pts_out = [np.empty((0, n))]
     tiles_out = [np.empty((0, n), dtype=np.intp)]
     base_out = [np.empty(0, dtype=np.intp)]
-    for block in construction._tile_blocks(c, center, radius):
+    for j0 in range(0, len(tiles), 2048):
+        block = tiles[j0 : j0 + 2048]
         cand = block.astype(float)[:, None, :] * c.period + base[None, :, :]
         ti, bi = np.nonzero(((cand - center) ** 2).sum(axis=2) <= radius * radius)
         pts_out.append(cand[ti, bi])
@@ -229,6 +244,12 @@ def offset_box(bound):
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
     return grid[first > 0]
+
+
+def offset_reach(offsets, period, w, center):
+    """sum_i (|k_i*period - center_i| - w)_+^2 for each row k, the exact sum
+    that _tile_offsets filters its rows by."""
+    return (np.maximum(np.abs(offsets * period - center) - w, 0.0) ** 2).sum(axis=1)
 
 
 def ring_offsets(n, nonzero):

@@ -55,6 +55,15 @@ class TestBounds:
         assert (tmp_path / "curves_L5.csv").exists()
         assert not out.exists()
 
+    def test_L_and_multi_L_are_exclusive(self, tmp_path, capsys):
+        args = ["bounds", "--L", "4", "--multi-L", "3,5", "--N-min", "0.001", "--N-max", "0.01", "--out",
+                str(tmp_path / "b.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_grid(self, tmp_path, capsys):
         rc, _, err = run(
             ["bounds", "--L", "3", "--N-min", "0.01", "--N-max", "0.001", "--out", str(tmp_path / "b.csv")],

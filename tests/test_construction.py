@@ -31,6 +31,7 @@ from oracles import (
     cross_tile_min_sq_lattice,
     expurgate_counter,
     offset_box,
+    offset_reach,
     ring_covered,
     ring_offsets,
     same_tile_min_per_tile,
@@ -295,6 +296,27 @@ class TestTile:
         keys = [tuple(t) + (b,) for t, b in zip(tiles.tolist(), base_idx.tolist())]
         assert keys == sorted(set(keys))
 
+    @pytest.mark.parametrize("n,L,seed", [(1, 2, 5), (2, 3, 6), (3, 2, 4), (4, 3, 7)])
+    def test_window_matches_box_oracle(self, n, L, seed):
+        # enumerate_window and verify_packing's counts walk only the tiles
+        # that reach the ball, the oracle every tile of its bounding box;
+        # half the coordinates lie on the cube's faces, so that tiles just
+        # reaching the ball hold points in it
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1, 1, size=(40, n))
+        cons = tile(FiniteCode(np.where(rng.random(pts.shape) < 0.5, np.sign(pts), pts), n, L, 0.005, 1.0, None))
+        centres = [np.zeros(n), np.full(n, 0.3)] + list(rng.uniform(-2, 2, size=(2, n)) * cons.period)
+        for R in [0.0] + [f * cons.period for f in (0.5, 1.5, 2.7)]:
+            for centre in centres:
+                pts, tiles, _ = window_rows(cons, centre, R)
+                assert np.array_equal(enumerate_window(cons, centre, R), pts)
+                if not centre.any():
+                    # verify_packing counts the window about the origin
+                    v = verify_packing(cons, R)
+                    sizes = np.unique(tiles, axis=0, return_counts=True)[1]
+                    assert v.window_points == len(pts)
+                    assert v.same_tile_lists == sum(math.comb(int(m), L) for m in sizes)
+
 
 class TestVerifyPacking:
     def make_cons(self, seed=3):
@@ -510,37 +532,58 @@ class TestVerifyPacking:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_offset_rule_is_the_ring_below_2K_plus_4_gap(self, n):
-        # the offsets k != 0 that can reach r, sum_i (|k_i|*period - 2K)_+^2
+        # the offsets k that can reach r, sum_i (|k_i|*period - 2K)_+^2
         # <= r^2, are the ring shells nnz(k)*4*gap^2 <= r^2 while
         # r < 2K + 4*gap: |k_i| = 2 alone costs (2K + 4*gap)^2
         K, gap = 1.0, 0.3
         P = 2 * K + 2 * gap
+        zero = (0.0,) * n
         grid = offset_box((2,) * n)
-        both = np.vstack([grid, -grid, np.zeros((1, n), dtype=np.intp)])
-        reach = construction._offset_reach(both, P, 2 * K)
         edge = 2 * K + 4 * gap
         # radii inside each shell, and just below the edge
         for j, r in [(j, 2 * gap * math.sqrt(j + 0.5)) for j in range(n)] + [(n, edge * (1 - 1e-9))]:
             want = {tuple(k) for k in ring_offsets(n, j).astype(int)}
-            assert {tuple(k) for k in both[reach <= r * r]} == want
+            assert {tuple(k) for k in construction._tile_offsets(P, 2 * K, r, zero, False)} == want
         # just past it, |k_i| = 2 comes in
-        assert (np.abs(both[reach <= (edge * (1 + 1e-9)) ** 2]) == 2).any()
+        assert (np.abs(construction._tile_offsets(P, 2 * K, edge * (1 + 1e-9), zero, False)) == 2).any()
         assert len(grid) == (5**n - 1) // 2
         assert not (set(map(tuple, grid)) & set(map(tuple, -grid)))
+
+    @staticmethod
+    def check_filtered_box(P, w, r, center):
+        # the whole box around the walk's per-axis ranges, filtered by the
+        # exact sum, and its rows whose first nonzero coordinate is positive
+        axes = [np.arange(math.floor((ci - w - r) / P) - 1, math.ceil((ci + w + r) / P) + 2) for ci in center]
+        box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        want = box[offset_reach(box, P, w, center) <= r * r]
+        got = construction._tile_offsets(P, w, r, tuple(center), False)
+        assert got.shape == want.shape and (got == want).all()
+        first = want[np.arange(len(want)), (want != 0).argmax(axis=1)]
+        got = construction._tile_offsets(P, w, r, tuple(center), True)
+        assert got.shape == want[first > 0].shape and (got == want[first > 0]).all()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_offsets_within_are_the_filtered_box(self, n):
         # the same rows in the same order as the whole box filtered by reach,
         # so the fallback still reports the first clique in row order
+        rng = np.random.default_rng(n)
         for K, gap in ((1.0, 0.3), (1.0, 0.05), (0.5, 0.7)):
             P = 2 * K + 2 * gap
             radii = [2 * gap * math.sqrt(j) for j in range(1, n + 1)] + [2 * K + 4 * gap]
             radii += list(np.linspace(0.01, 1.6 * P if n < 8 else 0.9 * P, 9))
             for r in radii:
                 box = offset_box((int((r + 2 * K) / P),) * n)
-                want = box[construction._offset_reach(box, P, 2 * K) <= r * r]
-                got = construction._offsets_within(n, P, 2 * K, r)
+                want = box[offset_reach(box, P, 2 * K, 0.0) <= r * r]
+                got = construction._tile_offsets(P, 2 * K, r, (0.0,) * n, True)
                 assert got.shape == want.shape and (got == want).all()
+            # both signs, the three box widths and random centres, while the
+            # padded box, about 6^n rows, stays small
+            if n > 5:
+                continue
+            for center in [np.zeros(n)] + list(rng.uniform(-P, P, size=(2, n))):
+                for w in (K, 2 * K, P / 2 + K):
+                    for r in (0.0, gap, 0.7 * P, 1.3 * P if n <= 3 else 0.4 * P):
+                        self.check_filtered_box(P, w, r, center)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cell_offsets_are_the_ring_within_r(self, n):
@@ -552,7 +595,7 @@ class TestVerifyPacking:
             P = 2 * K + 2 * gap
             for j in range(n + 1):
                 r = gap * math.sqrt(j + 0.5)
-                got = construction._offsets_within(n, P, P / 2 + K, r)
+                got = construction._tile_offsets(P, P / 2 + K, r, (0.0,) * n, True)
                 both = {tuple(k) for k in np.vstack([got, -got])}
                 want = {tuple(k) for k in ring_offsets(n, j).astype(int)} - {(0,) * n}
                 assert both == want and 2 * len(got) == len(want)
@@ -563,7 +606,7 @@ class TestVerifyPacking:
         rng = np.random.default_rng(0)
         code = FiniteCode(rng.uniform(-1, 1, size=(40, 13)), 13, 3, 0.01, 1.0, None)
         c = tile(code)
-        construction._offset_rows.cache_clear()
+        construction._tile_offsets.cache_clear()
         tracemalloc.start()
         try:
             verdict = verify_packing(c, 0.5)
@@ -577,10 +620,10 @@ class TestVerifyPacking:
         # every ring offset reaches r, 3^10/2 rows: the growth stops at the
         # last step, whose 3^9 + 1 prefixes times 3 values exceed the budget
         monkeypatch.setattr(construction, "WINDOW_BUDGET", 10**4)
-        construction._offset_rows.cache_clear()
+        construction._tile_offsets.cache_clear()
         with pytest.raises(BudgetError, match="29526 candidate tile offsets"):
-            construction._offsets_within(10, 2.2, 2.1, 1.0)
-        construction._offset_rows.cache_clear()
+            construction._tile_offsets(2.2, 2.1, 1.0, (0.0,) * 10, True)
+        construction._tile_offsets.cache_clear()
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):

@@ -460,6 +460,20 @@ class TestRadP:
             assert converged <= values[2] * (1 + 1e-12)
             assert values[2] <= values[1] * (1 + 1e-12) and values[1] <= values[0] * (1 + 1e-12)
 
+    def test_step_cap_stays_below_chebyshev(self, monkeypatch):
+        # at large p a stopped descent can lie above the squared Chebyshev
+        # radius; the enclosing ball's centre keeps an unconverged value
+        # below it
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pl = PointList(rng.normal(size=(5, 2)))
+            upper = chebyshev_radius(pl).upper
+            for steps in (0, 1, 2):
+                monkeypatch.setattr(geometry, "RAD_P_STEPS", steps)
+                for p in (1e5, 1e8):
+                    with pytest.warns(ConvergenceWarning, match="rad_p"):
+                        assert rad_p(pl, p) <= upper * (1 + 1e-12)
+
     def test_within_descent_oracle(self):
         # never above the gradient-descent value; equal to it within 1e-12 at
         # unit scale and above, where the descent's absolute stop test is tight
