@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
 from .errors import BudgetError
-from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng
+from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, chunk_rngs
 
 SUBSET_BUDGET = 10**8  # candidate lists
 WINDOW_BUDGET = 10**7  # points or tiles held at once
@@ -554,9 +554,9 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
 def _cell_samples(n, period, R, mc_samples, seed):
     """Uniform samples of the ball of radius R, one chunk at a time, folded
     into the cell [-period/2, period/2]^n."""
-    for chunk in range((mc_samples + CHUNK - 1) // CHUNK):
+    chunks = range((mc_samples + CHUNK - 1) // CHUNK)
+    for chunk, rng in zip(chunks, chunk_rngs(seed, chunks)):
         m = min(CHUNK, mc_samples - chunk * CHUNK)
-        rng = chunk_rng(seed, chunk)
         y = rng.standard_normal(size=(m, n))
         u = rng.random(size=m)
         norms = np.sqrt(np.einsum("ij,ij->i", y, y))
@@ -595,66 +595,92 @@ class _CellIndex:
     sample y is among the candidates of y's cell, with a margin of h - r
     against rounding.
 
-    The lists are CSR over the occupied cells.  A cell's slot (0 when it is
-    empty) takes the narrowest unsigned type that numbers them: two bytes
-    per cell while fewer than 65536 cells are occupied.
+    The lists form a padded candidate table, stored column by column: row
+    j >= 1 lists the j-th occupied cell's points, row 0 none, and every row
+    is as wide as the widest cell, padded with a point at infinity.  Its
+    entries take the narrowest unsigned type that numbers the points and the
+    pad, and a cell's slot (its row, 0 when it is empty) the narrowest that
+    numbers the rows: two bytes each while there are fewer than 65536.
     """
 
-    def __init__(self, pts, corner, h, shape):
-        self.pts, self.corner, self.h = pts, corner, h
-        self.strides = np.array([math.prod(shape[j + 1 :]) for j in range(len(shape))], dtype=np.intp)
-        ids, self.members = _registrations(pts, corner, h, self.strides)
-        first = np.flatnonzero(np.diff(ids, prepend=-1))
-        # slot j >= 1 lists members[bounds[j]:bounds[j + 1]], slot 0 none
-        self.bounds = np.concatenate([[0], first, [len(ids)]])
-        self.slots = np.zeros(math.prod(shape), dtype=np.min_scalar_type(len(first)))
-        self.slots[ids[first]] = np.arange(1, len(first) + 1)
+    def __init__(self, corner, h, strides, coords, table, slots):
+        self.corner, self.h, self.strides = corner, h, strides
+        self.coords, self.table, self.slots = coords, table, slots
 
     def min_sq(self, y):
         """The smallest |y - x|^2 over each sample's candidates (inf when
-        its cell has none)."""
-        slot = self.slots[((y - self.corner) / self.h).astype(np.intp) @ self.strides]
-        hit = np.flatnonzero(slot)
+        its cell has none).  Only the samples in occupied cells are kept,
+        with one contiguous row per axis, and their candidates are reduced
+        one table column at a time.  A cell id is a dot product of integers
+        below 2^53, exact in floats; the cell of y may differ from that of
+        (y - corner)/h by rounding, which the margin h - r absorbs."""
+        t = y * (1.0 / self.h)
+        t -= self.corner / self.h
+        np.floor(t, out=t)
+        slot = self.slots[(t @ self.strides).astype(np.intp)]
+        hit = np.flatnonzero(slot != 0)
         out = np.full(len(y), np.inf)
         if not len(hit):
             return out
-        slot = slot[hit].astype(np.intp)  # slot + 1 must not wrap
-        begin = self.bounds[slot]
-        cnt = self.bounds[slot + 1] - begin
-        seg = np.cumsum(cnt) - cnt
-        k = np.repeat(begin - seg, cnt) + np.arange(seg[-1] + cnt[-1])
-        d = np.repeat(y[hit], cnt, axis=0) - self.pts[self.members[k]]
-        out[hit] = np.minimum.reduceat(np.einsum("ij,ij->i", d, d), seg)
+        slot = slot[hit].astype(np.intp)
+        yh = y.take(hit, axis=0).T.copy()
+        best = np.full(len(hit), np.inf)
+        for col in self.table:
+            d = self.coords.take(col.take(slot), axis=1)
+            d -= yh
+            d *= d
+            np.minimum(best, np.add.reduce(d, axis=0), out=best)
+        out[hit] = best
         return out
 
 
 def _cell_index(pts, r, half):
     """The _CellIndex of side h = r*(1 + 1e-6) over ``pts`` and the cell
-    [-half, half]^n, or None when its cells number more than WINDOW_BUDGET.
-    A spare cell on each side holds the samples that rounding in the fold
-    leaves just outside the cell."""
+    [-half, half]^n, or None when its cells, or the entries of its candidate
+    table, number more than WINDOW_BUDGET.  The box starts at one corner on
+    every axis, with a spare cell on each side for the samples that rounding
+    in the fold leaves just outside the cell."""
     h = r * (1.0 + 1e-6)
-    corner = np.minimum(pts.min(axis=0), -half) - h
+    corner = min(float(pts.min()), -half) - h
     shape = ((np.maximum(pts.max(axis=0), half) - corner) / h).astype(np.intp) + 2
     if math.prod(shape.astype(float)) > WINDOW_BUDGET:
         return None
-    return _CellIndex(pts, corner, h, shape)
+    strides = np.array([math.prod(shape[j + 1 :]) for j in range(len(shape))], dtype=np.intp)
+    ids, members = _registrations(pts, corner, h, strides)
+    first = np.flatnonzero(np.diff(ids, prepend=-1))
+    count = np.diff(first, append=len(ids))
+    if (len(first) + 1) * int(count.max()) > WINDOW_BUDGET:
+        return None
+    # filled column by column from narrow members; no array as long as the
+    # registrations outlives it, so none lives beside the slots
+    cells = ids[first]
+    members = members.astype(np.min_scalar_type(len(pts)))
+    table = np.full((count.max(), len(cells) + 1), len(pts), dtype=members.dtype)
+    for j, col in enumerate(table):
+        has = count > j
+        col[1:][has] = members[first[has] + j]
+    del ids, members, first, count
+    slots = np.zeros(math.prod(shape), dtype=np.min_scalar_type(len(cells)))
+    slots[cells] = np.arange(1, len(cells) + 1, dtype=slots.dtype)
+    # one contiguous row per axis, the pad point last
+    coords = np.vstack([pts, np.full(pts.shape[1], np.inf)]).T.copy()
+    return _CellIndex(corner, h, strides.astype(float), coords, table, slots)
 
 
 def _covered(y, tree, index, r):
-    """Which samples y lie within r of a point of ``tree``: from the index
+    """Which samples y lie within r of a point of ``tree()``: from the index
     where its smallest squared distance lies outside a relative 1e-12 of
     r^2, from the tree (as dmin <= r) inside that band and when there is no
-    index."""
+    index.  ``tree`` builds the KD-tree on its first call."""
     h = r * (1.0 + 1e-6)
     if index is None:
         # samples with no point within the bound come back at distance inf
-        return tree.query(y, k=1, distance_upper_bound=h)[0] <= r
+        return tree().query(y, k=1, distance_upper_bound=h)[0] <= r
     d2 = index.min_sq(y)
     out = d2 < r * r * (1.0 - 1e-12)
     tie = np.flatnonzero(~out & (d2 <= r * r * (1.0 + 1e-12)))
     if len(tie):
-        out[tie] = tree.query(y[tie], k=1, distance_upper_bound=h)[0] <= r
+        out[tie] = tree().query(y[tie], k=1, distance_upper_bound=h)[0] <= r
     return out
 
 
@@ -681,11 +707,12 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     y within r of a point x has |y_i - x_i| <= r < h, so x is a candidate of
     y's cell, and the smallest |y - x|^2 over the candidates decides y
     outright unless it lies within a relative 1e-12 of r^2.  A KD-tree of
-    the kept points decides the samples in that band, and every sample when
-    there is no index (at n >= 6 near the threshold density, or a single
-    axis too long for the budget).  The tree's squared distance differs from
-    the index's only in summation order, about n*eps relative, so the count
-    equals that of querying the tree for every sample.
+    the kept points, built when first needed, decides the samples in that
+    band, and every sample when there is no index (at n >= 6 near the
+    threshold density, a single axis too long for the budget, or a
+    candidate table wider than it).  The tree's squared distance differs
+    from the index's only in summation order, about n*eps relative, so the
+    count equals that of querying the tree for every sample.
     """
     from scipy.spatial import cKDTree
 
@@ -702,7 +729,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     if len(offsets) * M > WINDOW_BUDGET:
         raise BudgetError(f"{len(offsets)} neighbor tiles * {M} points exceed the window budget")
     _, pts = _translates(code.points, offsets, c.period, half, h)
-    tree = cKDTree(pts)
+    tree = functools.cache(lambda: cKDTree(pts))
     index = _cell_index(pts, r_cov, half)
     covered = 0
     for y in _cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):

@@ -20,9 +20,11 @@ from .rng import check_count, check_positive
 AVG_FORMULAS = ("centroid", "norm_minus_center", "correlation", "pairwise")
 
 # cap on the enclosing-ball solver's major steps, per point and per e-fold
-# of 1/tol, and on rad_p's damped Newton steps
+# of 1/tol, and on rad_p's damped Newton steps; rad_p also stops once its
+# relative gradient has not halved for RAD_P_STALL steps
 CHEB_STEPS = 100
 RAD_P_STEPS = 20000
+RAD_P_STALL = 500
 
 
 @dataclass(frozen=True)
@@ -335,10 +337,12 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     sqrt(m) ||grad F|| / (p F) is at most ``tol``, a test independent of the
     scale of the list, or when a step lowers F by no more than 1e-18 F
     (round-off), then counting as converged only if the relative gradient is
-    at most 1e-6; otherwise, and when RAD_P_STEPS steps run out first, a
-    ConvergenceWarning is raised and the smaller of G at the last iterate
-    and G at chebyshev_radius's centre is returned, so an unconverged value
-    too stays at most the squared Chebyshev radius.  p = 1 gives
+    at most 1e-6.  Otherwise, when RAD_P_STALL steps pass without the
+    relative gradient halving (at large p one point dominates and the steps
+    crawl), and when RAD_P_STEPS steps run out first, a ConvergenceWarning
+    is raised and the smaller of G at the last iterate and G at
+    chebyshev_radius's centre is returned, so an unconverged value too stays
+    at most the squared Chebyshev radius.  p = 1 gives
     avg_sq_radius up to round-off; the value is nondecreasing in p, at most
     the squared Chebyshev radius, and approaches it as p grows.
     """
@@ -362,11 +366,12 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     y = pl.centroid()
     diff, r2 = radii(y)
     converged = False
-    rel_grad = math.inf
+    rel_grad = best_grad = math.inf
+    best_step = 0
     # (r2/m)^p at a trial point of the line search may overflow to inf, which
     # the Armijo test rejects
     with np.errstate(over="ignore"):
-        for _ in range(RAD_P_STEPS):
+        for step in range(RAD_P_STEPS):
             m = float(r2.max())
             w = (r2 / m) ** (p - 1.0)
             obj = float(((r2 / m) ** p).sum() / L)  # F / m^p
@@ -374,6 +379,10 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
             rel_grad = math.sqrt(float(grad @ grad) * m) / (p * obj)
             if rel_grad <= tol:
                 converged = True
+                break
+            if rel_grad <= 0.5 * best_grad:
+                best_grad, best_step = rel_grad, step
+            elif step - best_step >= RAD_P_STALL:
                 break
             # Hessian of F^(1/p), less the positive factor F^(1/p) / (p F)
             curv = (diff.T * (w / np.maximum(r2, 1e-300))) @ diff

@@ -4,10 +4,12 @@ argument checks every public routine uses: ``check_count`` for integers and
 ``check_positive`` for positive finite reals.
 
 Randomized routines consume uniform draws in fixed-size chunks, each chunk
-coming from its own Philox generator keyed by (seed, chunk index).  A
-sample's randomness is therefore a pure function of the seed and its global
-sample index, so hit counts and sampled codes are bit-identical no matter
-how chunks are distributed over workers.
+from a Philox generator keyed by (seed, chunk index) with its counter at 0.
+A sample's randomness is therefore a pure function of the seed and its
+global sample index, so hit counts and sampled codes are bit-identical no
+matter how chunks are distributed over workers.  ``chunk_rngs`` walks many
+chunks with one Philox, re-keyed in place for each; ``chunk_rng`` is its
+one-chunk form.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -60,10 +63,36 @@ def _clopper_pearson(hits: int, samples: int) -> tuple[float, float]:
     return lo, hi
 
 
+def chunk_rngs(seed, chunks) -> Iterator[np.random.Generator]:
+    """Generators for the chunks of a keyed stream, in the order of
+    ``chunks``.  One Philox serves them all: it starts keyed by the first
+    (seed, chunk) and is re-keyed in place for each later chunk, with its
+    counter at 0 and its buffer empty, the state a new Philox(key=(seed,
+    chunk)) starts in, so every chunk's draws are those of its own
+    generator.  The same Generator object is yielded each time: take a
+    chunk's draws before asking for the next."""
+    seed = check_seed(seed)
+    bitgen = None
+    for chunk in chunks:
+        key = np.array([seed, chunk], dtype=np.uint64)
+        if bitgen is None:
+            bitgen = np.random.Philox(key=key)
+            rng = np.random.Generator(bitgen)
+        else:
+            bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        yield rng
+
+
 def chunk_rng(seed, chunk: int) -> np.random.Generator:
     """Generator for one chunk of a keyed stream."""
-    key = np.array([check_seed(seed), chunk], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(chunk_rngs(seed, (chunk,)))
 
 
 def resolve_workers(workers=None) -> int:

@@ -3,8 +3,9 @@ coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
 quadrature, the Counter-rebuilding expurgation greedy, the golden-section
 rate search, the first-order radius solvers (away-step conditional gradient
 for the enclosing ball, gradient descent for rad_p), the depth-band search
-over a whole window, the straightforward forms of the analysis kernels, and
-the Clopper-Pearson interval through scipy.stats' beta quantile.
+over a whole window, the straightforward forms of the analysis kernels, the
+Clopper-Pearson interval through scipy.stats' beta quantile, and a new
+Philox generator for every chunk of a keyed stream.
 
 The exhaustive ones scan every L-subset, every window pair, every tile of
 the window's bounding box, every base pair against every neighbour
@@ -42,9 +43,16 @@ from multipack.deviation import (
     mgf_log,
 )
 from multipack.geometry import ChebResult, SimplexWeights
-from multipack.rng import CHUNK, chunk_rng
+from multipack.rng import CHUNK
 
 COMBO_CHUNK = 200_000
+
+
+def philox_chunk_rng(seed, chunk):
+    """A new generator for one chunk of a keyed stream: Philox keyed by
+    (seed, chunk) with its counter at 0, the state the re-keyed generators
+    of chunk_rngs must reproduce."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
 
 def _combo_batches(M, L):
@@ -485,7 +493,7 @@ def tail_hits_two_sums(L, n, K, N, samples, seed):
     hits = 0
     for chunk in range((samples + CHUNK - 1) // CHUNK):
         count = min(CHUNK, samples - chunk * CHUNK)
-        rng = chunk_rng(seed, chunk)
+        rng = philox_chunk_rng(seed, chunk)
         q = np.zeros(count)
         s2 = np.zeros(count)
         for j0 in range(0, n, NBLOCK):

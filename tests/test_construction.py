@@ -832,7 +832,7 @@ class TestDensityReport:
         y = y[np.abs(y).max(axis=1) <= c.period / 2]
         tree = cKDTree(pts)
         index = construction._cell_index(pts, r, c.period / 2)
-        got = construction._covered(y, tree, index, r)
+        got = construction._covered(y, lambda: tree, index, r)
         want = tree.query(y, k=1)[0] <= r
         assert (got == want).all() and want.any() and not want.all()
         # the index misses no point within h, and ties reach the band
@@ -841,6 +841,75 @@ class TestDensityReport:
         near = brute <= (r * (1 + 1e-6)) ** 2
         assert np.allclose(d2[near], brute[near], rtol=1e-12, atol=0)
         assert (np.abs(d2 / (r * r) - 1) <= 1e-12).sum() > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_min_sq_equals_brute_force(self, n):
+        # a sparse cloud, and far from it a clump of 12 points within 0.02
+        # of one spot, numbered last: the rows of the cells around the clump
+        # list exactly the clump, are the widest, and end with its last point
+        rng = np.random.default_rng(60 + n)
+        r, half = 0.25, 1.2
+        pts = np.vstack([rng.uniform(0.1, 1.2, size=(10, n)), -0.9 + rng.uniform(-0.02, 0.02, size=(12, n))])
+        index = construction._cell_index(pts, r, half)
+        h = r * (1.0 + 1e-6)
+        # stored column by column: column j of every row, row 0 all pad
+        pad = index.table == len(pts)
+        assert len(index.table) == 12 and (index.table[-1] == len(pts) - 1).sum() >= 2 ** n
+        assert pad[:, 0].all() and pad[-1, 1:].any()
+        # samples anywhere in the cell, within h of a point, and on every
+        # point, which only its own table entry puts at distance 0
+        u = rng.standard_normal((len(pts), 8, n))
+        u *= h * rng.random((len(pts), 8, 1)) / np.linalg.norm(u, axis=2, keepdims=True)
+        near = (pts[:, None, :] + u).reshape(-1, n)
+        assert (index.min_sq(pts) == 0).all()
+        for y in (rng.uniform(-half, half, size=(3000, n)), near, near[:1]):
+            d2 = index.min_sq(y)
+            brute = ((y[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+            within = brute <= h * h
+            assert np.array_equal(d2[within], brute[within])
+            # the candidates are points: never nearer than the nearest, and
+            # none in a cell farther than h from every point
+            assert (d2 >= brute).all()
+            assert np.isinf(d2[brute > (h + h * math.sqrt(n)) ** 2]).all()
+
+    def test_table_wider_than_the_budget_is_refused(self, monkeypatch):
+        # 22 cells, but a clump of 30 points makes a table of 33 x 17 entries
+        rng = np.random.default_rng(71)
+        pts = np.vstack([rng.uniform(-1.0, 1.0, size=(10, 1)), rng.uniform(-0.01, 0.01, size=(30, 1))])
+        index = construction._cell_index(pts, 0.1, 1.0)
+        assert index.slots.size < index.table.size
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", index.table.size)
+        assert construction._cell_index(pts, 0.1, 1.0) is not None
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", index.table.size - 1)
+        assert construction._cell_index(pts, 0.1, 1.0) is None
+
+    def test_min_sq_chunk_without_hits(self):
+        # every sample in the empty corner of the cell
+        rng = np.random.default_rng(70)
+        pts = rng.uniform(-1.0, -0.5, size=(30, 3))
+        index = construction._cell_index(pts, 0.1, 1.2)
+        y = rng.uniform(0.5, 1.2, size=(500, 3))
+        assert np.isinf(index.min_sq(y)).all()
+        assert np.isinf(index.min_sq(y[:1])).all() and index.min_sq(y[:0]).shape == (0,)
+
+    def test_no_tree_unless_a_sample_ties(self, monkeypatch):
+        # the golden (3,3) report below has no sample in the tie band, so no
+        # KD-tree is built; without the index one tree serves every chunk
+        import scipy.spatial
+
+        code = sample_code(n=3, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=33)
+        c = tile(expurgate(code, find_bad_lists(code)))
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(len(args[0]))
+            return cKDTree(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        rep = density_report(c, 25.0, 30_000, seed=34)
+        assert (rep.covered, repr(rep.delta_hat)) == (1794, "-0.9389165393418503") and built == []
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", c.base.M)
+        assert density_report(c, 25.0, 30_000, seed=34).covered == 1794 and built == [c.base.M]
 
     # Seeded outputs pinned at the commit before the cell index: covered and
     # repr(delta_hat) must repeat to the bit, through the fold and the index.

@@ -474,6 +474,29 @@ class TestRadP:
                     with pytest.warns(ConvergenceWarning, match="rad_p"):
                         assert rad_p(pl, p) <= upper * (1 + 1e-12)
 
+    @pytest.mark.parametrize("p", [1e5, 1e8])
+    def test_stall_stops_far_before_the_step_cap(self, p, monkeypatch):
+        # at very large p one point dominates and the steps crawl at relative
+        # gradient 2 for thousands of steps; the stall stop ends every call
+        # within a few RAD_P_STALL steps, each Newton step one solve (the
+        # fallback's enclosing ball adds a few), below the Chebyshev value
+        rng = np.random.default_rng(3)
+        solve, steps = np.linalg.solve, []
+
+        def counting(*args):
+            steps[-1] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for _ in range(20):
+            pl = PointList(rng.normal(size=(5, 2)))
+            steps.append(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                value = rad_p(pl, p)
+            assert value <= chebyshev_radius(pl).upper * (1 + 1e-12)
+        assert max(steps) <= 2 * geometry.RAD_P_STALL <= geometry.RAD_P_STEPS // 20
+
     def test_within_descent_oracle(self):
         # never above the gradient-descent value; equal to it within 1e-12 at
         # unit scale and above, where the descent's absolute stop test is tight

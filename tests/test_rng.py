@@ -18,6 +18,7 @@ from multipack import (
     tile,
     verify_packing,
 )
+from multipack import construction
 from multipack.rng import (
     CHUNK,
     _clopper_pearson,
@@ -25,9 +26,10 @@ from multipack.rng import (
     check_positive,
     check_seed,
     chunk_rng,
+    chunk_rngs,
     resolve_workers,
 )
-from oracles import clopper_pearson_beta_ppf
+from oracles import clopper_pearson_beta_ppf, philox_chunk_rng
 
 
 def test_check_seed_range():
@@ -47,6 +49,33 @@ def test_chunk_streams_are_stable_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def _draws(rng):
+    """Normals, doubles and an odd count of float32s, so that a chunk ends
+    with a buffered half word and a part-used Philox block."""
+    return rng.standard_normal(5), rng.random(3), rng.random(3, dtype=np.float32)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_rekeyed_chunks_equal_a_new_philox_per_chunk(seed):
+    chunks = [0, 1, 2, 9, 1, 2**64 - 1]
+    for chunk, rng in zip(chunks, chunk_rngs(seed, chunks), strict=True):
+        got, want = _draws(rng), _draws(philox_chunk_rng(seed, chunk))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert all(np.array_equal(a, b) for a, b in zip(_draws(chunk_rng(seed, chunk)), want))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("mc_samples", [1, 100, 2 * CHUNK + 5])
+def test_cell_samples_equal_a_new_philox_per_chunk(seed, n, mc_samples, monkeypatch):
+    # one chunk shorter than CHUNK, and two whole chunks and a partial one
+    got = list(construction._cell_samples(n, 2.4, 3.0, mc_samples, seed))
+    monkeypatch.setattr(construction, "chunk_rngs", lambda s, chunks: (philox_chunk_rng(s, c) for c in chunks))
+    want = list(construction._cell_samples(n, 2.4, 3.0, mc_samples, seed))
+    assert [len(y) for y in got] == [len(y) for y in want] and sum(map(len, got)) == mc_samples
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_chunk_size_constant():
