@@ -310,7 +310,8 @@ def expurgate(code: FiniteCode, bad: list[tuple[int, ...]]) -> FiniteCode:
                 surviving -= 1
                 for i in lists[k]:
                     counts[i] -= 1
-    keep = np.setdiff1d(np.arange(code.M), np.array(removed, dtype=np.intp))
+    keep = np.ones(code.M, dtype=bool)
+    keep[removed] = False
     return replace(
         code,
         points=code.points[keep],

@@ -4,7 +4,8 @@ A point-list file starts with ``# n=<n>`` and carries one point per row as
 comma-separated decimals.  Code files add ``# L= # N= # K= # seed=
 # expurgated=`` header lines; constellation files additionally carry
 ``# period=`` and ``# gap=``.  Floats are written with repr so files
-round-trip exactly and identical runs produce identical bytes.
+round-trip exactly and identical runs produce identical bytes; a code
+without points is a header-only file.
 """
 
 from __future__ import annotations
@@ -102,10 +103,15 @@ def _constellation(path, headers, rows) -> Constellation:
 
 def _write(path, headers: dict, points) -> None:
     """A '# key=value' line for each header that is not None, then one
-    point per row."""
+    point per row, in one write.  The rows are formatted a column at a time
+    and zipped back together; an empty code leaves only the headers.  A
+    memoryview yields a column's floats one at a time, so the rows' text is
+    never held beside a float object for every coordinate."""
+    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    body = "\n".join(map(",".join, zip(*[map(repr, memoryview(col)) for col in cols])))
+    head = "".join(f"# {key}={value}\n" for key, value in headers.items() if value is not None)
     with open(path, "w") as fh:
-        fh.writelines(f"# {key}={value}\n" for key, value in headers.items() if value is not None)
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in np.asarray(points, dtype=float).tolist())
+        fh.write(head + body + "\n" if body else head)
 
 
 def _code_headers(code: FiniteCode) -> dict:

@@ -389,15 +389,15 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
             H = (2.0 * p / (L * m)) * (w.sum() * eye + 2.0 * (p - 1.0) * curv)
             H -= (1.0 - 1.0 / p) * np.outer(grad, grad) / obj
             try:
-                step = -np.linalg.solve(H, grad)
+                direction = -np.linalg.solve(H, grad)
             except np.linalg.LinAlgError:
-                step = -grad
-            slope = float(grad @ step)
+                direction = -grad
+            slope = float(grad @ direction)
             if not slope < 0.0:
-                step, slope = -grad, -float(grad @ grad)
+                direction, slope = -grad, -float(grad @ grad)
             t = 1.0
             while True:
-                diff_new, r2_new = radii(y + t * step)
+                diff_new, r2_new = radii(y + t * direction)
                 obj_new = float(((r2_new / m) ** p).sum() / L)
                 if obj_new <= obj + 1e-4 * t * slope or t < 1e-300:
                     break
@@ -408,7 +408,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
                     diff, r2 = diff_new, r2_new
                 converged = rel_grad <= 1e-6
                 break
-            y = y + t * step
+            y = y + t * direction
             diff, r2 = diff_new, r2_new
     if not converged:
         warnings.warn(

@@ -4,8 +4,9 @@ quadrature, the Counter-rebuilding expurgation greedy, the golden-section
 rate search, the first-order radius solvers (away-step conditional gradient
 for the enclosing ball, gradient descent for rad_p), the depth-band search
 over a whole window, the straightforward forms of the analysis kernels, the
-Clopper-Pearson interval through scipy.stats' beta quantile, and a new
-Philox generator for every chunk of a keyed stream.
+Clopper-Pearson interval through scipy.stats' beta quantile, a new
+Philox generator for every chunk of a keyed stream, and the row-by-row
+point-file formatter.
 
 The exhaustive ones scan every L-subset, every window pair, every tile of
 the window's bounding box, every base pair against every neighbour
@@ -53,6 +54,13 @@ def philox_chunk_rng(seed, chunk):
     (seed, chunk) with its counter at 0, the state the re-keyed generators
     of chunk_rngs must reproduce."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+
+
+def format_rows(points) -> str:
+    """The rows of a point file formatted one row at a time: the shortest
+    round-trip repr of each coordinate, comma-separated, one newline-ended
+    line per point in order, the bytes fileio's writers must reproduce."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(points, dtype=float).tolist())
 
 
 def _combo_batches(M, L):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from multipack import Constellation, FiniteCode, ParseError, PointList, tile
-from multipack import fileio
+from multipack import expurgate, fileio, find_bad_lists, sample_code
+from oracles import format_rows
+
+# the (n, L) shapes of the construct and verify benchmark mixes
+BENCH_SHAPES = [(4, 2), (5, 2), (6, 2), (2, 4), (3, 3), (4, 3)]
+# test_exact_text's values
+EXACT_VALUES = np.array([[-0.0, 5e-324, 0.1], [1e16, -1e-300, 1.0]])
 
 
 def sample_points():
@@ -138,6 +144,78 @@ class TestConstellation:
         fileio.write_code(p, sample_fcode())
         with pytest.raises(ParseError, match="gap"):
             fileio.read_constellation(p)
+
+
+def code_headers(code):
+    seed = "" if code.seed is None else f"# seed={code.seed}\n"
+    return f"# n={code.n}\n# L={code.L}\n# N={code.N!r}\n# K={code.K!r}\n{seed}# expurgated={code.expurgated_count}\n"
+
+
+def assert_writers_match_oracle(tmp_path, code):
+    """write_code, write_constellation and write_points each give their
+    headers followed by format_rows of the points."""
+    cons = tile(code)
+    cases = [
+        (fileio.write_code, code, code_headers(code)),
+        (fileio.write_constellation, cons, code_headers(code) + f"# period={cons.period!r}\n# gap={cons.gap!r}\n"),
+        (fileio.write_points, PointList(code.points), f"# n={code.n}\n"),
+    ]
+    for write, obj, headers in cases:
+        p = tmp_path / f"{write.__name__}.csv"
+        write(p, obj)
+        assert p.read_bytes() == (headers + format_rows(code.points)).encode()
+
+
+class TestWriterOracle:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", BENCH_SHAPES)
+    def test_bench_codes(self, tmp_path, shape, seed):
+        # the expurgated codes the construct benchmark writes, at the CLI
+        # defaults of `multipack construct`
+        code = sample_code(*shape, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+        assert_writers_match_oracle(tmp_path, expurgate(code, find_bad_lists(code)))
+
+    def test_exact_values(self, tmp_path):
+        code = FiniteCode(points=EXACT_VALUES, n=3, L=2, N=0.01, K=1e16, seed=5)
+        assert_writers_match_oracle(tmp_path, code)
+        assert format_rows(EXACT_VALUES) == "-0.0,5e-324,0.1\n1e+16,-1e-300,1.0\n"
+
+
+class TestDegenerate:
+    """Write -> read round trips with exact text at the edges of the formats."""
+
+    def empty_code(self):
+        return FiniteCode(points=np.zeros((0, 3)), n=3, L=2, N=0.01, K=1.0, seed=7, expurgated_count=5)
+
+    def test_empty_code(self, tmp_path):
+        # every point expurgated: a header-only file without a row
+        p = tmp_path / "c.csv"
+        fileio.write_code(p, self.empty_code())
+        assert p.read_text() == "# n=3\n# L=2\n# N=0.01\n# K=1.0\n# seed=7\n# expurgated=5\n"
+        for back in (fileio.read_code(p), fileio.load(p)):
+            assert isinstance(back, FiniteCode)
+            assert back.points.shape == (0, 3)
+            assert (back.n, back.L, back.N, back.K, back.seed, back.expurgated_count) == (3, 2, 0.01, 1.0, 7, 5)
+
+    def test_empty_constellation(self, tmp_path):
+        p = tmp_path / "k.csv"
+        fileio.write_constellation(p, tile(self.empty_code(), gap=0.4))
+        assert p.read_text() == (
+            "# n=3\n# L=2\n# N=0.01\n# K=1.0\n# seed=7\n# expurgated=5\n# period=2.8\n# gap=0.4\n"
+        )
+        for back in (fileio.read_constellation(p), fileio.load(p)):
+            assert isinstance(back, Constellation)
+            assert back.base.points.shape == (0, 3)
+            assert (back.gap, back.period, back.base.expurgated_count) == (0.4, 2.8, 5)
+
+    def test_one_dimensional_code(self, tmp_path):
+        p = tmp_path / "c.csv"
+        code = FiniteCode(points=[[0.5], [-0.25], [1.0]], n=1, L=2, N=0.01, K=1.0, seed=None)
+        fileio.write_code(p, code)
+        assert p.read_text() == "# n=1\n# L=2\n# N=0.01\n# K=1.0\n# expurgated=0\n0.5\n-0.25\n1.0\n"
+        back = fileio.read_code(p)
+        assert np.array_equal(back.points, code.points)
+        assert (back.n, back.seed) == (1, None)
 
 
 class TestLoad:
