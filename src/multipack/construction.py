@@ -91,23 +91,22 @@ class PackingVerdict:
     """Outcome of verify_packing for the whole constellation.
 
     passed: no L-subset of the constellation has average squared radius
-        <= threshold; a cross-tile list has
-        avg >= 4(L-1)/L^2 * min_cross_half_dist_sq, so a pass is certified
-        when that exceeds the threshold, and listed exactly otherwise.
+        <= threshold, decided by listing them (see verify_packing).
     threshold: n*N.
     window_points: constellation points within window_radius of the origin.
     same_tile_lists: sum over the window's tiles of C(points in the tile, L).
         These two counts are not used by the verdict; they are kept for the
         benchmark's checks until it stops comparing them with
         enumerate_window.
-    min_avg_radius_sq: smallest average squared radius over the L-subsets of
-        the base code, the smallest same-tile one (inf when fewer than L
-        points).
-    min_cross_half_dist_sq: a quarter of the smallest squared distance between
-        points of different tiles (inf for an empty base code).
-    violation: the points of a violating list, None on a pass; a same-tile
-        violation is reported in the base tile, a cross-tile one as a
-        translate with a member in the base tile.
+    min_avg_radius_sq: average squared radius of the reported list (inf on
+        a pass).
+    min_cross_half_dist_sq: a quarter of the smallest squared distance
+        between points of different tiles when that distance is at most the
+        listing radius sqrt(2L*n*N)*(1 + 1e-6), inf beyond it: no list with
+        average squared radius <= n*N holds a pair farther apart.
+    violation: the points of the violating list of smallest average squared
+        radius, None on a pass, as a translate with its first member in the
+        base tile; a same-tile list is reported in the base tile.
     violation_base_indices: the base-code indices of those points.
     """
 
@@ -329,13 +328,18 @@ def achieved_rate(code: FiniteCode) -> float:
 def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     """Wrap a finite code into a periodic constellation with a guard gap.
 
-    Distinct tiles lie at least D = 2*gap apart, and a list spanning tiles
-    has average squared radius at least (L-1)/L^2 * D^2 (see
-    verify_packing).  That exceeds n*N exactly when
-    gap > L/(2*sqrt(L-1)) * sqrt(n*N), the minimum gap; it equals sqrt(n*N)
-    at L = 2.  Smaller gaps are rejected, and the default is 1.01 times the
-    minimum.  At the minimum itself the certificate is inconclusive and
-    verify_packing checks cross-tile lists exactly.
+    Distinct tiles lie at least D = 2*gap apart.  A list spanning tiles
+    splits into a members in one tile and L - a elsewhere, 1 <= a < L, and
+    each of the a(L - a) >= L - 1 pairs across the split lies at distance
+    at least D; since L*avg = (1/L) * sum_{i<j} |x_i - x_j|^2, it has
+    average squared radius at least (L-1)/L^2 * D^2.  That exceeds n*N
+    exactly when gap > L/(2*sqrt(L-1)) * sqrt(n*N), the minimum gap; it
+    equals sqrt(n*N) at L = 2.  So a code with no same-tile bad list tiles
+    into a packing at any gap above the minimum: this is the construction's
+    guarantee, not a condition of the verdict, for verify_packing lists
+    every list whatever the gap (at the minimum itself a cross-tile list
+    can reach n*N).  Smaller gaps are rejected, and the default is 1.01
+    times the minimum.
     """
     g_min = code.L / (2.0 * math.sqrt(code.L - 1)) * math.sqrt(code.n * code.N)
     gap = 1.01 * g_min if gap is None else check_positive("gap", gap)
@@ -414,106 +418,31 @@ def _translates(points, offsets, period, half, r):
     return np.concatenate(rows), np.concatenate(out)
 
 
-def _min_cross_sq(c: Constellation) -> float:
-    """Smallest squared distance between two points of ``c`` in different
-    tiles, from the differences x - (x' + k*period) (inf for an empty base
-    code).
-
-    Every tile is a translate of the base code, so a cross-tile pair is a
-    translate of (x, x' + k*period) with base points x, x' and a tile offset
-    k != 0.  A base point lies at depth K - |x|_inf inside the base cube, and
-    in a coordinate with k_i != 0,
-    |x_i - x'_i - k_i*period| >= period - 2K + depth(x) + depth(x'), so such
-    a pair at distance d has d >= 2*gap + depth(x) + depth(x').  Each round
-    therefore searches only the base points of depth <= s, at radius
-    r = 2*gap + s, with s doubling from twice the smallest depth, against
-    their translates by the offsets that can reach r,
-    sum_i (|k_i|*period - 2K)_+^2 <= r^2, one of k and -k each (the walk of
-    _tile_offsets at w = 2K with ``half``), keeping only the translates
-    within r of the base cube.  One KD-tree of those translates
-    gives each band point its nearest translate within r.  Radius and band
-    carry a small margin against rounding, so once a pair lies within r
-    every cross-tile pair within r has been found and the smallest is the
-    minimum.  The search stops by r = period: x and x + period*e_1 are a
-    cross-tile pair.
-    """
-    from scipy.spatial import cKDTree
-
-    code = c.base
-    if code.M == 0:
-        return math.inf
-    K, P = code.K, c.period
-    depth = K - np.abs(code.points).max(axis=1)
-    tol = 1e-6 * P
-    s = max(2.0 * float(depth.min()), tol)
-    while True:
-        r = 2.0 * c.gap + s
-        rq = r * (1.0 + 1e-6)
-        X = code.points[depth <= s + tol]
-        _, Q = _translates(X, _tile_offsets(P, 2.0 * K, rq, (0.0,) * code.n, True), P, K, rq)
-        # a band point with no translate within rq gets index len(Q)
-        _, j = cKDTree(Q).query(X, distance_upper_bound=rq)
-        hit = j < len(Q)
-        if hit.any():
-            d = X[hit] - Q[j[hit]]
-            d2 = float(np.einsum("ij,ij->i", d, d).min())
-            if d2 <= r * r:
-                return d2
-        s *= 2.0
-
-
-def _cross_tile_list(c: Constellation):
-    """The points and base indices of the first list spanning tiles with
-    average squared radius <= n*N, or (None, None).
-
-    Every such list has one translate whose lexicographically smallest tile
-    is the base tile, so its other tiles are offsets k whose first nonzero
-    coordinate is positive.  Every member lies within sqrt(2L*n*N) of a
-    member x in the base tile (see _near_lists), so the lists are among
-    those of the base code and its translates by such offsets within that
-    radius of the base cube (_tile_offsets at w = 2K with ``half``).  The
-    base comes first, and the first list with a base member is reported."""
-    code = c.base
-    M, K, P = code.M, code.K, c.period
-    thr = code.n * code.N
-    r = math.sqrt(2.0 * code.L * thr) * (1.0 + 1e-6)
-    bj, Q = _translates(code.points, _tile_offsets(P, 2.0 * K, r, (0.0,) * code.n, True), P, K, r)
-    pts = np.vstack([code.points, Q])
-    base_of = np.concatenate([np.arange(M), bj])
-    lists, _ = _near_lists(pts, code.L, thr)
-    # rows ascend, so a list spans tiles when it starts in the base and ends
-    # in a translate
-    spans = (lists[:, 0] < M) & (lists[:, -1] >= M)
-    if not spans.any():
-        return None, None
-    row = lists[np.argmax(spans)]
-    return pts[row], tuple(int(i) for i in base_of[row])
-
-
 def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
-    """Check the packing property of the whole constellation.
+    """Check the packing property of the whole constellation: no L-subset
+    has average squared radius <= n*N.
 
-    Every tile is a translate of the base code, so the smallest same-tile
-    average squared radius is the base code's, from the near-pair clique
-    listing of min_avg_subset.
+    Every tile is a translate of the base code, so every list of the
+    constellation has a translate whose lexicographically smallest tile is
+    the base tile: a member x in the base tile, the others in tiles k whose
+    first nonzero coordinate is positive.  Every pair of a list with
+    average squared radius <= n*N lies at squared distance <= 2L*n*N (see
+    _near_lists), so every member y has
 
-    A list spanning tiles splits into a points inside one tile and L - a
-    elsewhere, 1 <= a < L, and each of the a(L - a) >= L - 1 pairs across
-    the split is a cross-tile pair at distance at least D, the smallest
-    distance between points of different tiles.  Since
-    L*avg = (1/L) * sum_{i<j} |x_i - x_j|^2, every cross-tile list has
+        |y - x| <= sqrt(2L*n*N),
 
-        avg >= (L-1)/L^2 * D^2 = 4(L-1)/L^2 * min_cross_half_dist_sq,
+    and lies within that radius of the base cube.  The violating lists are
+    therefore, up to translation, exactly the rows of one _near_lists call
+    at n*N over the base code and its translates by such offsets within
+    sqrt(2L*n*N) of the base cube (_tile_offsets at w = 2K with ``half``)
+    that start in the base, the base coming first.  The constellation
+    passes when there is none.  Otherwise the row of smallest average
+    squared radius is reported, the lexicographically first on ties, so a
+    same-tile list is reported as base points, bit for bit.
 
-    and every list of the constellation is certified when that exceeds n*N.
-    D is the lattice minimum of _min_cross_sq, taken over the base points
-    and their translates, so it is at most the minimum of any finite window
-    and the certificate covers every window.  Otherwise the exact fallback,
-    _cross_tile_list, lists the L-subsets with average squared radius
-    <= n*N among the base code and its translates within sqrt(2L*n*N) of
-    the base cube, and reports the first that has a base member and spans
-    tiles.  Both take their tile offsets from one pruned walk,
-    _tile_offsets.
+    min_cross_half_dist_sq comes from one fixed-radius query of the same
+    translates against the base points: a cross-tile pair within the
+    listing radius is, up to translation, a base point and one of them.
 
     ``window_radius`` only sizes the counts window_points and
     same_tile_lists, taken from a KD-tree of the base code for each tile
@@ -523,30 +452,40 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     from scipy.spatial import cKDTree
 
     code = c.base
-    L = code.L
+    M, L, K, P = code.M, code.L, code.K, c.period
     thr = code.n * code.N
     tree = cKDTree(code.points)
-    tiles = _tile_offsets(c.period, code.K, window_radius, (0.0,) * code.n, False)
+    tiles = _tile_offsets(P, K, window_radius, (0.0,) * code.n, False)
     # x + t*period lies in the window when x is within its radius of -t*period
-    counts = tree.query_ball_point(-(tiles * c.period), window_radius, return_length=True)
+    counts = tree.query_ball_point(-(tiles * P), window_radius, return_length=True)
     sizes, repeats = np.unique(counts, return_counts=True)
     window_points = int(counts.sum())
     same_tile_lists = sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, repeats))
-    min_avg, subset = _min_list(code.points, L)
-    min_cross_half = _min_cross_sq(c) / 4.0
 
-    violation, indices = None, None
-    if min_avg <= thr:
-        violation, indices = code.points[list(subset)], subset
-    elif 4 * (L - 1) * min_cross_half <= L * L * thr:
-        violation, indices = _cross_tile_list(c)
+    r = math.sqrt(2.0 * L * thr) * (1.0 + 1e-6)
+    bj, Q = _translates(code.points, _tile_offsets(P, 2.0 * K, r, (0.0,) * code.n, True), P, K, r)
+    pts = np.vstack([code.points, Q])
+    lists, avg = _near_lists(pts, L, thr)
+    # rows ascend, so a list has a base member when it starts in the base
+    based = np.flatnonzero(lists[:, 0] < M)
+    # a translate with no base point within r gets index M
+    _, j = tree.query(Q, distance_upper_bound=r)
+    d = code.points[j[j < M]] - Q[j < M]
+    d2 = np.einsum("ij,ij->i", d, d)
+    d2 = d2[d2 <= r * r]
+
+    violation, indices, min_avg = None, None, math.inf
+    if len(based):
+        i = based[np.argmin(avg[based])]
+        violation, min_avg = pts[lists[i]], float(avg[i])
+        indices = tuple(int(b) for b in np.concatenate([np.arange(M), bj])[lists[i]])
     return PackingVerdict(
         passed=violation is None,
         threshold=thr,
         window_points=window_points,
         same_tile_lists=same_tile_lists,
         min_avg_radius_sq=min_avg,
-        min_cross_half_dist_sq=min_cross_half,
+        min_cross_half_dist_sq=float(d2.min()) / 4.0 if len(d2) else math.inf,
         violation=violation,
         violation_base_indices=indices,
     )

@@ -160,7 +160,7 @@ def window_bad_lists(c, window_radius):
 
 
 def same_tile_min_per_tile(c, window_radius):
-    """The same-tile pass of verify_packing, one tile at a time: the smallest
+    """The same-tile lists of a window, one tile at a time: the smallest
     average squared radius over the L-subsets of each tile's window points,
     the base indices of the first subset attaining it (in tile order), and
     the same-tile list count sum C(tile size, L)."""

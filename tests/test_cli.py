@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import multipack
-from multipack import FiniteCode, fileio, tile
+from multipack import Constellation, FiniteCode, fileio, tile
 from multipack.cli import main
 
 
@@ -107,7 +107,7 @@ class TestConstructVerify:
         assert "achieved rate" in text
         rc, text, _ = run(["verify", str(out)], capsys)
         assert rc == 0
-        assert text.rstrip().endswith("PASS")
+        assert "bad lists: 0\n" in text and text.rstrip().endswith("PASS")
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -145,6 +145,18 @@ class TestConstructVerify:
         rc, text, _ = run(["verify", str(cpath.with_name("nope.csv"))], capsys)
         assert rc == 2
 
+    def test_verify_cross_tile_failure(self, tmp_path, capsys):
+        # below the minimum gap {0.998, 0.999, -0.999 + period} is a bad
+        # list spanning two tiles, reported with its radius 0.0836/9
+        code = FiniteCode(points=[[0.998], [0.999], [-0.999]], n=1, L=3, N=0.01, K=1.0, seed=0)
+        cpath = tmp_path / "cross.csv"
+        fileio.write_constellation(cpath, Constellation(base=code, gap=0.101))
+        rc, text, _ = run(["verify", str(cpath)], capsys)
+        assert rc == 1
+        assert "\nFAIL: base indices (0, 1, 2)\n" in text
+        line = next(t for t in text.splitlines() if t.startswith("reported list avg_sq_radius: "))
+        assert float(line.split(": ")[1]) == pytest.approx(0.083642 / 9, rel=1e-9)
+
     def test_construct_names_infinite_noise(self, tmp_path, capsys):
         args = ["construct", "--n", "3", "--L", "2", "--N", "inf", "--K", "1", "--seed", "1"]
         rc, _, err = run(args + ["--out", str(tmp_path / "c.csv")], capsys)
@@ -158,7 +170,9 @@ class TestConstructVerify:
         fileio.write_code(p, bad)
         rc, text, _ = run(["verify", str(p)], capsys)
         assert rc == 1
-        assert "FAIL" in text
+        assert "bad lists: 1\n" in text
+        assert "smallest bad list: (0, 1) with avg_sq_radius 0.000625" in text
+        assert text.rstrip().endswith("FAIL")
 
 
 class TestTailRatefn:

@@ -328,8 +328,10 @@ class TestVerifyPacking:
         v = verify_packing(cons, 1.5 * cons.period)
         assert v.passed
         assert v.window_points > cons.base.M
-        assert v.min_avg_radius_sq > v.threshold
-        assert v.min_cross_half_dist_sq > v.threshold
+        assert v.min_avg_radius_sq == math.inf
+        # at L = 2 the default gap, 1.01*sqrt(nN), puts every cross-tile
+        # pair beyond the listing radius 2*sqrt(nN)
+        assert v.min_cross_half_dist_sq == math.inf
         assert v.violation is None
 
     def test_planted_pair_detected(self):
@@ -344,14 +346,21 @@ class TestVerifyPacking:
         assert v.violation.shape == (2, 4)
 
     def test_cross_tile_certificate(self):
-        # points pushed to the cube faces make cross-tile pairs the binding case
+        # points pushed to the cube faces make cross-tile pairs the binding
+        # case: the nearest sits 2*gap + 2*0.05 apart
         pts = np.array([[0.95], [-0.95]])
         code = FiniteCode(points=pts, n=1, L=2, N=0.005, K=1.0, seed=None)
         cons = tile(code, gap=0.3)
         v = verify_packing(cons, 1.5 * cons.period)
         assert v.passed
-        # the nearest cross-tile pair sits 2*gap + 2*0.05 apart
-        assert v.min_cross_half_dist_sq == pytest.approx(0.35**2, rel=1e-9)
+        # 0.7 lies beyond the listing radius sqrt(2L*nN) = 0.1414
+        assert v.min_cross_half_dist_sq == math.inf
+        # at gap 0.0205 the pair is 0.141 apart, inside it, and a bad list
+        narrow = Constellation(base=code, gap=0.0205)
+        v = verify_packing(narrow, 1.5 * narrow.period)
+        assert v.min_cross_half_dist_sq == pytest.approx(0.0705**2, rel=1e-9)
+        assert not v.passed and v.violation_base_indices == (0, 1)
+        assert v.min_avg_radius_sq == v.min_cross_half_dist_sq
 
     def test_tight_gap_still_packs(self):
         pts = np.array([[0.0]])
@@ -381,7 +390,8 @@ class TestVerifyPacking:
         code = FiniteCode([[0.99, 0.99], [-0.99, -0.99]], 2, 2, 0.02, 1.0, None)
         cons = Constellation(base=code, gap=0.1)
         v = verify_packing(cons, 1.5 * cons.period)
-        assert not v.passed and v.min_avg_radius_sq > v.threshold
+        assert not v.passed and min_avg_subset(code)[0] > v.threshold
+        assert v.min_avg_radius_sq == pytest.approx(2 * 0.22**2 / 4, rel=1e-9)
         assert v.violation_base_indices == (0, 1)
         assert np.allclose(v.violation, [[0.99, 0.99], [1.21, 1.21]], rtol=0, atol=1e-12)
         _, bad = window_bad_lists(cons, 1.5 * cons.period)
@@ -390,14 +400,15 @@ class TestVerifyPacking:
     @pytest.mark.parametrize("L,N,passed", [(2, 0.25, False), (5, 0.25, True)])
     def test_gap_at_minimum_runs_exact_fallback(self, L, N, passed):
         # points on the cube faces put the nearest cross-tile pair exactly
-        # 2 * g_min apart, so (L-1)/L^2 * D^2 = nN and the certificate is
-        # inconclusive; every quantity here is exact in binary
+        # D = 2 * g_min apart, within the listing radius, so
+        # (L-1)/L^2 * D^2 = nN; every quantity here is exact in binary
         code = FiniteCode(points=[[1.0], [-1.0]], n=1, L=L, N=N, K=1.0, seed=None)
         g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(N)
         cons = tile(code, gap=g_min)
         v = verify_packing(cons, 1.5 * cons.period)
         assert 4 * (L - 1) * v.min_cross_half_dist_sq == L * L * v.threshold
         assert v.passed is passed
+        assert v.min_avg_radius_sq == (math.inf if passed else v.threshold)
         _, bad = window_bad_lists(cons, 1.5 * cons.period)
         assert (not bad) is passed
         if not passed:
@@ -405,6 +416,37 @@ class TestVerifyPacking:
             # base point 0 with base point 1 translated by one period
             assert v.violation[:, 0].tolist() == [1.0, 2.0]
             assert v.violation_base_indices == (0, 1)
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_smaller_cross_tile_list_is_reported(self, L):
+        # below the minimum gap a same-tile bad list (the L points near 0,
+        # avg about 0.0056) and a smaller cross-tile one (points 0.005 from
+        # the faces x = 1 and x = -1, 0.06 apart across a gap of 0.02) both
+        # exist; the cross-tile one is reported with its own radius
+        near = [[0.0], [0.15], [0.075]][:L]
+        faces = [[0.995]] * (L - 1) + [[-0.995]]
+        code = FiniteCode(near + faces, 1, L, 0.01, 1.0, None)
+        same, _ = min_avg_subset(code)
+        cons = Constellation(base=code, gap=0.02)
+        v = verify_packing(cons, 1.5 * cons.period)
+        assert same <= v.threshold and not v.passed
+        assert self.kind(cons, v) == "cross-tile"
+        assert v.violation_base_indices == tuple(range(L, 2 * L))
+        assert v.min_avg_radius_sq == pytest.approx(avg_sq_radius(PointList(v.violation)), rel=1e-12)
+        assert v.min_avg_radius_sq == pytest.approx((L - 1) / L**2 * 0.05**2, rel=1e-9)
+        assert v.min_avg_radius_sq < same
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    def test_cross_distance_is_capped_at_the_listing_radius(self, L):
+        # points on the faces put the nearest cross-tile pair exactly 2*gap
+        # apart: reported just inside the listing radius sqrt(2L*nN), inf
+        # just outside it
+        code = FiniteCode([[1.0], [-1.0]], 1, L, 0.01, 1.0, None)
+        r = math.sqrt(2 * L * 0.01)
+        for f, want in ((0.99, (0.99 * r / 2) ** 2), (1.01, math.inf)):
+            c = Constellation(base=code, gap=f * r / 2)
+            assert cross_tile_min_sq_lattice(c) == pytest.approx((f * r) ** 2, rel=1e-12)
+            assert verify_packing(c, 0.5).min_cross_half_dist_sq == pytest.approx(want, rel=1e-12)
 
     @staticmethod
     def oracle_constellations(L, rng, count=16):
@@ -456,14 +498,30 @@ class TestVerifyPacking:
                 assert avg_sq_radius(PointList(v.violation)) <= v.threshold * (1 + 1e-12)
                 back = v.violation - cons.period * np.round(v.violation / cons.period)
                 assert np.allclose(back, cons.base.points[list(v.violation_base_indices)], atol=1e-12)
-            kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
+            kinds.add(self.kind(cons, v))
         assert {"pass", "cross-tile"} <= kinds
-        # the certificate is inconclusive at the bound, and the fallback
-        # finds the planted list
+        # at the bound the planted list spans tiles, with avg = nN
         v = verify_packing(planted, 1.5 * planted.period)
         assert 4 * (L - 1) * v.min_cross_half_dist_sq <= L * L * v.threshold
-        assert not v.passed and v.min_avg_radius_sq > v.threshold
+        assert not v.passed and min_avg_subset(planted.base)[0] > v.threshold
+        assert v.min_avg_radius_sq <= v.threshold
         assert sorted(v.violation_base_indices) == list(range(L))
+
+    @staticmethod
+    def kind(cons, v):
+        """A verdict's kind: a reported list lies in the base tile exactly
+        when its points are the base points it names."""
+        if v.passed:
+            return "pass"
+        same = np.array_equal(v.violation, cons.base.points[list(v.violation_base_indices)])
+        return "same-tile" if same else "cross-tile"
+
+    @staticmethod
+    def capped(c, d2):
+        """A squared cross-tile distance as verify_packing reports it: kept
+        within the listing radius sqrt(2L*n*N)*(1 + 1e-6), inf beyond."""
+        r = math.sqrt(2 * c.base.L * c.base.n * c.base.N) * (1 + 1e-6)
+        return d2 if d2 <= r * r else math.inf
 
     @pytest.mark.parametrize("L", [2, 3, 4])
     def test_cross_tile_distance_matches_gram_oracle(self, L):
@@ -476,10 +534,10 @@ class TestVerifyPacking:
             # a gap wider than the cube keeps same-tile pairs closer than D
             for c in (cons, tile(code, gap=g_min), tile(code, gap=2.5)):
                 got = verify_packing(c, 1.5 * c.period).min_cross_half_dist_sq
-                assert got == cross_tile_min_sq_lattice(c) / 4
+                assert got == self.capped(c, cross_tile_min_sq_lattice(c)) / 4
                 # a window of radius 0.5 holds the base tile alone: its D is inf
                 for R in (1.5 * c.period, 0.5):
-                    window = cross_tile_min_sq_gram(c, R) / 4
+                    window = self.capped(c, cross_tile_min_sq_gram(c, R)) / 4
                     assert got <= window * (1 + 1e-12)
                     if R >= 1.5 * c.period:
                         assert got == pytest.approx(window, rel=1e-12, abs=0.0)
@@ -495,28 +553,34 @@ class TestVerifyPacking:
 
     @staticmethod
     def check_lattice_minimum(c, periods=(0.8, 1.5, 2.7)):
-        """The base-translate search equals the lattice scan, is at most
-        every window's minimum, and is that minimum once the window reaches
-        1.5 periods."""
-        got = construction._min_cross_sq(c)
-        assert got == cross_tile_min_sq_lattice(c), c.gap
+        """The verdict's cross-tile distance is the lattice scan's within the
+        listing radius and inf beyond it, is at most every window's minimum
+        so capped, and is that minimum once the window reaches 1.5 periods.
+        Returns whether it was within the radius."""
+        got = 4 * verify_packing(c, 0.5).min_cross_half_dist_sq
+        assert got == TestVerifyPacking.capped(c, cross_tile_min_sq_lattice(c)), c.gap
         for R, want in TestVerifyPacking.window_minima(c, periods):
+            want = TestVerifyPacking.capped(c, want)
             assert got <= want * (1 + 1e-12), (c.gap, R)
             if R >= 1.5 * c.period:
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (c.gap, R)
             if R == 0.5:
                 assert math.isinf(want)
+        return math.isfinite(got)
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_cross_tile_distance_matches_band_oracle(self, L):
         rng = np.random.default_rng(600 + L)
+        kinds = set()
         spread = [Constellation(FiniteCode(rng.uniform(-1, 1, size=(25, n)), n, L, 0.01, 1.0, None), 0.1)
                   for n in (2, 3)]
         for cons in list(self.oracle_constellations(L, rng)) + spread:
             code = cons.base
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
             for c in (cons, tile(code, gap=g_min), tile(code), tile(code, gap=2.5)):
-                self.check_lattice_minimum(c)
+                kinds.add(self.check_lattice_minimum(c))
+        # both sides of the listing radius occur
+        assert kinds == {True, False}
 
     @pytest.mark.parametrize("n,L,seed", [(3, 3, 1), (4, 2, 2), (5, 2, 3)])
     def test_cross_tile_distance_matches_band_oracle_seeded(self, n, L, seed):
@@ -655,28 +719,36 @@ class TestVerifyPacking:
                 # a window FAIL is a constellation FAIL, and every window
                 # tile holds a translated subset of the base code
                 assert not (bad and v.passed)
-                assert v.min_avg_radius_sq <= want * (1 + 1e-12)
+                # the reported list is the smallest bad list
+                if want <= v.threshold:
+                    assert v.min_avg_radius_sq <= want * (1 + 1e-12)
                 if R >= 1.5 * cons.period:
-                    assert v.passed == (not bad)
-                    if math.isinf(want):
+                    assert v.passed == (not bad) == (want > v.threshold)
+                    if v.passed:
                         assert v.min_avg_radius_sq == math.inf
                     else:
                         assert v.min_avg_radius_sq == pytest.approx(want, rel=1e-12, abs=0.0)
-                    if v.min_avg_radius_sq <= v.threshold:
                         assert v.violation_base_indices == want_indices
-                if v.min_avg_radius_sq <= v.threshold:
-                    assert np.array_equal(v.violation, code.points[list(v.violation_base_indices)])
-                kinds.add("pass" if v.passed else "same-tile" if v.min_avg_radius_sq <= v.threshold else "cross-tile")
-        assert {"pass", "same-tile"} <= kinds
+                # at the default gap a bad list lies in one tile
+                kinds.add(self.kind(cons, v))
+        assert kinds == {"pass", "same-tile"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_same_tile_minimum_is_the_base_minimum(self, seed):
-        # the same-tile minimum is taken on the base code untranslated, so it
-        # is min_avg_subset's bit for bit, not a rounded translated copy
+        # a same-tile list is listed on the base code untranslated, so with
+        # two points planted near point 0 the reported radius is
+        # min_avg_subset's bit for bit, not a rounded translated copy
         code = sample_code(n=3, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
-        cons = tile(expurgate(code, find_bad_lists(code)))
+        clean = expurgate(code, find_bad_lists(code))
+        cons = tile(clean)
+        assert verify_packing(cons, 1.5 * cons.period).passed
+        pts = np.vstack([clean.points, 0.99 * clean.points[0], 0.98 * clean.points[0]])
+        base = FiniteCode(pts, 3, 3, clean.N, clean.K, None)
+        cons = tile(base)
         v = verify_packing(cons, 1.5 * cons.period)
-        assert v.min_avg_radius_sq == min_avg_subset(cons.base)[0]
+        assert not v.passed
+        assert v.min_avg_radius_sq == min_avg_subset(base)[0]
+        assert v.violation_base_indices == min_avg_subset(base)[1]
 
     def test_empty_base_passes(self):
         # a base code with no points left is an empty constellation
@@ -687,11 +759,16 @@ class TestVerifyPacking:
         assert v.window_points == 0 and v.same_tile_lists == 0
 
     def test_single_point_is_one_period_from_its_translates(self):
-        # x = 0 and its translates k*period differ exactly, so D = period
+        # x = 0 and its translates k*period differ exactly, so D = period,
+        # beyond the listing radius sqrt(2L*nN) = 0.3
         cons = tile(FiniteCode(np.zeros((1, 3)), 3, 3, 0.005, 1.0, None))
         v = verify_packing(cons, 1.5 * cons.period)
         assert v.passed and v.min_avg_radius_sq == math.inf
-        assert v.min_cross_half_dist_sq == cons.period**2 / 4
+        assert cross_tile_min_sq_lattice(cons) == cons.period**2
+        assert v.min_cross_half_dist_sq == math.inf
+        # with the listing radius sqrt(8) past one period, D is reported
+        wide = Constellation(FiniteCode(np.zeros((1, 1)), 1, 2, 2.0, 1.0, None), 0.1)
+        assert verify_packing(wide, 0.5).min_cross_half_dist_sq == wide.period**2 / 4
 
     @pytest.mark.parametrize("M", [2, 3])
     def test_fewer_points_than_list_size(self, M):
