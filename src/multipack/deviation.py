@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, ConvergenceWarning
+from .errors import ConvergenceWarning
 from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, resolve_workers
 
 # coordinates are generated in blocks of this many dimensions per chunk;
@@ -77,10 +77,7 @@ def cube_form_mean(L: int, K: float) -> float:
 
 
 def _validate_quad_args(L, K, quad_order):
-    L = check_count("L", L, 2)
-    if L > 5:
-        raise BudgetError(f"quadrature supports 2 <= L <= 5, got L = {L}")
-    return L, check_positive("K", K), check_count("quad_order", quad_order, 16)
+    return check_count("L", L, 2), check_positive("K", K), check_count("quad_order", quad_order, 16)
 
 
 @lru_cache(maxsize=64)

@@ -2,7 +2,7 @@
 
 
 class BudgetError(RuntimeError):
-    """An enumeration, quadrature, or window budget would be exceeded."""
+    """An enumeration or window budget would be exceeded."""
 
 
 class ParseError(ValueError):

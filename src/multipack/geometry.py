@@ -20,11 +20,9 @@ from .rng import check_count, check_positive
 AVG_FORMULAS = ("centroid", "norm_minus_center", "correlation", "pairwise")
 
 # cap on the enclosing-ball solver's major steps, per point and per e-fold
-# of 1/tol, and on rad_p's damped Newton steps; rad_p also stops once its
-# relative gradient has not halved for RAD_P_STALL steps
+# of 1/tol, and on rad_p's damped Newton steps over all its stages
 CHEB_STEPS = 100
 RAD_P_STEPS = 20000
-RAD_P_STALL = 500
 
 
 @dataclass(frozen=True)
@@ -319,32 +317,39 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
 def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     """Power-mean relaxation of the squared list radius.
 
-    Minimizes G(y) = F(y)^(1/p), F(y) = mean_i ||x_i - y||^(2p), over the
-    center y (convex for p >= 1) and returns the minimum.  Damped Newton
-    steps with Armijo backtracking on F start from the centroid.  With
-    r_i^2 = ||x_i - y||^2, d_i = y - x_i and w_i = r_i^(2(p-1)), grad F =
-    (2p/L) sum_i w_i d_i and the Hessian of F is (2p/L) [sum_i w_i I +
-    2(p-1) sum_i (w_i / r_i^2) d_i d_i^T].  The step solves with that
-    Hessian less (1 - 1/p) grad F grad F^T / F, which is the Hessian of G
-    up to a positive factor: Newton on F alone moves only 1/(2p-1) of the
-    way wherever one point dominates, Newton on G goes all the way.  A
-    direction that is not a descent direction falls back to -grad F.  Every
-    quantity is evaluated in units of m = max_i r_i^2, which keeps
-    (r_i^2/m)^p <= 1 at any p, and the result is
-    m * mean((r_i^2/m)^p)^(1/p).
+    Minimizes F(y) = mean_i ||x_i - y||^(2p) over the center y and returns
+    F^(1/p) at the minimum.  With r_i^2 = ||x_i - y||^2, d_i = y - x_i,
+    m = max_i r_i^2 and w_i = (r_i^2/m)^(q-1), the power-q objective has
+    grad F = (2q/(Lm)) sum_i w_i d_i and Hessian (2q/(Lm)) [sum_i w_i I +
+    2(q-1) curv], curv = sum_i (w_i / r_i^2) d_i d_i^T, both in units of
+    m^q, which keeps (r_i^2/m)^q <= 1 at any q.  The farthest point has
+    w = 1, so sum_i w_i >= 1, and |d_i|^2 = r_i^2 gives 0 <= curv <=
+    sum_i w_i I, hence
 
-    Stops once the relative gradient sqrt(m) ||grad G|| / G =
-    sqrt(m) ||grad F|| / (p F) is at most ``tol``, a test independent of the
-    scale of the list, or when a step lowers F by no more than 1e-18 F
-    (round-off), then counting as converged only if the relative gradient is
-    at most 1e-6.  Otherwise, when RAD_P_STALL steps pass without the
-    relative gradient halving (at large p one point dominates and the steps
-    crawl), and when RAD_P_STEPS steps run out first, a ConvergenceWarning
-    is raised and the smaller of G at the last iterate and G at
-    chebyshev_radius's centre is returned, so an unconverged value too stays
-    at most the squared Chebyshev radius.  p = 1 gives
-    avg_sq_radius up to round-off; the value is nondecreasing in p, at most
-    the squared Chebyshev radius, and approaches it as p grows.
+        sum_i w_i I  <=  (Lm/(2q)) Hessian  <=  (2q - 1) sum_i w_i I:
+
+    the Hessian is positive definite with condition number at most 2q - 1,
+    so every Newton direction descends and F is convex.  Damped Newton steps
+    with Armijo backtracking follow the power by continuation: q starts at
+    min(p, 4) from the centroid, and each stage that converges sets
+    q = min(p, 4q) and starts from the last stage's minimizer.  The factor 4
+    makes every p <= 4 one stage from the centroid; at larger p a stage
+    starts where the previous power's minimizer already balances the
+    farthest points, which Newton on F alone (it moves only 1/(2q-1) of the
+    way wherever one point dominates) cannot reach from the centroid.
+
+    A stage below p ends once the relative gradient sqrt(m) ||grad F|| /
+    (q F) is at most 1e-3, or when a step lowers F by no more than 1e-18 F
+    (round-off).  The last stage, q = p, stops once the relative gradient is
+    at most ``tol``, a test independent of the scale of the list, or at the
+    round-off stop, then counting as converged only if the relative
+    gradient is at most 1e-6.  When RAD_P_STEPS steps run out first, a
+    ConvergenceWarning is raised and the smaller of the value at the last
+    iterate and at chebyshev_radius's centre is returned, so an unconverged
+    value too stays at most the squared Chebyshev radius.  The result is
+    m * mean((r_i^2/m)^p)^(1/p).  p = 1 gives avg_sq_radius up to
+    round-off; the value is nondecreasing in p, at most the squared
+    Chebyshev radius, and approaches it as p grows.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
@@ -365,57 +370,49 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
 
     y = pl.centroid()
     diff, r2 = radii(y)
+    # every p <= 4 is one stage from the centroid
+    q = min(p, 4.0)
     converged = False
-    rel_grad = best_grad = math.inf
-    best_step = 0
-    # (r2/m)^p at a trial point of the line search may overflow to inf, which
+    rel_grad = math.inf
+    # (r2/m)^q at a trial point of the line search may overflow to inf, which
     # the Armijo test rejects
     with np.errstate(over="ignore"):
-        for step in range(RAD_P_STEPS):
+        for _ in range(RAD_P_STEPS):
             m = float(r2.max())
-            w = (r2 / m) ** (p - 1.0)
-            obj = float(((r2 / m) ** p).sum() / L)  # F / m^p
-            grad = (2.0 * p / (L * m)) * (w @ diff)  # grad F / m^p
-            rel_grad = math.sqrt(float(grad @ grad) * m) / (p * obj)
-            if rel_grad <= tol:
-                converged = True
-                break
-            if rel_grad <= 0.5 * best_grad:
-                best_grad, best_step = rel_grad, step
-            elif step - best_step >= RAD_P_STALL:
-                break
-            # Hessian of F^(1/p), less the positive factor F^(1/p) / (p F)
-            curv = (diff.T * (w / np.maximum(r2, 1e-300))) @ diff
-            H = (2.0 * p / (L * m)) * (w.sum() * eye + 2.0 * (p - 1.0) * curv)
-            H -= (1.0 - 1.0 / p) * np.outer(grad, grad) / obj
-            try:
+            w = (r2 / m) ** (q - 1.0)
+            obj = float(((r2 / m) ** q).sum() / L)  # F / m^q
+            grad = (2.0 * q / (L * m)) * (w @ diff)  # grad F / m^q
+            rel_grad = math.sqrt(float(grad @ grad) * m) / (q * obj)
+            stage_done = rel_grad <= (tol if q == p else 1e-3)
+            if not stage_done:
+                curv = (diff.T * (w / np.maximum(r2, 1e-300))) @ diff
+                H = (2.0 * q / (L * m)) * (w.sum() * eye + 2.0 * (q - 1.0) * curv)
                 direction = -np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                direction = -grad
-            slope = float(grad @ direction)
-            if not slope < 0.0:
-                direction, slope = -grad, -float(grad @ grad)
-            t = 1.0
-            while True:
-                diff_new, r2_new = radii(y + t * direction)
-                obj_new = float(((r2_new / m) ** p).sum() / L)
-                if obj_new <= obj + 1e-4 * t * slope or t < 1e-300:
-                    break
-                t *= 0.5
-            if obj - obj_new <= 1e-18 * obj:
-                # progress below round-off; keep the better iterate and stop
+                slope = float(grad @ direction)
+                t = 1.0
+                while True:
+                    diff_new, r2_new = radii(y + t * direction)
+                    obj_new = float(((r2_new / m) ** q).sum() / L)
+                    if obj_new <= obj + 1e-4 * t * slope or t < 1e-300:
+                        break
+                    t *= 0.5
+                # progress below round-off ends the stage too
+                stage_done = obj - obj_new <= 1e-18 * obj
                 if obj_new < obj:
+                    y = y + t * direction
                     diff, r2 = diff_new, r2_new
-                converged = rel_grad <= 1e-6
-                break
-            y = y + t * direction
-            diff, r2 = diff_new, r2_new
+            if stage_done:
+                if q == p:
+                    # a round-off stop counts only at relative gradient 1e-6
+                    converged = rel_grad <= max(tol, 1e-6)
+                    break
+                q = min(p, 4.0 * q)
     if not converged:
         warnings.warn(
             f"rad_p Newton iteration left relative gradient norm {rel_grad:.3e} at p = {p}",
             ConvergenceWarning,
         )
-        # a stalled descent can stop above the squared Chebyshev radius, which
-        # G at the enclosing ball's centre never exceeds
+        # a stopped descent can lie above the squared Chebyshev radius, which
+        # the value at the enclosing ball's centre never exceeds
         return min(value(r2), value(radii(chebyshev_radius(pl).center)[1]))
     return value(r2)

@@ -197,10 +197,21 @@ class TestTailRatefn:
         assert float(vals["rate"]) == pytest.approx(2.973137316, rel=1e-6)
         assert abs(float(vals["rate - exponent_E"])) < 0.05
 
-    def test_budget_exit_code(self, capsys):
-        rc, _, err = run(["ratefn", "--L", "6", "--K", "1", "--N", "0.01"], capsys)
+    def test_budget_exit_code(self, capsys, tmp_path):
+        # the threshold code at n = 40 would hold about 4e13 points
+        out = tmp_path / "code.csv"
+        argv = ["construct", "--n", "40", "--L", "2", "--N", "0.01", "--K", "1", "--seed", "1", "--out", str(out)]
+        rc, _, err = run(argv, capsys)
         assert rc == 2
-        assert "budget" in err
+        assert err.startswith("budget error: M = ")
+        assert not out.exists()
+
+    def test_ratefn_beyond_five_points(self, capsys):
+        # the 1-D quadrature serves every list size
+        rc, text, err = run(["ratefn", "--L", "6", "--K", "1", "--N", "0.01"], capsys)
+        assert rc == 0 and err == ""
+        rate = float(text.splitlines()[0].removeprefix("rate: "))
+        assert 0.0 < rate < math.inf
 
 
     def test_invalid_list_size_is_usage_error(self, capsys):

@@ -96,8 +96,8 @@ class TestMgfLog:
             mgf_log(L, 1.0, 1.0)
 
     def test_list_size_budget(self):
-        with pytest.raises(BudgetError):
-            mgf_log(6, 1.0, 1.0)
+        # only the tensor oracle has a budget; mgf_log's 1-D integral serves
+        # every L
         with pytest.raises(BudgetError):
             mgf_log_tensor(4, 1.0, 1.0, quad_order=100)  # 100^4 nodes
 
@@ -106,7 +106,7 @@ class TestMgfLog:
             mgf_log(2, 1.0, 5e6, quad_order=16)
 
     @pytest.mark.parametrize("order", [16, 64, 96])
-    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_per_panel_oracle(self, L, order):
         # the panels switch from 4 equal ones to 3 shoulder-pinned ones where
         # the shoulder half-width 8/sqrt(c) drops below 0.5, i.e. at c = 256
@@ -163,6 +163,21 @@ class TestLaplace:
     def test_rejects_non_finite_arguments(self, K, lam, match):
         with pytest.raises(ValueError, match=match):
             laplace_check(3, K, lam)
+
+    @pytest.mark.parametrize("L", [6, 7, 8])
+    def test_large_lists_at_large_scale(self, L):
+        # beyond the bench's L <= 5, at K = 32: the rate is within 1e-3 of
+        # the closed-form exponent (4.9e-4 measured), and the Laplace ratio
+        # at the optimum approaches 1 from below, with both quadrature orders
+        # agreeing to 1e-9 at every evaluation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for N in (0.005, 0.01, 0.02, 0.05):
+                res = rate_function(L, 32.0, N, quad_order=96)
+                E = exponent_E(ExponentQuery(N=N, L=L, K=32.0))
+                assert abs(res.rate - E) <= 1e-3 * E
+                ratio = laplace_check(L, 32.0, res.lambda_opt, quad_order=96).ratio
+                assert 0.0 < 1.0 - ratio <= 0.02
 
 
 class TestRateFunction:
