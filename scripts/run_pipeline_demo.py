@@ -15,7 +15,6 @@ import time
 
 from multipack import (
     ExponentQuery,
-    ball_log_volume_rate_finite,
     density_report,
     expurgate,
     find_bad_lists,
@@ -71,10 +70,9 @@ def main(argv=None):
         return 1
 
     rep = density_report(cons, args.mc_power, args.mc_samples, seed=args.seed)
-    predicted = cons.nld + ball_log_volume_rate_finite(args.N, args.n)
     print(
         f"density: measured {rep.delta_hat:.4f} (covered {rep.covered}/{rep.mc_samples}), "
-        f"predicted {predicted:.4f}"
+        f"predicted {rep.predicted_delta:.4f}"
     )
     print(f"done in {time.monotonic() - t0:.1f}s")
     return 0

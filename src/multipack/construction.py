@@ -348,17 +348,14 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     return Constellation(base=code, gap=gap)
 
 
-@functools.lru_cache(maxsize=256)
-def _tile_offsets(period, w, r, center, half):
+def _tile_offsets(period, w, r, center, one_sign):
     """The tile offsets k with sum_i (|k_i*period - center_i| - w)_+^2 <= r^2,
-    in lexicographic order; with ``half``, only the k != 0 whose first
+    in lexicographic order; with ``one_sign``, only the k != 0 whose first
     nonzero coordinate is positive (one of k and -k, about a zero centre).
-    ``center`` is a tuple, as the rows are cached read-only.
 
     The sum is a squared lower bound on the distance between two boxes
-    centred on ``center`` and on k*period whose half-widths sum to w: w = K
-    puts a tile's cube against a ball, w = 2K a base point against a
-    translated one, w = period/2 + K the fold cell against a tile's cube.
+    centred on ``center`` and on k*period whose half-widths sum to w
+    (_near_points takes w = half + K, its box against a tile's cube).
     The rows grow one coordinate at a time over the k_i whose own term is
     at most r^2, dropping a prefix once its partial sum passes
     r^2*(1 + 1e-9), so only prefixes of kept rows are held; the exact sum
@@ -375,47 +372,51 @@ def _tile_offsets(period, w, r, center, half):
         values = np.arange(lo, hi + 1)
         cost = np.maximum(np.abs(values * period - ci) - w, 0.0) ** 2
         keep = reach[:, None] + cost <= r * r * (1.0 + 1e-9)
-        if half:
+        if one_sign:
             # every kept prefix but the zero one starts with a positive entry
             keep[~rows.any(axis=1)] &= values >= 0
         i, j = np.nonzero(keep)
         rows, reach = np.column_stack([rows[i], values[j]]), reach[i] + cost[j]
-    if half:
+    if one_sign:
         rows = rows[rows.any(axis=1)]
-    rows = rows[(np.maximum(np.abs(rows * period - np.array(center)) - w, 0.0) ** 2).sum(axis=1) <= r * r]
-    rows.flags.writeable = False
-    return rows
+    return rows[(np.maximum(np.abs(rows * period - center) - w, 0.0) ** 2).sum(axis=1) <= r * r]
 
 
-def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
-    """All constellation points within the closed ball (center, radius),
-    tile by tile in lexicographic tile order, each tile's in base order.
-    The tiles are those whose cube t*period + [-K, K]^n reaches the ball,
-    _tile_offsets at w = K.  Raises ValueError unless 0 <= radius < inf and
-    the centre is finite."""
-    center = np.asarray(center, dtype=float).reshape(c.base.n)
-    tiles = _tile_offsets(c.period, c.base.K, radius, tuple(center.tolist()), False)
-    out = [np.empty((0, c.base.n))]
-    for j0 in range(0, len(tiles), 2048):
-        cand = tiles[j0 : j0 + 2048].astype(float)[:, None, :] * c.period + c.base.points[None, :, :]
-        out.append(cand[((cand - center) ** 2).sum(axis=2) <= radius * radius])
-    return np.concatenate(out)
+def _near_points(c, r, half, center=None, one_sign=False):
+    """The points x + k*period of the constellation within r of the box
+    center + [-half, half]^n (about the origin by default), tile by tile in
+    lexicographic order of k and each tile's in base order, with the row of
+    x in the base code.
 
-
-def _translates(points, offsets, period, half, r):
-    """The translates x + k*period of ``points`` by the rows k of ``offsets``
-    that lie within r of the box [-half, half]^n, offset by offset, with the
-    row of x in ``points``.  Built in blocks of offsets, so only the kept
-    translates are held."""
-    rows, out = [np.empty(0, np.intp)], [np.empty((0, points.shape[1]))]
-    step = max(1, 2**18 // max(points.size, 1))
-    for j0 in range(0, len(offsets), step):
-        Y = points[None, :, :] + (offsets[j0 : j0 + step] * period)[:, None, :]
-        e = np.maximum(np.abs(Y) - half, 0.0)
+    The tiles are the walk of _tile_offsets at w = half + K, the box against
+    the cube k*period + [-K, K]^n; with ``one_sign`` only the k != 0 whose
+    first nonzero coordinate is positive.  Raises BudgetError when the
+    walk's tiles hold more than WINDOW_BUDGET points, before any translate
+    is formed.  The translates are built in blocks of tiles, so only the
+    kept ones are held."""
+    code = c.base
+    center = np.zeros(code.n) if center is None else np.asarray(center, dtype=float).reshape(code.n)
+    tiles = _tile_offsets(c.period, half + code.K, r, center, one_sign)
+    if len(tiles) * code.M > WINDOW_BUDGET:
+        raise BudgetError(f"{len(tiles)} neighbor tiles * {code.M} points exceed the window budget")
+    rows, out = [np.empty(0, np.intp)], [np.empty((0, code.n))]
+    step = max(1, 2**18 // max(code.points.size, 1))
+    for j0 in range(0, len(tiles), step):
+        Y = code.points[None, :, :] + (tiles[j0 : j0 + step] * c.period)[:, None, :]
+        e = np.maximum(np.abs(Y - center) - half, 0.0)
         kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= r * r)
         rows.append(bj)
         out.append(Y[kj, bj])
     return np.concatenate(rows), np.concatenate(out)
+
+
+def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
+    """All constellation points within the closed ball (center, radius),
+    tile by tile in lexicographic tile order, each tile's in base order:
+    _near_points at half = 0.  Raises ValueError unless 0 <= radius < inf
+    and the centre is finite, and BudgetError when the tiles reaching the
+    ball hold more than WINDOW_BUDGET points."""
+    return _near_points(c, radius, 0.0, center)[1]
 
 
 def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
@@ -434,7 +435,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     and lies within that radius of the base cube.  The violating lists are
     therefore, up to translation, exactly the rows of one _near_lists call
     at n*N over the base code and its translates by such offsets within
-    sqrt(2L*n*N) of the base cube (_tile_offsets at w = 2K with ``half``)
+    sqrt(2L*n*N) of the base cube (_near_points at half = K, one sign)
     that start in the base, the base coming first.  The constellation
     passes when there is none.  Otherwise the row of smallest average
     squared radius is reported, the lexicographically first on ties, so a
@@ -446,8 +447,10 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
 
     ``window_radius`` only sizes the counts window_points and
     same_tile_lists, taken from a KD-tree of the base code for each tile
-    whose cube reaches the window (the walk at w = K), without listing the
-    window.  Raises ValueError unless 0 <= window_radius < inf.
+    whose cube reaches the window (the walk of _near_points at half = 0),
+    without listing the window.  Raises ValueError unless 0 <= window_radius
+    < inf, and BudgetError when the listing's tiles hold more than
+    WINDOW_BUDGET points.
     """
     from scipy.spatial import cKDTree
 
@@ -455,7 +458,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     M, L, K, P = code.M, code.L, code.K, c.period
     thr = code.n * code.N
     tree = cKDTree(code.points)
-    tiles = _tile_offsets(P, K, window_radius, (0.0,) * code.n, False)
+    tiles = _tile_offsets(P, K, window_radius, np.zeros(code.n), False)
     # x + t*period lies in the window when x is within its radius of -t*period
     counts = tree.query_ball_point(-(tiles * P), window_radius, return_length=True)
     sizes, repeats = np.unique(counts, return_counts=True)
@@ -463,7 +466,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     same_tile_lists = sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, repeats))
 
     r = math.sqrt(2.0 * L * thr) * (1.0 + 1e-6)
-    bj, Q = _translates(code.points, _tile_offsets(P, 2.0 * K, r, (0.0,) * code.n, True), P, K, r)
+    bj, Q = _near_points(c, r, K, one_sign=True)
     pts = np.vstack([code.points, Q])
     lists, avg = _near_lists(pts, L, thr)
     # rows ascend, so a list has a base member when it starts in the base
@@ -632,15 +635,12 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     into the cell [-period/2, period/2]^n, and tests coverage against the
     points of the constellation within h = r*(1 + 1e-6) of the cell: the
     points of the base code and its translates by k*period within h of the
-    cell, for the offsets k whose cube can reach that far.  The cell and the
-    cube k*period + [-K, K]^n have half-widths summing to period/2 + K, so
-    the offsets are the walk of _tile_offsets at w = period/2 + K and radius
-    h, with k and -k both and k = 0 for the base.  Each nonzero coordinate
-    costs at least (period/2 - K)^2 = gap^2, so only the base is kept for
-    any gap above h, as tile() gives at L >= 3 and by default, and the 2n
-    face translates at gap = r.  Refuses codes whose kept tiles, counted
-    whole, hold more than WINDOW_BUDGET points, before any translate is
-    formed.
+    cell: _near_points at half = period/2 and radius h, with k and -k both
+    and k = 0 for the base.  Each nonzero coordinate of k costs at least
+    (period/2 - K)^2 = gap^2, so only the base is kept for any gap above h,
+    as tile() gives at L >= 3 and by default, and the 2n face translates at
+    gap = r.  Refuses codes whose kept tiles, counted whole, hold more than
+    WINDOW_BUDGET points, before any translate is formed.
 
     When the cells of side h = r*(1 + 1e-6) over all n axes fit in
     WINDOW_BUDGET, a cell index (_CellIndex) decides most samples.  A sample
@@ -660,15 +660,11 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     mc_samples = check_count("mc_samples", mc_samples, 1)
     seed = check_seed(seed)
     code = c.base
-    n, M = code.n, code.M
-    if M == 0:
+    n = code.n
+    if code.M == 0:
         raise ValueError("empty base code")
-    r_cov = math.sqrt(n * code.N)
-    h, half = r_cov * (1.0 + 1e-6), c.period / 2.0
-    offsets = _tile_offsets(c.period, half + code.K, h, (0.0,) * n, False)
-    if len(offsets) * M > WINDOW_BUDGET:
-        raise BudgetError(f"{len(offsets)} neighbor tiles * {M} points exceed the window budget")
-    _, pts = _translates(code.points, offsets, c.period, half, h)
+    r_cov, half = math.sqrt(n * code.N), c.period / 2.0
+    _, pts = _near_points(c, r_cov * (1.0 + 1e-6), half)
     tree = functools.cache(lambda: cKDTree(pts))
     index = _cell_index(pts, r_cov, half)
     covered = 0

@@ -342,13 +342,14 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     (q F) is at most 1e-3, or when a step lowers F by no more than 1e-18 F
     (round-off).  The last stage, q = p, stops once the relative gradient is
     at most ``tol``, a test independent of the scale of the list, or at the
-    round-off stop, then counting as converged only if the relative
-    gradient is at most 1e-6.  When RAD_P_STEPS steps run out first, a
-    ConvergenceWarning is raised and the smaller of the value at the last
-    iterate and at chebyshev_radius's centre is returned, so an unconverged
-    value too stays at most the squared Chebyshev radius.  The result is
-    m * mean((r_i^2/m)^p)^(1/p).  p = 1 gives avg_sq_radius up to
-    round-off; the value is nondecreasing in p, at most the squared
+    round-off stop, which counts as converged when the Newton decrement
+    -grad F . direction, about 2(F - min F), is at most 2*tol*p*F: F^(1/p)
+    is then within a relative tol of its minimum.  When RAD_P_STEPS steps
+    run out first, a ConvergenceWarning is raised and the smaller of the
+    value at the last iterate and at chebyshev_radius's centre is returned,
+    so an unconverged value too stays at most the squared Chebyshev radius.
+    The result is m * mean((r_i^2/m)^p)^(1/p).  p = 1 gives avg_sq_radius
+    up to round-off; the value is nondecreasing in p, at most the squared
     Chebyshev radius, and approaches it as p grows.
     """
     if not 1 <= p < math.inf:
@@ -373,7 +374,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     # every p <= 4 is one stage from the centroid
     q = min(p, 4.0)
     converged = False
-    rel_grad = math.inf
+    rel_grad, slope = math.inf, -math.inf
     # (r2/m)^q at a trial point of the line search may overflow to inf, which
     # the Armijo test rejects
     with np.errstate(over="ignore"):
@@ -403,8 +404,9 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
                     diff, r2 = diff_new, r2_new
             if stage_done:
                 if q == p:
-                    # a round-off stop counts only at relative gradient 1e-6
-                    converged = rel_grad <= max(tol, 1e-6)
+                    # the gradient's round-off floor grows with p, so a
+                    # round-off stop is judged by the Newton decrement
+                    converged = rel_grad <= tol or -slope <= 2.0 * tol * q * obj
                     break
                 q = min(p, 4.0 * q)
     if not converged:

@@ -620,11 +620,13 @@ class TestVerifyPacking:
         axes = [np.arange(math.floor((ci - w - r) / P) - 1, math.ceil((ci + w + r) / P) + 2) for ci in center]
         box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
         want = box[offset_reach(box, P, w, center) <= r * r]
-        got = construction._tile_offsets(P, w, r, tuple(center), False)
-        assert got.shape == want.shape and (got == want).all()
         first = want[np.arange(len(want)), (want != 0).argmax(axis=1)]
-        got = construction._tile_offsets(P, w, r, tuple(center), True)
-        assert got.shape == want[first > 0].shape and (got == want[first > 0]).all()
+        # the centre as a tuple and as an array
+        for c in (tuple(center), np.asarray(center, dtype=float)):
+            got = construction._tile_offsets(P, w, r, c, False)
+            assert got.shape == want.shape and (got == want).all()
+            got = construction._tile_offsets(P, w, r, c, True)
+            assert got.shape == want[first > 0].shape and (got == want[first > 0]).all()
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_offsets_within_are_the_filtered_box(self, n):
@@ -670,7 +672,6 @@ class TestVerifyPacking:
         rng = np.random.default_rng(0)
         code = FiniteCode(rng.uniform(-1, 1, size=(40, 13)), 13, 3, 0.01, 1.0, None)
         c = tile(code)
-        construction._tile_offsets.cache_clear()
         tracemalloc.start()
         try:
             verdict = verify_packing(c, 0.5)
@@ -684,10 +685,46 @@ class TestVerifyPacking:
         # every ring offset reaches r, 3^10/2 rows: the growth stops at the
         # last step, whose 3^9 + 1 prefixes times 3 values exceed the budget
         monkeypatch.setattr(construction, "WINDOW_BUDGET", 10**4)
-        construction._tile_offsets.cache_clear()
         with pytest.raises(BudgetError, match="29526 candidate tile offsets"):
             construction._tile_offsets(2.2, 2.1, 1.0, (0.0,) * 10, True)
-        construction._tile_offsets.cache_clear()
+
+    def test_window_over_the_budget_is_refused(self, monkeypatch):
+        # the tiles reaching the ball hold tiles * M points: at that budget
+        # the window is listed, one point below it is refused before any
+        # translate is formed, so the peak stays below a quarter of them
+        rng = np.random.default_rng(80)
+        cons = tile(FiniteCode(rng.uniform(-1, 1, size=(400, 3)), 3, 2, 0.005, 1.0, None))
+        centre, R = np.full(3, 0.3), 2.5 * cons.period
+        want = enumerate_window(cons, centre, R)
+        tiles = len(construction._tile_offsets(cons.period, cons.base.K, R, centre, False))
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 400)
+        assert np.array_equal(enumerate_window(cons, centre, R), want)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 400 - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles \* 400 points"):
+                enumerate_window(cons, centre, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tiles * 400 * 3 * 8 / 4
+
+    def test_listing_over_the_budget_is_refused(self, monkeypatch):
+        # at a narrow gap the listing reaches many tiles; the verifier
+        # refuses them once they hold more than WINDOW_BUDGET points
+        rng = np.random.default_rng(81)
+        code = FiniteCode(rng.uniform(-1, 1, size=(30, 3)), 3, 3, 0.05, 1.0, None)
+        cons = Constellation(code, 0.05)
+        r = math.sqrt(2 * 3 * 3 * 0.05) * (1 + 1e-6)
+        tiles = len(construction._tile_offsets(cons.period, 2 * code.K, r, np.zeros(3), True))
+        want = verify_packing(cons, 0.5)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 30)
+        got = verify_packing(cons, 0.5)
+        assert (got.passed, got.min_avg_radius_sq, got.violation_base_indices) == (
+            want.passed, want.min_avg_radius_sq, want.violation_base_indices)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 30 - 1)
+        with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles \* 30 points"):
+            verify_packing(cons, 0.5)
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):
