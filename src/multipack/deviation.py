@@ -157,12 +157,15 @@ def laplace_check(L: int, K: float, lam: float, quad_order: int = 64) -> Laplace
     )
 
 
+@lru_cache(maxsize=1)
 def _shoulder_derivatives(L: int, c: float, order: int) -> tuple[float, float, float, float]:
     """The integral of G(mu)^L by composite Gauss-Legendre at ``order`` and
     at ``2 * order`` nodes per panel, (j1, j2), and, on the 2*order nodes,
     J'(c) and J''(c) of J = j2, from one erf pass and one exp pair.  This is
     the only sum over the panels: mgf_log, laplace_check and rate_function
-    all take their integrals from it.
+    all take their integrals from it.  It keeps its last result, which
+    laplace_check at rate_function's lambda_opt asks for again: the search
+    has just integrated at that c.
 
     With a = 1 - mu, b = 1 + mu and E(x) = x exp(-c x^2),
         dG/dc   = (E(a) + E(b)) / (2 sqrt(pi c)),
@@ -319,7 +322,12 @@ def _tail_chunk(L, n, K, threshold, seed, chunk, count):
             x *= 2.0 * K
             x -= K
             q[r0:r1] += np.einsum("ilj,ilj->i", x, x)
-            s = x.sum(axis=1)
+            # each list's coordinate sums, added point by point: the order of
+            # x.sum(axis=1), which is slow on short blocks, save that it adds
+            # a one-coordinate block of L >= 8 points pairwise
+            s = x[:, 0] + x[:, 1]
+            for l in range(2, L):
+                s += x[:, l]
             s2[r0:r1] += np.einsum("ij,ij->i", s, s)
     stat = q - s2 / L
     return int((stat <= threshold).sum())

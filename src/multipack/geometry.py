@@ -186,14 +186,20 @@ def spectral_pair(L: int) -> SpectralPair:
     return SpectralPair(A=A, U=U, D=D)
 
 
-def _circumcentre_weights(P: np.ndarray) -> np.ndarray:
-    """Affine weights (summing to 1) over the rows of P of the point in their
-    affine hull that is equidistant from all of them.  The rows must be
-    affinely independent."""
-    if len(P) == 1:
-        return np.ones(1)
+def _support_factor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B = (P[1:] - P[0]).T, the edges of the support P from its first row,
+    and the triangular factor R of the QR decomposition of B: one
+    factorization serves both the hull test and the circumcentre of P."""
     B = (P[1:] - P[0]).T
-    R = np.linalg.qr(B, mode="r")
+    return B, np.linalg.qr(B, mode="r")
+
+
+def _circumcentre_weights(B: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Affine weights (summing to 1) over the rows of the support P whose
+    _support_factor is (B, R), of the point in their affine hull that is
+    equidistant from all of them.  The rows must be affinely independent."""
+    if B.shape[1] == 0:
+        return np.ones(1)
     # c = P[0] + B beta with 2 b_j.(c - P[0]) = |b_j|^2 for every column b_j
     # of B: (R^T R) beta = |b|^2 / 2, through the triangular factor so the
     # conditioning is that of B, not of its Gram matrix
@@ -201,18 +207,17 @@ def _circumcentre_weights(P: np.ndarray) -> np.ndarray:
     return np.concatenate(([1.0 - beta.sum()], beta))
 
 
-def _hull_dependence(P: np.ndarray) -> np.ndarray | None:
-    """When the last row of P lies in the affine hull of the others (which
-    must be affinely independent), the vector v with v[-1] = 1, sum(v) = 0 and
+def _hull_dependence(B: np.ndarray, R: np.ndarray) -> np.ndarray | None:
+    """When the last row of the support P whose _support_factor is (B, R)
+    lies in the affine hull of the others (which must be affinely
+    independent), the vector v with v[-1] = 1, sum(v) = 0 and
     sum_i v_i P_i = 0; otherwise None.
 
     The last row counts as in the hull when its distance from it is at most
     1e-10 of its distance from P[0], or when the other rows already span
     every axis.
     """
-    B = (P[1:] - P[0]).T
     k = B.shape[1] - 1
-    R = np.linalg.qr(B, mode="r")
     if k < B.shape[0] and abs(R[k, k]) > 1e-10 * math.sqrt(float(B[:, k] @ B[:, k])):
         return None
     gamma = np.linalg.solve(R[:k, :k], R[:k, k])
@@ -285,16 +290,19 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
             break
         seen.add(frozenset(S))
         S.append(s)
-        v = _hull_dependence(X[S])
+        # each support is factored once; only a face step changes it
+        factor = _support_factor(X[S])
+        v = _hull_dependence(*factor)
         if v is not None:
             # f rises by (d_s - lower) per unit moved along v, y stays put
             S = _step_to_face(z, S, v, math.inf)
-        w = _circumcentre_weights(X[S])
+            factor = _support_factor(X[S])
+        w = _circumcentre_weights(*factor)
         while (w <= 0).any():
             # f is concave and w maximizes it over the affine hull of S, so f
             # rises along the segment from z to w
             S = _step_to_face(z, S, w - z[S], 1.0)
-            w = _circumcentre_weights(X[S])
+            w = _circumcentre_weights(*_support_factor(X[S]))
         z[S] = w
     if not converged:
         warnings.warn(
@@ -344,7 +352,10 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     at most ``tol``, a test independent of the scale of the list, or at the
     round-off stop, which counts as converged when the Newton decrement
     -grad F . direction, about 2(F - min F), is at most 2*tol*p*F: F^(1/p)
-    is then within a relative tol of its minimum.  When RAD_P_STEPS steps
+    is then within a relative tol of its minimum.  At p > 4 the last stage
+    also ends at that decrement: (r_i^2/m)^p amplifies the rounding of
+    r_i^2/m about p-fold, so steps can keep "lowering" F by far more than
+    1e-18 F while circling the minimum.  When RAD_P_STEPS steps
     run out first, a ConvergenceWarning is raised and the smaller of the
     value at the last iterate and at chebyshev_radius's centre is returned,
     so an unconverged value too stays at most the squared Chebyshev radius.
@@ -397,8 +408,11 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
                     if obj_new <= obj + 1e-4 * t * slope or t < 1e-300:
                         break
                     t *= 0.5
-                # progress below round-off ends the stage too
-                stage_done = obj - obj_new <= 1e-18 * obj
+                # progress below round-off ends the stage too, and at p > 4
+                # so does a last-stage Newton decrement within tol
+                stage_done = obj - obj_new <= 1e-18 * obj or (
+                    q == p and p > 4.0 and -slope <= 2.0 * tol * q * obj
+                )
                 if obj_new < obj:
                     y = y + t * direction
                     diff, r2 = diff_new, r2_new

@@ -105,6 +105,13 @@ class TestMgfLog:
         with pytest.warns(ConvergenceWarning):
             mgf_log(2, 1.0, 5e6, quad_order=16)
 
+    def test_refinement_warning_repeats(self):
+        # the quadrature keeps its last result, but the two-rule check sits
+        # above that memo, so a repeated call warns again
+        first = with_warnings(mgf_log, 2, 1.0, 5e6, 16)
+        assert first[1] == [ConvergenceWarning]
+        assert with_warnings(mgf_log, 2, 1.0, 5e6, 16) == first
+
     @pytest.mark.parametrize("order", [16, 64, 96])
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_per_panel_oracle(self, L, order):
@@ -163,6 +170,27 @@ class TestLaplace:
     def test_rejects_non_finite_arguments(self, K, lam, match):
         with pytest.raises(ValueError, match=match):
             laplace_check(3, K, lam)
+
+    @pytest.mark.parametrize("order", [64, 96])
+    def test_at_the_rate_optimum_reuses_the_last_quadrature(self, order, monkeypatch):
+        # rate_function's last Newton step integrates at c = K^2 lambda_opt,
+        # so laplace_check there computes no nodes, and gives the ratio a
+        # fresh quadrature gives
+        nodes, calls = deviation._shoulder_nodes, []
+
+        def counting(*args):
+            calls.append(args)
+            return nodes(*args)
+
+        monkeypatch.setattr(deviation, "_shoulder_nodes", counting)
+        for L, K, N in RATE_GRID[::5]:
+            lam = rate_function(L, K, N, order).lambda_opt
+            calls.clear()
+            check = laplace_check(L, K, lam, order)
+            assert calls == []
+            _shoulder_derivatives.cache_clear()
+            assert laplace_check(L, K, lam, order) == check
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("L", [6, 7, 8])
     def test_large_lists_at_large_scale(self, L):
@@ -360,10 +388,14 @@ class TestMcTail:
         with pytest.raises(ValueError, match="samples"):
             mc_tail(L=2, n=4, K=1.0, N=0.04, samples=samples, seed=0)
 
-    @pytest.mark.parametrize("L, n", [(2, 1), (3, 16), (2, 300), (5, 129)])
+    @pytest.mark.parametrize(
+        "L, n", [(L, n) for L in (2, 3, 4, 5) for n in (1, 8, 129)] + [(3, 16), (2, 300)]
+    )
     def test_hits_match_two_sum_oracle(self, L, n):
         # N at the mean of the form puts p near 1/2, so every sample counts;
-        # n = 300 spans three coordinate blocks, 9000 samples three chunks
+        # n = 300 spans three coordinate blocks, 9000 samples three chunks;
+        # the sampler adds each list's points one by one, the oracle takes
+        # numpy's sum over the list axis
         N = cube_form_mean(L, 1.0) / L
         est = mc_tail(L=L, n=n, K=1.0, N=N, samples=9000, seed=3, workers=2)
         assert 0 < est.hits < est.samples

@@ -318,6 +318,22 @@ class TestChebyshev:
             assert d.max() <= res.upper * (1 + 1e-12)
             assert res.lower <= r * (1 + 1e-12) and r <= res.upper
 
+    def test_one_factorization_per_support(self, monkeypatch):
+        # the hull test and the circumcentre of a new support share one QR;
+        # only a face step, which changes the support, factors again
+        qr, factored = np.linalg.qr, []
+
+        def recording(B, mode):
+            factored[-1].append((B.shape, B.tobytes()))
+            return qr(B, mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        for pl in oracle_lists(9, 140):
+            factored.append([])
+            chebyshev_radius(pl)
+            assert len(set(factored[-1])) == len(factored[-1])
+        assert sum(map(len, factored)) >= 140
+
     def test_round_off_stop_keeps_the_solution(self):
         # a tol below round-off cannot be met; the solver stops once the
         # farthest point is already in the support, where the default tol
@@ -521,6 +537,21 @@ class TestRadP:
             high = [rad_p(pl, 1e8) for pl in lists]
         for pl, a, b in zip(lists, low, high):
             assert a * (1 - 1e-12) <= b <= chebyshev_radius(pl).upper * (1 + 1e-12)
+
+    def test_bench_list_at_large_p(self):
+        # the analysis benchmark's radius list 88 of seed 424242 (L = 3,
+        # n = 6): at p = 1e8, (r2/m)^q amplifies the rounding of r2/m about
+        # q-fold, so every step "lowers" F by ~1e-9 relative and the
+        # round-off stop never fires; the Newton decrement ends the stage
+        shapes = [(L, n) for L in range(3, 9) for n in range(2, 9)]
+        rng = np.random.default_rng(424242)
+        for k in range(89):
+            X = rng.standard_normal(shapes[k % len(shapes)])
+        pl = PointList(X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConvergenceWarning)
+            low, high = rad_p(pl, 1e4), rad_p(pl, 1e8)
+        assert low <= high <= chebyshev_radius(pl).upper * (1 + 1e-12)
 
     def test_newton_systems_are_positive_definite(self, monkeypatch):
         # the docstring's bound sum(w) I <= (Lm/(2q)) H <= (2q - 1) sum(w) I:
