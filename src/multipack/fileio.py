@@ -3,9 +3,11 @@
 A point-list file starts with ``# n=<n>`` and carries one point per row as
 comma-separated decimals.  Code files add ``# L= # N= # K= # seed=
 # expurgated=`` header lines; constellation files additionally carry
-``# period=`` and ``# gap=``.  Floats are written with repr so files
-round-trip exactly and identical runs produce identical bytes; a code
-without points is a header-only file.
+``# period=`` and ``# gap=``.  Each coordinate is written with repr's
+digits and notation: the shortest decimal that reads back to the same
+double, in fixed notation for 1e-4 <= |x| < 1e16 and for zero, in
+exponent notation otherwise.  So files round-trip exactly and identical
+runs produce identical bytes; a code without points is a header-only file.
 """
 
 from __future__ import annotations
@@ -101,17 +103,43 @@ def _constellation(path, headers, rows) -> Constellation:
     return c
 
 
+# Rows formatted by one orjson call and written at once: large enough that
+# the per-call overhead vanishes, small enough that a frontier-size code's
+# text is never held whole.  A 365,651 x 7 code wrote in 0.51-0.61 s at 256
+# to 4096 rows with no rise in peak RSS, against 1.2 s and +199 MB as one
+# block (2-vCPU Xeon).
+BLOCK_ROWS = 4096
+
+
 def _write(path, headers: dict, points) -> None:
     """A '# key=value' line for each header that is not None, then one
-    point per row, in one write.  The rows are formatted a column at a time
-    and zipped back together; an empty code leaves only the headers.  A
-    memoryview yields a column's floats one at a time, so the rows' text is
-    never held beside a float object for every coordinate."""
-    cols = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-    body = "\n".join(map(",".join, zip(*[map(repr, memoryview(col)) for col in cols])))
-    head = "".join(f"# {key}={value}\n" for key, value in headers.items() if value is not None)
+    point per row, each coordinate in repr's digits and notation; an empty
+    code leaves only the headers.
+
+    The rows are formatted BLOCK_ROWS at a time by orjson, whose printer
+    gives repr's shortest round-trip digits, and each block is written as
+    soon as it is formatted.  orjson's notation matches repr's for zero and
+    for 1e-4 <= |x| < 1e16; outside that range it prints ``0.00001234`` and
+    ``1e16`` where repr prints ``1.234e-05`` and ``1e+16``, so a row holding
+    such a coordinate is formatted again with repr."""
+    import orjson
+
+    pts = np.ascontiguousarray(points, dtype=float)
     with open(path, "w") as fh:
-        fh.write(head + body + "\n" if body else head)
+        fh.write("".join(f"# {key}={value}\n" for key, value in headers.items() if value is not None))
+        for start in range(0, len(pts), BLOCK_ROWS):
+            block = pts[start : start + BLOCK_ROWS]
+            # "[[a,b],[c,d]]" -> "a,b\nc,d"
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().replace("],[", "\n")
+            mag = np.abs(block)
+            same = (block == 0) | (mag >= 1e-4) & (mag < 1e16)
+            odd = np.flatnonzero(~same.all(axis=1))
+            if odd.size:
+                lines = text.split("\n")
+                for i in odd.tolist():
+                    lines[i] = ",".join(map(repr, block[i].tolist()))
+                text = "\n".join(lines)
+            fh.write(text + "\n")
 
 
 def _code_headers(code: FiniteCode) -> dict:

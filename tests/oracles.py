@@ -5,8 +5,8 @@ rate search, the first-order radius solvers (away-step conditional gradient
 for the enclosing ball, gradient descent for rad_p), the depth-band search
 over a whole window, the straightforward forms of the analysis kernels, the
 Clopper-Pearson interval through scipy.stats' beta quantile, a new
-Philox generator for every chunk of a keyed stream, and the row-by-row
-point-file formatter.
+Philox generator for every chunk of a keyed stream, and the point-file
+writer with one repr per coordinate.
 
 The exhaustive ones scan every L-subset, every window pair, every tile of
 the window's bounding box, every base pair against every neighbour
@@ -56,11 +56,14 @@ def philox_chunk_rng(seed, chunk):
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
 
-def format_rows(points) -> str:
-    """The rows of a point file formatted one row at a time: the shortest
-    round-trip repr of each coordinate, comma-separated, one newline-ended
-    line per point in order, the bytes fileio's writers must reproduce."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in np.asarray(points, dtype=float).tolist())
+def repr_text(headers, points) -> str:
+    """A point file's text with one repr per coordinate: a '# key=value'
+    line for each header that is not None, then each row's coordinates in
+    their shortest round-trip repr, comma-separated, one newline-ended line
+    per point in order; the bytes fileio's writers must reproduce."""
+    head = "".join(f"# {key}={value}\n" for key, value in headers.items() if value is not None)
+    rows = np.asarray(points, dtype=float).tolist()
+    return head + "".join(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _combo_batches(M, L):

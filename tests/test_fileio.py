@@ -5,7 +5,7 @@ import pytest
 
 from multipack import Constellation, FiniteCode, ParseError, PointList, tile
 from multipack import expurgate, fileio, find_bad_lists, sample_code
-from oracles import format_rows
+from oracles import repr_text
 
 # the (n, L) shapes of the construct and verify benchmark mixes
 BENCH_SHAPES = [(4, 2), (5, 2), (6, 2), (2, 4), (3, 3), (4, 3)]
@@ -147,23 +147,43 @@ class TestConstellation:
 
 
 def code_headers(code):
-    seed = "" if code.seed is None else f"# seed={code.seed}\n"
-    return f"# n={code.n}\n# L={code.L}\n# N={code.N!r}\n# K={code.K!r}\n{seed}# expurgated={code.expurgated_count}\n"
+    return {"n": code.n, "L": code.L, "N": repr(code.N), "K": repr(code.K), "seed": code.seed,
+            "expurgated": code.expurgated_count}
 
 
 def assert_writers_match_oracle(tmp_path, code):
-    """write_code, write_constellation and write_points each give their
-    headers followed by format_rows of the points."""
+    """write_code, write_constellation and, given two rows or more,
+    write_points each give the bytes of repr_text on their headers and the
+    points."""
     cons = tile(code)
     cases = [
         (fileio.write_code, code, code_headers(code)),
-        (fileio.write_constellation, cons, code_headers(code) + f"# period={cons.period!r}\n# gap={cons.gap!r}\n"),
-        (fileio.write_points, PointList(code.points), f"# n={code.n}\n"),
+        (fileio.write_constellation, cons, {**code_headers(code), "period": repr(cons.period), "gap": repr(cons.gap)}),
     ]
+    if code.M >= 2:
+        cases.append((fileio.write_points, PointList(code.points), {"n": code.n}))
     for write, obj, headers in cases:
         p = tmp_path / f"{write.__name__}.csv"
         write(p, obj)
-        assert p.read_bytes() == (headers + format_rows(code.points)).encode()
+        assert p.read_bytes() == repr_text(headers, code.points).encode()
+
+
+def code_of(points):
+    """A code holding ``points`` as they are, with K their largest magnitude."""
+    points = np.asarray(points, dtype=float)
+    K = float(np.abs(points).max(initial=0.0)) or 1.0
+    return FiniteCode(points=points, n=points.shape[1], L=2, N=0.01, K=K, seed=5)
+
+
+def ulps_around(x, k=3):
+    """x and its k neighbouring doubles on each side, with both signs."""
+    near = [x]
+    for toward in (0.0, np.inf):
+        y = x
+        for _ in range(k):
+            y = np.nextafter(y, toward)
+            near.append(y)
+    return np.array(near + [-v for v in near])
 
 
 class TestWriterOracle:
@@ -175,10 +195,42 @@ class TestWriterOracle:
         code = sample_code(*shape, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
         assert_writers_match_oracle(tmp_path, expurgate(code, find_bad_lists(code)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_uniform_codes(self, tmp_path, n):
+        assert_writers_match_oracle(tmp_path, sample_code(n, 2, N=0.005, K=1.0, rate_margin=-0.1, seed=n, M=1500))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_random_bit_patterns(self, tmp_path, n):
+        # sign and mantissa bits at random, eight draws at each of the 2047
+        # finite exponents (exponent 0 holds the subnormals), and both zeros
+        rng = np.random.default_rng(40 + n)
+        exponent = np.repeat(np.arange(2047, dtype=np.uint64), 8)
+        mantissa = rng.integers(0, 2**52, size=exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, size=exponent.size, dtype=np.uint64)
+        values = ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa).view(np.float64)
+        values = rng.permutation(np.concatenate([values, [0.0, -0.0]]))
+        assert np.isfinite(values).all()
+        assert_writers_match_oracle(tmp_path, code_of(values[: values.size // n * n].reshape(-1, n)))
+
+    @pytest.mark.parametrize("edge", [1e-4, 9.999999999999999e-05, 1e15, 1e16])
+    def test_notation_edges(self, tmp_path, edge):
+        # where repr's notation switches, and the doubles beside it: alone
+        # on a row, and in rows with an ordinary coordinate
+        values = ulps_around(edge)
+        assert_writers_match_oracle(tmp_path, code_of(values[:, None]))
+        assert_writers_match_oracle(tmp_path, code_of(np.column_stack([values, np.full(values.size, 0.5)])))
+
+    @pytest.mark.parametrize("rows", [0, 1, fileio.BLOCK_ROWS, fileio.BLOCK_ROWS + 1])
+    def test_block_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        points = rng.uniform(-1, 1, size=(rows, 3))
+        points[1::97, 1] = 3e-5  # repr rows among orjson rows
+        assert_writers_match_oracle(tmp_path, code_of(points))
+
     def test_exact_values(self, tmp_path):
         code = FiniteCode(points=EXACT_VALUES, n=3, L=2, N=0.01, K=1e16, seed=5)
         assert_writers_match_oracle(tmp_path, code)
-        assert format_rows(EXACT_VALUES) == "-0.0,5e-324,0.1\n1e+16,-1e-300,1.0\n"
+        assert repr_text({"n": 3}, EXACT_VALUES) == "# n=3\n-0.0,5e-324,0.1\n1e+16,-1e-300,1.0\n"
 
 
 class TestDegenerate:
