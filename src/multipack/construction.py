@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
 from .errors import BudgetError
-from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, chunk_rngs
+from .rng import _clopper_pearson, check_count, check_positive, check_seed, chunk_rngs, chunk_sum
 
 SUBSET_BUDGET = 10**8  # candidate lists
 WINDOW_BUDGET = 10**7  # points or tiles held at once
@@ -137,8 +137,8 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     exp(n * rate_margin).
 
     M defaults to round(lambda_n * e^(n*margin) * (2K)^n); pass M explicitly
-    to override.  Refuses parameter sets whose M would exceed WINDOW_BUDGET
-    points.
+    to override.  Refuses an M, computed or explicit, above WINDOW_BUDGET
+    points before anything is drawn.
     """
     n, L = check_count("n", n, 1), check_count("L", L, 2)
     N, K = check_positive("N", N), check_positive("K", K)
@@ -155,14 +155,14 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
             raise ValueError(
                 f"computed code size rounds to {M}; relax rate_margin or parameters"
             )
-        if M > WINDOW_BUDGET:
-            raise BudgetError(
-                f"M = {M} points (C(M, L) = C({M}, {L}) lists) exceeds the "
-                f"{WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M"
-            )
     else:
         M = check_count("M", M, 1)
-    pts = chunk_rng(seed, 0).uniform(-K, K, size=(M, n))
+    if M > WINDOW_BUDGET:
+        raise BudgetError(
+            f"M = {M} points (C(M, L) = C({M}, {L}) lists) exceeds the "
+            f"{WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M"
+        )
+    pts = next(chunk_rngs(seed, (0,))).uniform(-K, K, size=(M, n))
     return FiniteCode(points=pts, n=n, L=L, N=N, K=K, seed=seed)
 
 
@@ -494,22 +494,19 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     )
 
 
-def _cell_samples(n, period, R, mc_samples, seed):
-    """Uniform samples of the ball of radius R, one chunk at a time, folded
+def _cell_samples(rng, m, n, period, R):
+    """m uniform samples of the ball of radius R, drawn from ``rng``, folded
     into the cell [-period/2, period/2]^n."""
-    chunks = range((mc_samples + CHUNK - 1) // CHUNK)
-    for chunk, rng in zip(chunks, chunk_rngs(seed, chunks)):
-        m = min(CHUNK, mc_samples - chunk * CHUNK)
-        y = rng.standard_normal(size=(m, n))
-        u = rng.random(size=m)
-        norms = np.sqrt(np.einsum("ij,ij->i", y, y))
-        np.maximum(norms, 1e-300, out=norms)
-        y *= (R * u ** (1.0 / n) / norms)[:, None]
-        t = y / period
-        np.round(t, out=t)
-        t *= period
-        y -= t
-        yield y
+    y = rng.standard_normal(size=(m, n))
+    u = rng.random(size=m)
+    norms = np.sqrt(np.einsum("ij,ij->i", y, y))
+    np.maximum(norms, 1e-300, out=norms)
+    y *= (R * u ** (1.0 / n) / norms)[:, None]
+    t = y / period
+    np.round(t, out=t)
+    t *= period
+    y -= t
+    return y
 
 
 def _registrations(pts, corner, h, strides):
@@ -652,7 +649,9 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     threshold density, a single axis too long for the budget, or a
     candidate table wider than it).  The tree's squared distance differs
     from the index's only in summation order, about n*eps relative, so the
-    count equals that of querying the tree for every sample.
+    count equals that of querying the tree for every sample.  rng.chunk_sum
+    splits the chunks over MULTIPACK_THREADS workers, with the same count;
+    with no index the tree is built once, before they start.
     """
     from scipy.spatial import cKDTree
 
@@ -667,9 +666,12 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     _, pts = _near_points(c, r_cov * (1.0 + 1e-6), half)
     tree = functools.cache(lambda: cKDTree(pts))
     index = _cell_index(pts, r_cov, half)
-    covered = 0
-    for y in _cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
-        covered += int(_covered(y, tree, index, r_cov).sum())
+    if index is None:
+        tree()
+    R = math.sqrt(n * P)
+    covered = chunk_sum(
+        seed, mc_samples, lambda rng, m: int(_covered(_cell_samples(rng, m, n, c.period, R), tree, index, r_cov).sum())
+    )
 
     lo, hi = _clopper_pearson(covered, mc_samples)
     return DensityReport(

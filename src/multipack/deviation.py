@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceWarning
-from .rng import CHUNK, _clopper_pearson, check_count, check_positive, check_seed, chunk_rng, resolve_workers
+from .rng import _clopper_pearson, check_count, check_positive, check_seed, chunk_sum
 
 # coordinates are generated in blocks of this many dimensions per chunk;
 # fixed constant, part of the (seed, index) -> draw mapping
@@ -302,11 +302,11 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     )
 
 
-def _tail_chunk(L, n, K, threshold, seed, chunk, count):
-    """Hits in one chunk.  Each coordinate block is filled sample-major, in
-    slices of at most SLICE floats (or one sample's block, if longer), so the
-    stream is consumed in the same order as one fill of the whole block."""
-    rng = chunk_rng(seed, chunk)
+def _tail_chunk(L, n, K, threshold, rng, count):
+    """Hits in one chunk of ``count`` lists drawn from ``rng``.  Each
+    coordinate block is filled sample-major, in slices of at most SLICE
+    floats (or one sample's block, if longer), so the stream is consumed in
+    the same order as one fill of the whole block."""
     q = np.zeros(count)
     s2 = np.zeros(count)
     rows = max(1, SLICE // (L * min(n, NBLOCK)))
@@ -341,31 +341,16 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     quadratic form coordinate-block by coordinate-block so full lists are
     never materialized for large n.  Each block of NBLOCK coordinates is
     drawn in slices of at most SLICE = 2^15 floats (256 KB), so a worker
-    holds one slice, not a chunk's whole block.  Sampling is chunked over
-    counter-based streams, making the hit count a pure function of
-    (seed, sample index) and bit-identical for every worker count and slice
-    size.
+    holds one slice, not a chunk's whole block.  The lists are drawn chunk by
+    chunk through rng.chunk_sum, with ``workers`` as resolve_workers reads
+    it, so the hit count is a pure function of (seed, sample index) and
+    bit-identical for every worker count and slice size.
     """
     L, n = check_count("L", L, 2), check_count("n", n, 1)
     K, N = check_positive("K", K), check_positive("N", N)
     samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
-    threshold = L * n * N
-    nchunks = (samples + CHUNK - 1) // CHUNK
-
-    def run(chunk):
-        count = min(CHUNK, samples - chunk * CHUNK)
-        return _tail_chunk(L, n, K, threshold, seed, chunk, count)
-
-    w = resolve_workers(workers)
-    if w == 1 or nchunks == 1:
-        hits = sum(run(c) for c in range(nchunks))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            hits = sum(pool.map(run, range(nchunks)))
-
+    hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, L * n * N, rng, m), workers)
     p_hat = hits / samples
     ci_low, ci_high = _clopper_pearson(hits, samples)
     # with no hits the exponent is the lower bound the interval's ceiling gives

@@ -3,13 +3,13 @@ binomial interval that the Monte Carlo estimators report, and the two
 argument checks every public routine uses: ``check_count`` for integers and
 ``check_positive`` for positive finite reals.
 
-Randomized routines consume uniform draws in fixed-size chunks, each chunk
-from a Philox generator keyed by (seed, chunk index) with its counter at 0.
-A sample's randomness is therefore a pure function of the seed and its
-global sample index, so hit counts and sampled codes are bit-identical no
-matter how chunks are distributed over workers.  ``chunk_rngs`` walks many
-chunks with one Philox, re-keyed in place for each; ``chunk_rng`` is its
-one-chunk form.
+Randomized routines draw in chunks of CHUNK samples, each from a Philox
+generator keyed by (seed, chunk index) with its counter at 0, as in the
+counter-based design of Salmon et al. (SC 2011): a sample's randomness is a
+pure function of the seed and its global index.  ``chunk_rngs`` walks chunks
+with one Philox, re-keyed in place for each.  ``chunk_sum``, the one walker
+of both Monte Carlo estimators, splits the chunks over workers; its counts
+are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -90,9 +90,27 @@ def chunk_rngs(seed, chunks) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def chunk_rng(seed, chunk: int) -> np.random.Generator:
-    """Generator for one chunk of a keyed stream."""
-    return next(chunk_rngs(seed, (chunk,)))
+def chunk_sum(seed, samples: int, count, workers=None) -> int:
+    """The sum of ``count(rng, m)`` over the chunks of ``samples`` samples,
+    chunk k holding m = min(CHUNK, samples - k*CHUNK) samples of the stream
+    keyed by (seed, k).  Each of resolve_workers(workers) workers, at most one
+    per chunk, walks a contiguous run with one chunk_rngs generator, on threads
+    when there are several; a sum of integers is the same for any split."""
+    nchunks = -(-samples // CHUNK)
+    w = min(resolve_workers(workers), nchunks)
+
+    def run(lo, hi):
+        chunks = range(lo, hi)
+        rngs = zip(chunks, chunk_rngs(seed, chunks))
+        return sum(count(rng, min(CHUNK, samples - k * CHUNK)) for k, rng in rngs)
+
+    if w == 1:
+        return run(0, nchunks)
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [nchunks * i // w for i in range(w + 1)]
+    with ThreadPoolExecutor(max_workers=w) as pool:
+        return sum(pool.map(run, edges[:-1], edges[1:]))
 
 
 def resolve_workers(workers=None) -> int:

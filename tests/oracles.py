@@ -56,6 +56,14 @@ def philox_chunk_rng(seed, chunk):
     return np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
 
 
+def cell_samples(n, period, R, mc_samples, seed):
+    """density_report's folded samples, chunk by chunk, each chunk drawn from
+    a new Philox keyed by (seed, chunk) rather than through rng.chunk_sum."""
+    for chunk in range((mc_samples + CHUNK - 1) // CHUNK):
+        m = min(CHUNK, mc_samples - chunk * CHUNK)
+        yield construction._cell_samples(philox_chunk_rng(seed, chunk), m, n, period, R)
+
+
 def repr_text(headers, points) -> str:
     """A point file's text with one repr per coordinate: a '# key=value'
     line for each header that is not None, then each row's coordinates in
@@ -292,7 +300,7 @@ def ring_covered(c, P, mc_samples, seed):
     ring = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) * c.period
     tree = cKDTree((ring[:, None, :] + code.points[None, :, :]).reshape(-1, n))
     r_cov = math.sqrt(n * code.N)
-    samples = construction._cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed)
+    samples = cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed)
     return sum(int((tree.query(y, k=1)[0] <= r_cov).sum()) for y in samples)
 
 
@@ -310,7 +318,7 @@ def tree_covered(c, P, mc_samples, seed):
     offsets = ring_offsets(n, nonzero) * c.period
     tree = cKDTree((offsets[:, None, :] + code.points[None, :, :]).reshape(-1, n))
     covered = 0
-    for y in construction._cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
+    for y in cell_samples(n, c.period, math.sqrt(n * P), mc_samples, seed):
         # samples with no point within the bound come back at distance inf
         dmin, _ = tree.query(y, k=1, distance_upper_bound=r_cov * (1.0 + 1e-6))
         covered += int((dmin <= r_cov).sum())

@@ -206,6 +206,16 @@ class TestTailRatefn:
         assert err.startswith("budget error: M = ")
         assert not out.exists()
 
+    def test_explicit_size_over_the_budget_exits_2(self, capsys, tmp_path):
+        # an explicit --M is refused like a computed one, before any point
+        # is drawn
+        out = tmp_path / "code.csv"
+        argv = ["construct", "--n", "3", "--L", "2", "--N", "0.005", "--K", "1", "--seed", "1"]
+        rc, _, err = run(argv + ["--M", "10000000000000", "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("budget error: M = 10000000000000 points")
+        assert not out.exists()
+
     def test_ratefn_beyond_five_points(self, capsys):
         # the 1-D quadrature serves every list size
         rc, text, err = run(["ratefn", "--L", "6", "--K", "1", "--N", "0.01"], capsys)

@@ -26,6 +26,7 @@ from multipack import (
 from multipack import construction
 from multipack.bounds import ExponentQuery
 from oracles import (
+    cell_samples,
     cross_tile_min_sq_band,
     cross_tile_min_sq_gram,
     cross_tile_min_sq_lattice,
@@ -216,6 +217,14 @@ class TestSampleCode:
     def test_positive_margin_rejected(self):
         with pytest.raises(ValueError):
             sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=0.1, seed=0)
+
+    def test_explicit_size_over_the_budget_is_refused(self, monkeypatch):
+        # an explicit M is held to the same point budget as a computed one,
+        # before anything is drawn
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", 100)
+        with pytest.raises(BudgetError, match=r"^M = 101 points \(C\(M, L\) = C\(101, 2\) lists\)"):
+            sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=101)
+        assert sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=100).M == 100
 
     def test_subset_budget_reports_computed_size(self):
         with pytest.raises(BudgetError, match=r"C\(\d+, 2\)"):
@@ -893,7 +902,7 @@ class TestDensityReport:
         code = FiniteCode(rng.uniform(-1, 1, size=(1000, 12)), 12, 2, 0.1, 1.0, None)
         cons = tile(code)
         rep = density_report(cons, 0.3, 2_000, seed=4)
-        samples = np.vstack(list(construction._cell_samples(12, cons.period, math.sqrt(12 * 0.3), 2_000, 4)))
+        samples = np.vstack(list(cell_samples(12, cons.period, math.sqrt(12 * 0.3), 2_000, 4)))
         d2 = ((samples[:, None, :] - code.points[None, :, :]) ** 2).sum(axis=2)
         assert rep.covered == int((d2.min(axis=1) <= 12 * 0.1).sum()) > 0
         with pytest.raises(BudgetError, match="neighbor tiles"):
@@ -1024,6 +1033,38 @@ class TestDensityReport:
         assert (rep.covered, repr(rep.delta_hat)) == (1794, "-0.9389165393418503") and built == []
         monkeypatch.setattr(construction, "WINDOW_BUDGET", c.base.M)
         assert density_report(c, 25.0, 30_000, seed=34).covered == 1794 and built == [c.base.M]
+
+    # Chunks split over MULTIPACK_THREADS workers give the counts of one
+    # worker: a (3,3) code on the cell index, with no sample in the tie band,
+    # and the (6,3) seed-0 demo code (M = 5511), which has no index and sends
+    # every sample to one tree, built before the workers start; 20_000
+    # samples are five chunks, in runs of 1, 2 and 2 on three workers.
+    @pytest.mark.parametrize("n, L, seed, indexed", [(3, 3, 1, True), (6, 3, 0, False)])
+    def test_covered_is_worker_invariant(self, n, L, seed, indexed, monkeypatch):
+        import scipy.spatial
+
+        code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+        c = tile(expurgate(code, find_bad_lists(code)))
+        r = math.sqrt(n * c.base.N)
+        _, pts = construction._near_points(c, r * (1.0 + 1e-6), c.period / 2)
+        assert (construction._cell_index(pts, r, c.period / 2) is not None) == indexed
+        want = tree_covered(c, 25.0, 20_000, seed)
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(len(args[0]))
+            return cKDTree(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", counting)
+        for threads in (None, "1", "2", "3"):
+            if threads is None:
+                monkeypatch.delenv("MULTIPACK_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("MULTIPACK_THREADS", threads)
+            built.clear()
+            rep = density_report(c, 25.0, 20_000, seed=seed)
+            assert (rep.covered, rep.delta_hat) == (want, math.log(want / 20_000) / n), threads
+            assert built == ([] if indexed else [len(pts)]), threads
 
     # Seeded outputs pinned at the commit before the cell index: covered and
     # repr(delta_hat) must repeat to the bit, through the fold and the index.

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,15 +19,15 @@ from multipack import (
     tile,
     verify_packing,
 )
-from multipack import construction
+from multipack import construction, rng
 from multipack.rng import (
     CHUNK,
     _clopper_pearson,
     check_count,
     check_positive,
     check_seed,
-    chunk_rng,
     chunk_rngs,
+    chunk_sum,
     resolve_workers,
 )
 from oracles import clopper_pearson_beta_ppf, philox_chunk_rng
@@ -41,11 +42,16 @@ def test_check_seed_range():
             check_seed(bad)
 
 
+def _one(seed, chunk):
+    """The generator of one chunk, as sample_code takes chunk 0."""
+    return next(chunk_rngs(seed, (chunk,)))
+
+
 def test_chunk_streams_are_stable_and_distinct():
-    a = chunk_rng(5, 0).random(4)
-    b = chunk_rng(5, 0).random(4)
-    c = chunk_rng(5, 1).random(4)
-    d = chunk_rng(6, 0).random(4)
+    a = _one(5, 0).random(4)
+    b = _one(5, 0).random(4)
+    c = _one(5, 1).random(4)
+    d = _one(6, 0).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -63,7 +69,7 @@ def test_rekeyed_chunks_equal_a_new_philox_per_chunk(seed):
     for chunk, rng in zip(chunks, chunk_rngs(seed, chunks), strict=True):
         got, want = _draws(rng), _draws(philox_chunk_rng(seed, chunk))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        assert all(np.array_equal(a, b) for a, b in zip(_draws(chunk_rng(seed, chunk)), want))
+        assert all(np.array_equal(a, b) for a, b in zip(_draws(_one(seed, chunk)), want))
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
@@ -71,11 +77,64 @@ def test_rekeyed_chunks_equal_a_new_philox_per_chunk(seed):
 @pytest.mark.parametrize("mc_samples", [1, 100, 2 * CHUNK + 5])
 def test_cell_samples_equal_a_new_philox_per_chunk(seed, n, mc_samples, monkeypatch):
     # one chunk shorter than CHUNK, and two whole chunks and a partial one
-    got = list(construction._cell_samples(n, 2.4, 3.0, mc_samples, seed))
-    monkeypatch.setattr(construction, "chunk_rngs", lambda s, chunks: (philox_chunk_rng(s, c) for c in chunks))
-    want = list(construction._cell_samples(n, 2.4, 3.0, mc_samples, seed))
+    def walk():
+        ys = []
+
+        def count(g, m):
+            ys.append(construction._cell_samples(g, m, n, 2.4, 3.0))
+            return m
+
+        assert chunk_sum(seed, mc_samples, count, workers=1) == mc_samples
+        return ys
+
+    got = walk()
+    monkeypatch.setattr(rng, "chunk_rngs", lambda s, chunks: (philox_chunk_rng(s, c) for c in chunks))
+    want = walk()
     assert [len(y) for y in got] == [len(y) for y in want] and sum(map(len, got)) == mc_samples
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def _digest(draws):
+    return int.from_bytes(hashlib.sha256(draws.tobytes()).digest()[:7], "little")
+
+
+@pytest.mark.parametrize("samples", [1, CHUNK - 1, CHUNK, CHUNK + 1, 13 * CHUNK + 5])
+@pytest.mark.parametrize("workers", [1, 2, 3, 7, 64])
+def test_chunk_sum_matches_per_chunk_oracle(samples, workers, monkeypatch):
+    # each chunk's draws are hashed, so a chunk walked with the wrong key or
+    # size, twice or not at all fails; 64 workers exceed every chunk count
+    monkeypatch.delenv("MULTIPACK_THREADS", raising=False)
+    seed = 2**64 - 3
+    want = {}
+    for k in range((samples + CHUNK - 1) // CHUNK):
+        m = min(CHUNK, samples - k * CHUNK)
+        want[_digest(philox_chunk_rng(seed, k).random(m))] = k
+    seen = []
+
+    def count(g, m):
+        d = _digest(g.random(m))
+        seen.append(d)
+        return d
+
+    assert chunk_sum(seed, samples, count, workers) == sum(want)
+    assert sorted(want[d] for d in seen) == list(range(len(want)))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_philox_per_worker(workers, monkeypatch):
+    # 13 chunks in runs of 4, 4 and 5 on three workers: each run re-keys one
+    # Philox in place rather than building one per chunk
+    monkeypatch.delenv("MULTIPACK_THREADS", raising=False)
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    mc_tail(2, 4, 1.0, 0.04, 13 * CHUNK, 0, workers=workers)
+    assert len(built) == workers
 
 
 def test_chunk_size_constant():
