@@ -650,8 +650,9 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     candidate table wider than it).  The tree's squared distance differs
     from the index's only in summation order, about n*eps relative, so the
     count equals that of querying the tree for every sample.  rng.chunk_sum
-    splits the chunks over MULTIPACK_THREADS workers, with the same count;
-    with no index the tree is built once, before they start.
+    splits the chunks over the workers MULTIPACK_THREADS sets (one when it
+    is unset, all cores at 0), with the same count; with no index the tree
+    is built once, before they start.
     """
     from scipy.spatial import cKDTree
 

@@ -333,7 +333,7 @@ def _tail_chunk(L, n, K, threshold, rng, count):
     return int((stat <= threshold).sum())
 
 
-def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None) -> TailEstimate:
+def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstimate:
     """Monte Carlo estimate of P(average squared radius <= n*N).
 
     Draws ``samples`` independent L-lists with coordinates uniform on
@@ -342,15 +342,15 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed, workers=None
     never materialized for large n.  Each block of NBLOCK coordinates is
     drawn in slices of at most SLICE = 2^15 floats (256 KB), so a worker
     holds one slice, not a chunk's whole block.  The lists are drawn chunk by
-    chunk through rng.chunk_sum, with ``workers`` as resolve_workers reads
-    it, so the hit count is a pure function of (seed, sample index) and
+    chunk through rng.chunk_sum, on the workers MULTIPACK_THREADS sets, so
+    the hit count is a pure function of (seed, sample index) and
     bit-identical for every worker count and slice size.
     """
     L, n = check_count("L", L, 2), check_count("n", n, 1)
     K, N = check_positive("K", K), check_positive("N", N)
     samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
-    hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, L * n * N, rng, m), workers)
+    hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, L * n * N, rng, m))
     p_hat = hits / samples
     ci_low, ci_high = _clopper_pearson(hits, samples)
     # with no hits the exponent is the lower bound the interval's ceiling gives

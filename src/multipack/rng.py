@@ -8,8 +8,9 @@ generator keyed by (seed, chunk index) with its counter at 0, as in the
 counter-based design of Salmon et al. (SC 2011): a sample's randomness is a
 pure function of the seed and its global index.  ``chunk_rngs`` walks chunks
 with one Philox, re-keyed in place for each.  ``chunk_sum``, the one walker
-of both Monte Carlo estimators, splits the chunks over workers; its counts
-are bit-identical for every worker count.
+of both Monte Carlo estimators, splits the chunks over the workers that
+MULTIPACK_THREADS sets (``resolve_workers``, the package's one worker
+control); its counts are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -90,14 +91,14 @@ def chunk_rngs(seed, chunks) -> Iterator[np.random.Generator]:
         yield rng
 
 
-def chunk_sum(seed, samples: int, count, workers=None) -> int:
+def chunk_sum(seed, samples: int, count) -> int:
     """The sum of ``count(rng, m)`` over the chunks of ``samples`` samples,
     chunk k holding m = min(CHUNK, samples - k*CHUNK) samples of the stream
-    keyed by (seed, k).  Each of resolve_workers(workers) workers, at most one
-    per chunk, walks a contiguous run with one chunk_rngs generator, on threads
+    keyed by (seed, k).  Each of resolve_workers() workers, at most one per
+    chunk, walks a contiguous run with one chunk_rngs generator, on threads
     when there are several; a sum of integers is the same for any split."""
     nchunks = -(-samples // CHUNK)
-    w = min(resolve_workers(workers), nchunks)
+    w = min(resolve_workers(), nchunks)
 
     def run(lo, hi):
         chunks = range(lo, hi)
@@ -113,26 +114,14 @@ def chunk_sum(seed, samples: int, count, workers=None) -> int:
         return sum(pool.map(run, edges[:-1], edges[1:]))
 
 
-def resolve_workers(workers=None) -> int:
-    """Worker count to use, honoring the MULTIPACK_THREADS cap (0 = auto).
-
-    ``workers`` is None (the cap, else 1) or an integer; integers <= 0 mean
-    all cores."""
+def resolve_workers() -> int:
+    """The worker count MULTIPACK_THREADS sets: 1 when it is unset or blank,
+    all cores when it is <= 0, else its value."""
     env = os.environ.get("MULTIPACK_THREADS", "").strip()
-    cap = None
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"MULTIPACK_THREADS must be an integer, got {env!r}") from None
-        if cap <= 0:
-            cap = os.cpu_count() or 1
-    if workers is None:
-        workers = cap if cap is not None else 1
-    elif not isinstance(workers, (int, np.integer)):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    elif workers <= 0:
-        workers = os.cpu_count() or 1
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, int(workers))
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"MULTIPACK_THREADS must be an integer, got {env!r}") from None
+    return workers if workers > 0 else os.cpu_count() or 1

@@ -148,7 +148,7 @@ def test_criterion_06_rate_function_vs_closed_form():
     record(6, "optimized rate matches the closed-form exponent at large support", ok, t0, 60.0)
 
 
-def test_criterion_07_monte_carlo_tail():
+def test_criterion_07_monte_carlo_tail(monkeypatch):
     t0 = time.monotonic()
     ok = True
     # closed-form point: P(|U1 - U2| <= 0.4) = 0.36 for uniforms on [-1, 1]
@@ -158,15 +158,20 @@ def test_criterion_07_monte_carlo_tail():
     # high-dimensional consistency: the estimate's interval must cover the
     # quadrature rate (one-sided when nothing is observed)
     rate = rate_function(2, 2.0, 0.3643, quad_order=96).rate
-    hi = mc_tail(L=2, n=128, K=2.0, N=0.3643, samples=50_000, seed=0, workers=2)
+    monkeypatch.setenv("MULTIPACK_THREADS", "2")
+    hi = mc_tail(L=2, n=128, K=2.0, N=0.3643, samples=50_000, seed=0)
     if hi.hits == 0:
         ok &= -math.log(hi.ci_high) / 128 <= rate
     else:
         ok &= -math.log(hi.ci_high) / 128 <= rate <= -math.log(hi.ci_low) / 128
     # determinism across worker counts
-    counts = {mc_tail(L=2, n=16, K=1.0, N=0.05, samples=100_000, seed=9, workers=w).hits for w in (1, 2, 4)}
+    counts = set()
+    for w in (1, 2, 4):
+        monkeypatch.setenv("MULTIPACK_THREADS", str(w))
+        counts.add(mc_tail(L=2, n=16, K=1.0, N=0.05, samples=100_000, seed=9).hits)
     ok &= len(counts) == 1
-    ok &= mc_tail(L=2, n=128, K=2.0, N=0.3643, samples=50_000, seed=0, workers=5).hits == hi.hits
+    monkeypatch.setenv("MULTIPACK_THREADS", "5")
+    ok &= mc_tail(L=2, n=128, K=2.0, N=0.3643, samples=50_000, seed=0).hits == hi.hits
     record(7, "tail sampler hits the exact point, covers the rate, and is worker-invariant", ok, t0, 180.0)
 
 
@@ -188,7 +193,7 @@ def _pipeline_stats(n, L, N, seeds):
     return M, np.array(bad_counts, float), rate_hits, all_clean
 
 
-def test_criterion_08_construction_pipeline():
+def test_criterion_08_construction_pipeline(monkeypatch):
     t0 = time.monotonic()
     ok = True
     for (n, L, N) in ((4, 2, 0.005), (3, 3, 0.008)):
@@ -197,7 +202,8 @@ def test_criterion_08_construction_pipeline():
         ok &= rate_hits >= 16  # >= 80% of 20 seeds
         # expected-count law over 50 seeds against an independent estimate
         _, bad50, _, _ = _pipeline_stats(n, L, N, range(50))
-        est = mc_tail(L=L, n=n, K=1.0, N=N, samples=4_000_000, seed=777, workers=2)
+        monkeypatch.setenv("MULTIPACK_THREADS", "2")
+        est = mc_tail(L=L, n=n, K=1.0, N=N, samples=4_000_000, seed=777)
         C = math.comb(M, L)
         pred = C * est.p_hat
         se = math.hypot(bad50.std(ddof=1) / math.sqrt(50), C * (est.ci_high - est.ci_low) / 3.92)

@@ -323,9 +323,12 @@ class TestMcTail:
         assert est.ci_low <= est.p_hat <= est.ci_high
         assert est.exponent_hat == pytest.approx(-math.log(est.p_hat), rel=1e-12)
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
         kw = dict(L=2, n=16, K=1.0, N=0.05, samples=30_000, seed=99)
-        hits = {mc_tail(workers=w, **kw).hits for w in (1, 2, 3, 7)}
+        hits = set()
+        for w in (1, 2, 3, 7):
+            monkeypatch.setenv("MULTIPACK_THREADS", str(w))
+            hits.add(mc_tail(**kw).hits)
         assert len(hits) == 1
 
     def test_seed_changes_stream(self):
@@ -333,14 +336,15 @@ class TestMcTail:
         b = mc_tail(L=2, n=8, K=1.0, N=0.05, samples=20_000, seed=2)
         assert a.hits != b.hits
 
-    def test_finite_size_bias_decays(self):
+    def test_finite_size_bias_decays(self, monkeypatch):
         # the estimated exponent approaches the quadrature rate from above
+        monkeypatch.setenv("MULTIPACK_THREADS", "2")
         N = 0.14
         rate = rate_function(2, 1.0, N, quad_order=96).rate
         prev = None
         prev_w = 0.0
         for n in (32, 64, 128):
-            est = mc_tail(L=2, n=n, K=1.0, N=N, samples=200_000, seed=5, workers=2)
+            est = mc_tail(L=2, n=n, K=1.0, N=N, samples=200_000, seed=5)
             assert est.hits > 0
             w = (math.log(est.ci_high) - math.log(est.ci_low)) / n
             assert est.exponent_hat >= rate
@@ -348,8 +352,9 @@ class TestMcTail:
                 assert est.exponent_hat <= prev + prev_w + w
             prev, prev_w = est.exponent_hat, w
 
-    def test_zero_hits_one_sided(self):
-        est = mc_tail(L=2, n=128, K=2.0, N=0.3643, samples=50_000, seed=0, workers=2)
+    def test_zero_hits_one_sided(self, monkeypatch):
+        monkeypatch.setenv("MULTIPACK_THREADS", "2")
+        est = mc_tail(L=2, n=128, K=2.0, N=0.3643, samples=50_000, seed=0)
         assert est.hits == 0
         assert est.p_hat == 0.0
         assert est.ci_low == 0.0
@@ -391,33 +396,36 @@ class TestMcTail:
     @pytest.mark.parametrize(
         "L, n", [(L, n) for L in (2, 3, 4, 5) for n in (1, 8, 129)] + [(3, 16), (2, 300)]
     )
-    def test_hits_match_two_sum_oracle(self, L, n):
+    def test_hits_match_two_sum_oracle(self, L, n, monkeypatch):
         # N at the mean of the form puts p near 1/2, so every sample counts;
         # n = 300 spans three coordinate blocks, 9000 samples three chunks;
         # the sampler adds each list's points one by one, the oracle takes
         # numpy's sum over the list axis
+        monkeypatch.setenv("MULTIPACK_THREADS", "2")
         N = cube_form_mean(L, 1.0) / L
-        est = mc_tail(L=L, n=n, K=1.0, N=N, samples=9000, seed=3, workers=2)
+        est = mc_tail(L=L, n=n, K=1.0, N=N, samples=9000, seed=3)
         assert 0 < est.hits < est.samples
         assert est.hits == tail_hits_two_sums(L, n, 1.0, N, 9000, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_hits_match_two_sum_oracle_at_other_K(self, workers):
+    def test_hits_match_two_sum_oracle_at_other_K(self, workers, monkeypatch):
         # the in-place scaling of the standard uniforms must equal
         # rng.uniform(-K, K) bit for bit at a K whose 2K is not a power of 2;
         # one thread reuses its buffer for all three chunks, the last partial
+        monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
         N = cube_form_mean(2, 0.7) / 2
-        est = mc_tail(L=2, n=300, K=0.7, N=N, samples=9000, seed=5, workers=workers)
+        est = mc_tail(L=2, n=300, K=0.7, N=N, samples=9000, seed=5)
         assert 0 < est.hits < est.samples
         assert est.hits == tail_hits_two_sums(2, 300, 0.7, N, 9000, 5)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_stays_within_slices(self, workers):
+    def test_memory_stays_within_slices(self, workers, monkeypatch):
         # a whole (5, 128) block for a chunk would be 4096 * 5 * 128 floats,
         # 21 MB; slices of 2^15 floats keep a call far below 2 MB
+        monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
         tracemalloc.start()
         try:
-            mc_tail(5, 128, 1.0, 0.2, 2 * CHUNK, 0, workers=workers)
+            mc_tail(5, 128, 1.0, 0.2, 2 * CHUNK, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

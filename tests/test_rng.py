@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -77,6 +78,8 @@ def test_rekeyed_chunks_equal_a_new_philox_per_chunk(seed):
 @pytest.mark.parametrize("mc_samples", [1, 100, 2 * CHUNK + 5])
 def test_cell_samples_equal_a_new_philox_per_chunk(seed, n, mc_samples, monkeypatch):
     # one chunk shorter than CHUNK, and two whole chunks and a partial one
+    monkeypatch.setenv("MULTIPACK_THREADS", "1")
+
     def walk():
         ys = []
 
@@ -84,7 +87,7 @@ def test_cell_samples_equal_a_new_philox_per_chunk(seed, n, mc_samples, monkeypa
             ys.append(construction._cell_samples(g, m, n, 2.4, 3.0))
             return m
 
-        assert chunk_sum(seed, mc_samples, count, workers=1) == mc_samples
+        assert chunk_sum(seed, mc_samples, count) == mc_samples
         return ys
 
     got = walk()
@@ -103,7 +106,7 @@ def _digest(draws):
 def test_chunk_sum_matches_per_chunk_oracle(samples, workers, monkeypatch):
     # each chunk's draws are hashed, so a chunk walked with the wrong key or
     # size, twice or not at all fails; 64 workers exceed every chunk count
-    monkeypatch.delenv("MULTIPACK_THREADS", raising=False)
+    monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
     seed = 2**64 - 3
     want = {}
     for k in range((samples + CHUNK - 1) // CHUNK):
@@ -116,7 +119,7 @@ def test_chunk_sum_matches_per_chunk_oracle(samples, workers, monkeypatch):
         seen.append(d)
         return d
 
-    assert chunk_sum(seed, samples, count, workers) == sum(want)
+    assert chunk_sum(seed, samples, count) == sum(want)
     assert sorted(want[d] for d in seen) == list(range(len(want)))
 
 
@@ -124,7 +127,7 @@ def test_chunk_sum_matches_per_chunk_oracle(samples, workers, monkeypatch):
 def test_one_philox_per_worker(workers, monkeypatch):
     # 13 chunks in runs of 4, 4 and 5 on three workers: each run re-keys one
     # Philox in place rather than building one per chunk
-    monkeypatch.delenv("MULTIPACK_THREADS", raising=False)
+    monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
     built = []
     philox = np.random.Philox
 
@@ -133,7 +136,7 @@ def test_one_philox_per_worker(workers, monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counting)
-    mc_tail(2, 4, 1.0, 0.04, 13 * CHUNK, 0, workers=workers)
+    mc_tail(2, 4, 1.0, 0.04, 13 * CHUNK, 0)
     assert len(built) == workers
 
 
@@ -144,26 +147,31 @@ def test_chunk_size_constant():
 
 
 def test_resolve_workers(monkeypatch):
+    # one worker unless MULTIPACK_THREADS says otherwise; zero or negative
+    # means all cores
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
     monkeypatch.delenv("MULTIPACK_THREADS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("MULTIPACK_THREADS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(8) == 2
-    monkeypatch.setenv("MULTIPACK_THREADS", "0")
-    assert resolve_workers(None) >= 1
-    monkeypatch.delenv("MULTIPACK_THREADS")
-    # zero or negative requests mean "use all cores"
-    assert resolve_workers(0) >= 1
-    assert resolve_workers(-3) == resolve_workers(0)
-    assert resolve_workers(np.int64(2)) == 2
+    assert resolve_workers() == 1
+    for value, want in (("", 1), (" 3 ", 3), ("0", 5), ("-2", 5)):
+        monkeypatch.setenv("MULTIPACK_THREADS", value)
+        assert resolve_workers() == want, value
 
 
 @pytest.mark.parametrize("value", ["1.5", "abc"])
 def test_resolve_workers_rejects_malformed_cap(monkeypatch, value):
     monkeypatch.setenv("MULTIPACK_THREADS", value)
     with pytest.raises(ValueError, match=f"MULTIPACK_THREADS must be an integer, got '{value}'"):
-        resolve_workers(None)
+        resolve_workers()
+
+
+def test_worker_count_is_not_an_argument():
+    # MULTIPACK_THREADS is the one worker control
+    with pytest.raises(TypeError):
+        mc_tail(2, 4, 1.0, 0.04, 5000, 0, workers=2)
+    with pytest.raises(TypeError):
+        chunk_sum(0, 5000, lambda g, m: m, workers=2)
+    with pytest.raises(TypeError):
+        resolve_workers(2)
 
 
 def test_check_count():
@@ -200,9 +208,6 @@ def _code(**kw):
         pytest.param(lambda: _code(seed=-1), "seed", id="FiniteCode-negative-seed"),
         pytest.param(lambda: _code(expurgated_count=-3), "expurgated_count", id="FiniteCode-expurgated_count"),
         pytest.param(lambda: _code(expurgated_count=2.0), "expurgated_count", id="FiniteCode-integral-expurgated_count"),
-        pytest.param(lambda: resolve_workers(2.7), "workers", id="resolve_workers"),
-        pytest.param(lambda: resolve_workers(-0.5), "workers", id="resolve_workers-negative"),
-        pytest.param(lambda: mc_tail(2, 4, 1.0, 0.04, 5000, 0, workers=2.0), "workers", id="mc_tail-integral-workers"),
         pytest.param(lambda: verify_packing(tile(_code(K=math.inf)), 3.0), "K", id="verify_packing-K"),
         pytest.param(lambda: BoundQuery(N=math.inf, L=3), "N", id="BoundQuery-N"),
         pytest.param(lambda: ld_capacity(math.inf), "N", id="ld_capacity-N"),
