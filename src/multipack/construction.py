@@ -101,9 +101,9 @@ class PackingVerdict:
     min_avg_radius_sq: average squared radius of the reported list (inf on
         a pass).
     min_cross_half_dist_sq: a quarter of the smallest squared distance
-        between points of different tiles when that distance is at most the
-        listing radius sqrt(2L*n*N)*(1 + 1e-6), inf beyond it: no list with
-        average squared radius <= n*N holds a pair farther apart.
+        between points of different tiles, read off the listing's pairs:
+        inf beyond its radius sqrt(2L*n*N)*(1 + 1e-6), past which no list
+        with average squared radius <= n*N holds a pair.
     violation: the points of the violating list of smallest average squared
         radius, None on a pass, as a translate with its first member in the
         base tile; a same-tile list is reported in the base tile.
@@ -179,27 +179,30 @@ def _avg_sq_radii(points, lists):
     return total / (L * L)
 
 
+def _pair_radius(L, t):
+    """sqrt(2L*t) with a margin against rounding: _near_lists' pair radius."""
+    return math.sqrt(2.0 * L * t) * (1.0 + 1e-6)
+
+
 def _near_lists(points, L, t):
     """Every L-subset of ``points`` with average squared radius <= t, as index
-    rows in lexicographic order, with their average squared radii.
+    rows in lexicographic order, with their average squared radii and the
+    near-pair graph: every pair i < j within _pair_radius(L, t), in order.
 
     A list with average squared radius <= t has every pair at
     d^2 <= 2L*t, since L*avg = sum_i |x_i - c|^2 >= |x_i - c|^2 + |x_j - c|^2
     >= d^2/2.  So the lists are among the L-cliques of the near-pair graph
-    at that radius (with a small relative margin against rounding).  Each
-    clique is grown from its lowest vertex along forward edges i < j, as in
-    the ordered clique listing of Chiba & Nishizeki (1985); index order makes
-    the output lexicographic without a sort.  The exact average radius then
-    filters the cliques.  Refuses inputs whose candidate cliques, summed over
-    the clique sizes 2..L, exceed SUBSET_BUDGET.
+    at that radius.  Each clique is grown from its lowest vertex along
+    forward edges i < j, as in the ordered clique listing of Chiba &
+    Nishizeki (1985); index order makes the output lexicographic without a
+    sort, and fewer than L points grow none.  The exact average radius then
+    filters the cliques.  Refuses inputs whose candidate cliques, summed
+    over the clique sizes 2..L, exceed SUBSET_BUDGET.
     """
     from scipy.spatial import cKDTree
 
     M = len(points)
-    if M < L:
-        return np.empty((0, L), dtype=np.intp), np.empty(0)
-    r = math.sqrt(2.0 * L * t) * (1.0 + 1e-6)
-    pairs = cKDTree(points).query_pairs(r, output_type="ndarray").astype(np.intp)
+    pairs = cKDTree(points).query_pairs(_pair_radius(L, t), output_type="ndarray").astype(np.intp)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     starts = np.searchsorted(pairs[:, 0], np.arange(M + 1))
     keys = pairs[:, 0] * M + pairs[:, 1]
@@ -225,7 +228,7 @@ def _near_lists(points, L, t):
         lists = np.column_stack([lists[rows[ok]], w[ok]])
     avg = _avg_sq_radii(points, lists)
     keep = avg <= t
-    return lists[keep], avg[keep]
+    return lists[keep], avg[keep], pairs
 
 
 def _min_list(points, L):
@@ -241,7 +244,7 @@ def _min_list(points, L):
         return math.inf, None
     _, nn = cKDTree(points).query(points, k=L)
     t = float(_avg_sq_radii(points, np.sort(nn, axis=1)).min())
-    lists, avg = _near_lists(points, L, t)
+    lists, avg, _ = _near_lists(points, L, t)
     i = int(np.argmin(avg))
     return float(avg[i]), tuple(int(v) for v in lists[i])
 
@@ -256,7 +259,7 @@ def find_bad_lists(code: FiniteCode) -> list[tuple[int, ...]]:
     pairs, not C(M, L).  Raises BudgetError when the candidate cliques exceed
     SUBSET_BUDGET.
     """
-    lists, _ = _near_lists(code.points, code.L, code.n * code.N)
+    lists, _, _ = _near_lists(code.points, code.L, code.n * code.N)
     return [tuple(int(v) for v in row) for row in lists]
 
 
@@ -435,15 +438,15 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     and lies within that radius of the base cube.  The violating lists are
     therefore, up to translation, exactly the rows of one _near_lists call
     at n*N over the base code and its translates by such offsets within
-    sqrt(2L*n*N) of the base cube (_near_points at half = K, one sign)
-    that start in the base, the base coming first.  The constellation
-    passes when there is none.  Otherwise the row of smallest average
-    squared radius is reported, the lexicographically first on ties, so a
-    same-tile list is reported as base points, bit for bit.
+    the pair radius _pair_radius(L, n*N) of the base cube (_near_points at
+    half = K, one sign) that start in the base, the base coming first.  The
+    constellation passes when there is none.  Otherwise the row of smallest
+    average squared radius is reported, the lexicographically first on
+    ties, so a same-tile list is reported as base points, bit for bit.
 
-    min_cross_half_dist_sq comes from one fixed-radius query of the same
-    translates against the base points: a cross-tile pair within the
-    listing radius is, up to translation, a base point and one of them.
+    min_cross_half_dist_sq is read off the same listing's near-pair graph:
+    up to translation, a cross-tile pair within the pair radius is a pair
+    of the graph joining a base row to a translate row.
 
     ``window_radius`` only sizes the counts window_points and
     same_tile_lists, taken from a KD-tree of the base code for each tile
@@ -457,25 +460,22 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     code = c.base
     M, L, K, P = code.M, code.L, code.K, c.period
     thr = code.n * code.N
-    tree = cKDTree(code.points)
     tiles = _tile_offsets(P, K, window_radius, np.zeros(code.n), False)
     # x + t*period lies in the window when x is within its radius of -t*period
-    counts = tree.query_ball_point(-(tiles * P), window_radius, return_length=True)
+    counts = cKDTree(code.points).query_ball_point(-(tiles * P), window_radius, return_length=True)
     sizes, repeats = np.unique(counts, return_counts=True)
     window_points = int(counts.sum())
     same_tile_lists = sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, repeats))
 
-    r = math.sqrt(2.0 * L * thr) * (1.0 + 1e-6)
+    r = _pair_radius(L, thr)
     bj, Q = _near_points(c, r, K, one_sign=True)
     pts = np.vstack([code.points, Q])
-    lists, avg = _near_lists(pts, L, thr)
+    lists, avg, pairs = _near_lists(pts, L, thr)
     # rows ascend, so a list has a base member when it starts in the base
     based = np.flatnonzero(lists[:, 0] < M)
-    # a translate with no base point within r gets index M
-    _, j = tree.query(Q, distance_upper_bound=r)
-    d = code.points[j[j < M]] - Q[j < M]
-    d2 = np.einsum("ij,ij->i", d, d)
-    d2 = d2[d2 <= r * r]
+    # a pair's average squared radius is a quarter of its squared distance
+    cross = _avg_sq_radii(pts, pairs[(pairs[:, 0] < M) & (pairs[:, 1] >= M)])
+    cross = cross[cross <= r * r / 4.0]
 
     violation, indices, min_avg = None, None, math.inf
     if len(based):
@@ -488,7 +488,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
         window_points=window_points,
         same_tile_lists=same_tile_lists,
         min_avg_radius_sq=min_avg,
-        min_cross_half_dist_sq=float(d2.min()) / 4.0 if len(d2) else math.inf,
+        min_cross_half_dist_sq=float(cross.min()) if len(cross) else math.inf,
         violation=violation,
         violation_base_indices=indices,
     )

@@ -28,7 +28,7 @@ CHUNK = 4096
 
 def check_seed(seed) -> int:
     """Validate and return a seed usable as a 64-bit Philox key word."""
-    if not isinstance(seed, (int, np.integer)):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed < 2**64:
@@ -37,16 +37,16 @@ def check_seed(seed) -> int:
 
 
 def check_count(name: str, value, minimum: int) -> int:
-    """Validate and return an integer >= ``minimum``; floats are refused,
-    integral ones too."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    """Validate and return an integer >= ``minimum``; floats, integral ones
+    too, and booleans are refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
 def check_positive(name: str, value) -> float:
-    """Validate and return a positive finite real as a float."""
-    if not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+    """Validate and return a positive finite real, not a boolean, as a float."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
 

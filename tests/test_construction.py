@@ -551,6 +551,31 @@ class TestVerifyPacking:
                     if R >= 1.5 * c.period:
                         assert got == pytest.approx(window, rel=1e-12, abs=0.0)
 
+    def test_cross_distance_makes_no_tree_query(self, monkeypatch):
+        # D is read off the listing's near-pair graph, so no KD-tree is
+        # queried for nearest points; the window counts use ball counts
+        import scipy.spatial
+
+        queries = []
+
+        class Counting(cKDTree):
+            def query(self, *args, **kwargs):
+                queries.append(len(args[0]))
+                return super().query(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
+        for L in (2, 3, 4, 5):
+            c = self.planted_at_gap_bound(L)
+            v = verify_packing(c, 1.5 * c.period)
+            assert v.min_cross_half_dist_sq == self.capped(c, cross_tile_min_sq_lattice(c)) / 4
+            assert not v.passed
+        c = self.make_cons()
+        assert verify_packing(c, 1.5 * c.period).passed
+        assert queries == []
+        # the counting tree does count: min_avg_subset makes one k-NN query
+        min_avg_subset(c.base)
+        assert queries == [c.base.M]
+
     @staticmethod
     def window_minima(c, periods=(0.8, 1.5, 2.7)):
         """The window band search at radius 0.5 (the base tile alone) and at
@@ -583,7 +608,13 @@ class TestVerifyPacking:
         kinds = set()
         spread = [Constellation(FiniteCode(rng.uniform(-1, 1, size=(25, n)), n, L, 0.01, 1.0, None), 0.1)
                   for n in (2, 3)]
-        for cons in list(self.oracle_constellations(L, rng)) + spread:
+        # two or three points, fewer than L, near the faces and below the
+        # minimum gap: no list grows, but their cross-tile pairs are listed
+        g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(2 * 0.01)
+        few = [Constellation(FiniteCode(pts, 2, L, 0.01, 1.0, None), 0.6 * g_min)
+               for pts in ([[0.99, 0.5], [-0.98, 0.5]], [[0.99, 0.5], [-0.98, 0.5], [0.2, 0.995]])
+               if len(pts) < L]
+        for cons in list(self.oracle_constellations(L, rng)) + spread + few:
             code = cons.base
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
             for c in (cons, tile(code, gap=g_min), tile(code), tile(code, gap=2.5)):

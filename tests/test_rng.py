@@ -220,6 +220,12 @@ def _code(**kw):
         pytest.param(lambda: lambda_n_threshold(ExponentQuery(N=0.005, L=3, K=1.0), 4.0), "n", id="lambda_n_threshold-integral-n"),
         pytest.param(lambda: mgf_log(3.0, 1.0, 1.0), "L", id="mgf_log-integral-L"),
         pytest.param(lambda: mc_tail(2, 4.0, 1.0, 0.04, 5000, 0), "n", id="mc_tail-integral-n"),
+        # booleans are refused as integers and as reals
+        pytest.param(lambda: sample_code(True, 2, 0.005, 1.0, -0.1, 0), "n", id="sample_code-bool-n"),
+        pytest.param(lambda: mc_tail(2, True, 1.0, 0.1, 1000, 0), "n", id="mc_tail-bool-n"),
+        pytest.param(lambda: _code(L=True), "L", id="FiniteCode-bool-L"),
+        pytest.param(lambda: _code(seed=False), "seed", id="FiniteCode-bool-seed"),
+        pytest.param(lambda: _code(N=True), "N", id="FiniteCode-bool-N"),
     ],
 )
 def test_degenerate_argument_is_named(call, name):
