@@ -84,13 +84,18 @@ def lambda_star(q: BoundQuery) -> float:
     return (q.L - 1) / (2.0 * q.L * q.N)
 
 
+def lambda_n_prefactor(L: int) -> float:
+    """(L!/2)^(1/(L-1)), the factor of lambda_n_threshold that does not
+    grow with n."""
+    return (math.factorial(L) / 2.0) ** (1.0 / (L - 1))
+
+
 def lambda_n_threshold(q: ExponentQuery, n: int) -> float:
     """Point density above which expurgation removes half the code, at block
-    length n.  K cancels from the exponent and does not affect the value."""
+    length n.  K cancels from the exponent and does not affect the value.
+    math.exp raises OverflowError once n * lb_ppp passes about 709."""
     n = check_count("n", n, 1)
-    L = q.L
-    prefactor = (math.factorial(L) / 2.0) ** (1.0 / (L - 1))
-    return prefactor * math.exp(n * lb_ppp(q.query))
+    return lambda_n_prefactor(q.L) * math.exp(n * lb_ppp(q.query))
 
 
 def ball_log_volume_rate(N: float) -> float:

@@ -112,7 +112,7 @@ def cmd_radius(args, argv) -> int:
         disc = max(abs(a - b) for a in vals for b in vals)
         print(f"max discrepancy: {disc:.3e}")
     elif args.mode == "cheb":
-        res = geometry.chebyshev_radius(pl, tol=args.tol)
+        res = geometry.chebyshev_radius(pl)
         print(f"radius_sq: {res.radius_sq!r}")
         print(f"lower: {res.lower!r}")
         print(f"upper: {res.upper!r}")
@@ -120,7 +120,7 @@ def cmd_radius(args, argv) -> int:
         print(f"center: {_fmt_vec(res.center)}")
         print(f"iterations: {res.iterations}")
     else:
-        value = geometry.rad_p(pl, args.p, tol=args.tol)
+        value = geometry.rad_p(pl, args.p)
         print(f"rad_p({args.p}): {value!r}")
     return 0
 
@@ -142,14 +142,14 @@ def cmd_construct(args, argv) -> int:
     )
     bad = construction.find_bad_lists(code)
     clean = construction.expurgate(code, bad)
-    lam_n = bounds.lambda_n_threshold(
-        bounds.ExponentQuery(N=args.N, L=args.L, K=args.K), args.n
-    )
+    # summed in log space: lambda_n itself over- or underflows at large n
+    q = bounds.BoundQuery(N=args.N, L=args.L)
+    log_rate = bounds.lb_ppp(q) + math.log(bounds.lambda_n_prefactor(args.L) / 2.0) / args.n
     print(f"M: {code.M}")
     print(f"bad lists: {len(bad)}")
     print(f"removed: {clean.expurgated_count}")
     print(f"achieved rate: {construction.achieved_rate(clean)!r}")
-    print(f"(1/n) ln(lambda_n / 2): {math.log(lam_n / 2.0) / args.n!r}")
+    print(f"(1/n) ln(lambda_n / 2): {log_rate!r}")
     fileio.write_code(args.out, clean)
     _write_manifest(args.out, argv, args, args.seed, t0)
     print(f"wrote {args.out}")
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("input")
     r.add_argument("--mode", choices=("avg", "cheb", "p"), default="avg")
     r.add_argument("--p", type=float, default=2.0)
-    r.add_argument("--tol", type=float, default=1e-9)
     r.set_defaults(func=cmd_radius)
 
     c = sub.add_parser("construct", help="sample and expurgate a cube code")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_threshold
+from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_prefactor, lambda_n_threshold, lb_ppp
 from .errors import BudgetError
 from .rng import _clopper_pearson, check_count, check_positive, check_seed, chunk_rngs, chunk_sum
 
@@ -136,9 +136,10 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     """Uniform code at the expurgation-threshold density, backed off by
     exp(n * rate_margin).
 
-    M defaults to round(lambda_n * e^(n*margin) * (2K)^n); pass M explicitly
-    to override.  Refuses an M, computed or explicit, above WINDOW_BUDGET
-    points before anything is drawn.
+    M defaults to round(lambda_n * e^(n*margin) * (2K)^n), summed from logs
+    where lambda_n or (2K)^n alone overflows a double; pass M explicitly to
+    override.  Refuses an M, computed or explicit, above WINDOW_BUDGET
+    points before anything is drawn, and a computed M that overflows.
     """
     n, L = check_count("n", n, 1), check_count("L", L, 2)
     N, K = check_positive("N", N), check_positive("K", K)
@@ -146,8 +147,12 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
         raise ValueError(f"rate_margin must be <= 0, got {rate_margin}")
     seed = check_seed(seed)
     if M is None:
-        lam_n = lambda_n_threshold(ExponentQuery(N=N, L=L, K=K), n)
-        target = lam_n * math.exp(n * rate_margin) * (2.0 * K) ** n
+        q = ExponentQuery(N=N, L=L, K=K)
+        try:
+            target = lambda_n_threshold(q, n) * math.exp(n * rate_margin) * (2.0 * K) ** n
+        except OverflowError:
+            log_target = math.log(lambda_n_prefactor(L)) + n * (lb_ppp(q.query) + rate_margin + math.log(2.0 * K))
+            target = math.exp(log_target) if log_target < 709.0 else math.inf
         if not math.isfinite(target):
             raise BudgetError(f"code size overflows at n = {n}")
         M = int(round(target))
@@ -184,6 +189,11 @@ def _pair_radius(L, t):
     return math.sqrt(2.0 * L * t) * (1.0 + 1e-6)
 
 
+def _check_subset_budget(candidates, M):
+    if candidates > SUBSET_BUDGET:
+        raise BudgetError(f"{candidates} candidate cliques of {M} points exceed the {SUBSET_BUDGET:.0e} subset budget")
+
+
 def _near_lists(points, L, t):
     """Every L-subset of ``points`` with average squared radius <= t, as index
     rows in lexicographic order, with their average squared radii and the
@@ -197,26 +207,24 @@ def _near_lists(points, L, t):
     Nishizeki (1985); index order makes the output lexicographic without a
     sort, and fewer than L points grow none.  The exact average radius then
     filters the cliques.  Refuses inputs whose candidate cliques, summed
-    over the clique sizes 2..L, exceed SUBSET_BUDGET.
+    over the clique sizes 2..L, exceed SUBSET_BUDGET; at every L, the pairs
+    alone are counted before any list is formed.
     """
     from scipy.spatial import cKDTree
 
     M = len(points)
     pairs = cKDTree(points).query_pairs(_pair_radius(L, t), output_type="ndarray").astype(np.intp)
+    candidates = len(pairs)
+    _check_subset_budget(candidates, M)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     starts = np.searchsorted(pairs[:, 0], np.arange(M + 1))
     keys = pairs[:, 0] * M + pairs[:, 1]
     lists = pairs
-    candidates = len(pairs)
     for k in range(2, L):
         last = lists[:, -1]
         deg = starts[last + 1] - starts[last]
         candidates += int(deg.sum())
-        if candidates > SUBSET_BUDGET:
-            raise BudgetError(
-                f"{candidates} candidate cliques of {M} points exceed the "
-                f"{SUBSET_BUDGET:.0e} subset budget"
-            )
+        _check_subset_budget(candidates, M)
         rows = np.repeat(np.arange(len(lists)), deg)
         offset = np.arange(len(rows)) - np.repeat(np.cumsum(deg) - deg, deg)
         w = pairs[starts[last][rows] + offset, 1]
@@ -328,8 +336,9 @@ def achieved_rate(code: FiniteCode) -> float:
     return math.log(code.M) / code.n - math.log(2.0 * code.K)
 
 
-def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
-    """Wrap a finite code into a periodic constellation with a guard gap.
+def tile(code: FiniteCode) -> Constellation:
+    """Wrap a finite code into a periodic constellation with a guard gap of
+    1.01 times the minimum gap.
 
     Distinct tiles lie at least D = 2*gap apart.  A list spanning tiles
     splits into a members in one tile and L - a elsewhere, 1 <= a < L, and
@@ -341,14 +350,10 @@ def tile(code: FiniteCode, gap: float | None = None) -> Constellation:
     into a packing at any gap above the minimum: this is the construction's
     guarantee, not a condition of the verdict, for verify_packing lists
     every list whatever the gap (at the minimum itself a cross-tile list
-    can reach n*N).  Smaller gaps are rejected, and the default is 1.01
-    times the minimum.
+    can reach n*N).  Constellation(code, gap) tiles at any other gap.
     """
     g_min = code.L / (2.0 * math.sqrt(code.L - 1)) * math.sqrt(code.n * code.N)
-    gap = 1.01 * g_min if gap is None else check_positive("gap", gap)
-    if gap < g_min * (1.0 - 1e-12):
-        raise ValueError(f"gap {gap!r} is below L/(2*sqrt(L-1)) * sqrt(n*N) = {g_min!r}")
-    return Constellation(base=code, gap=gap)
+    return Constellation(base=code, gap=1.01 * g_min)
 
 
 def _tile_offsets(period, w, r, center, one_sign):
@@ -635,8 +640,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     cell: _near_points at half = period/2 and radius h, with k and -k both
     and k = 0 for the base.  Each nonzero coordinate of k costs at least
     (period/2 - K)^2 = gap^2, so only the base is kept for any gap above h,
-    as tile() gives at L >= 3 and by default, and the 2n face translates at
-    gap = r.  Refuses codes whose kept tiles, counted whole, hold more than
+    as tile() gives, and the 2n face translates at gap = r.  Refuses codes whose kept tiles, counted whole, hold more than
     WINDOW_BUDGET points, before any translate is formed.
 
     When the cells of side h = r*(1 + 1e-6) over all n axes fit in

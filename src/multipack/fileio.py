@@ -3,11 +3,12 @@
 A point-list file starts with ``# n=<n>`` and carries one point per row as
 comma-separated decimals.  Code files add ``# L= # N= # K= # seed=
 # expurgated=`` header lines; constellation files additionally carry
-``# period=`` and ``# gap=``.  Each coordinate is written with repr's
-digits and notation: the shortest decimal that reads back to the same
-double, in fixed notation for 1e-4 <= |x| < 1e16 and for zero, in
-exponent notation otherwise.  So files round-trip exactly and identical
-runs produce identical bytes; a code without points is a header-only file.
+``# period=`` and ``# gap=``, and ``load`` reads all three kinds.  Each
+coordinate is written with repr's digits and notation: the shortest
+decimal that reads back to the same double, in fixed notation for
+1e-4 <= |x| < 1e16 and for zero, in exponent notation otherwise.  So
+files round-trip exactly and identical runs produce identical bytes; a
+code without points is a header-only file.
 """
 
 from __future__ import annotations
@@ -91,8 +92,6 @@ def _code(path, headers, rows) -> FiniteCode:
 
 
 def _constellation(path, headers, rows) -> Constellation:
-    if "gap" not in headers:
-        raise ParseError(f"{path}: missing '# gap=' header; not a constellation file")
     c = Constellation(base=_code(path, headers, rows), gap=_header(headers, "gap", float, path))
     if "period" in headers:
         period = _header(headers, "period", float, path)
@@ -173,18 +172,16 @@ def write_constellation(path, c: Constellation) -> None:
 def read_code(path) -> FiniteCode:
     headers, rows = _read(path)
     if "period" in headers or "gap" in headers:
-        raise ParseError(f"{path}: constellation file; use read_constellation")
+        raise ParseError(f"{path}: constellation file; use load")
     return _code(path, headers, rows)
 
 
-def read_constellation(path) -> Constellation:
-    return _constellation(path, *_read(path))
-
-
 def load(path):
-    """Read a point file as whatever it is: Constellation, FiniteCode, or PointList."""
+    """Read a point file as whatever it is: Constellation, FiniteCode, or
+    PointList.  A '# period=' or '# gap=' header makes it a constellation
+    file, which must carry the gap."""
     headers, rows = _read(path)
-    if "gap" in headers:
+    if "period" in headers or "gap" in headers:
         return _constellation(path, headers, rows)
     if "L" in headers:
         return _code(path, headers, rows)

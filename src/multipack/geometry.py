@@ -19,8 +19,10 @@ from .rng import check_count, check_positive
 
 AVG_FORMULAS = ("centroid", "norm_minus_center", "correlation", "pairwise")
 
-# cap on the enclosing-ball solver's major steps, per point and per e-fold
-# of 1/tol, and on rad_p's damped Newton steps over all its stages
+# both radius solvers' relative stopping tolerance; the cap on the
+# enclosing-ball solver's major steps, per point and per e-fold of 1/TOL
+# (21 of them), and on rad_p's damped Newton steps over all its stages
+TOL = 1e-9
 CHEB_STEPS = 100
 RAD_P_STEPS = 20000
 
@@ -238,7 +240,7 @@ def _step_to_face(z: np.ndarray, S: list, dz: np.ndarray, cap: float) -> list:
     return [i for i in S if z[i] > 0]
 
 
-def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
+def chebyshev_radius(pl: PointList) -> ChebResult:
     """Squared radius of the smallest ball enclosing the list.
 
     Maximizes the concave dual f(z) = sum_i z_i ||x_i||^2 - ||sum_i z_i x_i||^2
@@ -254,22 +256,19 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
     that point, until the optimum has all weights positive.  Weights off S
     are exactly 0, and ties break to the lowest index.
 
-    Stops once the duality gap upper - lower drops to tol * max(1, lower),
+    Stops once the duality gap upper - lower drops to TOL * max(1, lower),
     a test that scales with the list as the certificate's round-off (about
-    3 * eps * upper) does.  lower <= upper keeps it at least as strict as
-    tol * max(1, upper), and lower = 0 on the first support makes even a
-    tol >= 1 take a major step.  f rises at every major step, so no support
-    recurs in exact arithmetic, and the farthest point is never one of S,
-    which y is equidistant from.  When either happens (round-off) or the
-    CHEB_STEPS * L * max(1, ceil(ln(1/tol))) major steps run out first, the
-    solver stops, a ConvergenceWarning is raised and the gap is reported
-    as-is.
+    3 * eps * upper) does; lower <= upper keeps it at least as strict as
+    TOL * max(1, upper).  f rises at every major step, so no support recurs
+    in exact arithmetic, and the farthest point is never one of S, which y
+    is equidistant from.  When either happens (round-off) or the
+    CHEB_STEPS * L * 21 major steps run out first, the solver stops, a
+    ConvergenceWarning is raised and the gap is reported as-is.
     """
-    tol = check_positive("tol", tol)
     xbar = pl.centroid()
     X = pl.points - xbar
     L = pl.L
-    max_steps = CHEB_STEPS * L * max(1, math.ceil(math.log(1.0 / tol)))
+    max_steps = CHEB_STEPS * L * 21
     S = [int(np.argmax(np.einsum("ij,ij->i", X, X)))]
     z = np.zeros(L)
     z[S[0]] = 1.0
@@ -283,7 +282,7 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
         s = int(np.argmax(d))
         upper = float(d[s])
         gap = upper - lower
-        converged = gap <= tol * max(1.0, lower)
+        converged = gap <= TOL * max(1.0, lower)
         # f rises at every major step, so a support met again means round-off;
         # so does a farthest point s in S, as y is equidistant from all of S
         if converged or iterations == max_steps or s in S or frozenset(S) in seen:
@@ -306,7 +305,7 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
         z[S] = w
     if not converged:
         warnings.warn(
-            f"enclosing-ball solver stopped at gap {gap:.3e} (tol {tol:.1e} * max(1, lower)) "
+            f"enclosing-ball solver stopped at gap {gap:.3e} (tol {TOL:.1e} * max(1, lower)) "
             f"after {iterations} iterations",
             ConvergenceWarning,
         )
@@ -322,7 +321,7 @@ def chebyshev_radius(pl: PointList, tol: float = 1e-9) -> ChebResult:
     )
 
 
-def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
+def rad_p(pl: PointList, p: float) -> float:
     """Power-mean relaxation of the squared list radius.
 
     Minimizes F(y) = mean_i ||x_i - y||^(2p) over the center y and returns
@@ -349,10 +348,10 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     A stage below p ends once the relative gradient sqrt(m) ||grad F|| /
     (q F) is at most 1e-3, or when a step lowers F by no more than 1e-18 F
     (round-off).  The last stage, q = p, stops once the relative gradient is
-    at most ``tol``, a test independent of the scale of the list, or at the
+    at most TOL, a test independent of the scale of the list, or at the
     round-off stop, which counts as converged when the Newton decrement
-    -grad F . direction, about 2(F - min F), is at most 2*tol*p*F: F^(1/p)
-    is then within a relative tol of its minimum.  At p > 4 the last stage
+    -grad F . direction, about 2(F - min F), is at most 2*TOL*p*F: F^(1/p)
+    is then within a relative TOL of its minimum.  At p > 4 the last stage
     also ends at that decrement: (r_i^2/m)^p amplifies the rounding of
     r_i^2/m about p-fold, so steps can keep "lowering" F by far more than
     1e-18 F while circling the minimum.  When RAD_P_STEPS steps
@@ -365,7 +364,6 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    tol = check_positive("tol", tol)
     X = pl.points
     L = pl.L
     if (X == X[0]).all():
@@ -395,7 +393,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
             obj = float(((r2 / m) ** q).sum() / L)  # F / m^q
             grad = (2.0 * q / (L * m)) * (w @ diff)  # grad F / m^q
             rel_grad = math.sqrt(float(grad @ grad) * m) / (q * obj)
-            stage_done = rel_grad <= (tol if q == p else 1e-3)
+            stage_done = rel_grad <= (TOL if q == p else 1e-3)
             if not stage_done:
                 curv = (diff.T * (w / np.maximum(r2, 1e-300))) @ diff
                 H = (2.0 * q / (L * m)) * (w.sum() * eye + 2.0 * (q - 1.0) * curv)
@@ -409,9 +407,9 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
                         break
                     t *= 0.5
                 # progress below round-off ends the stage too, and at p > 4
-                # so does a last-stage Newton decrement within tol
+                # so does a last-stage Newton decrement within TOL
                 stage_done = obj - obj_new <= 1e-18 * obj or (
-                    q == p and p > 4.0 and -slope <= 2.0 * tol * q * obj
+                    q == p and p > 4.0 and -slope <= 2.0 * TOL * q * obj
                 )
                 if obj_new < obj:
                     y = y + t * direction
@@ -420,7 +418,7 @@ def rad_p(pl: PointList, p: float, tol: float = 1e-9) -> float:
                 if q == p:
                     # the gradient's round-off floor grows with p, so a
                     # round-off stop is judged by the Newton decrement
-                    converged = rel_grad <= tol or -slope <= 2.0 * tol * q * obj
+                    converged = rel_grad <= TOL or -slope <= 2.0 * TOL * q * obj
                     break
                 q = min(p, 4.0 * q)
     if not converged:

@@ -138,7 +138,7 @@ class TestConstructVerify:
         pts = np.array([[0.0, 0.0], [0.05, 0.0], [2.0, 2.0]])
         bad = FiniteCode(points=pts, n=2, L=2, N=0.01, K=4.0, seed=None)
         cpath = tmp_path / "bad.csv"
-        fileio.write_constellation(cpath, tile(bad, gap=0.5))
+        fileio.write_constellation(cpath, Constellation(bad, 0.5))
         rc, text, _ = run(["verify", str(cpath)], capsys)
         assert rc == 1
         assert "FAIL" in text and "base indices" in text
@@ -156,6 +156,17 @@ class TestConstructVerify:
         assert "\nFAIL: base indices (0, 1, 2)\n" in text
         line = next(t for t in text.splitlines() if t.startswith("reported list avg_sq_radius: "))
         assert float(line.split(": ")[1]) == pytest.approx(0.083642 / 9, rel=1e-9)
+
+    def test_verify_refuses_period_without_gap(self, tmp_path, capsys):
+        # a period header makes a constellation file, which needs its gap:
+        # the file is refused, not verified as a finite code
+        p = tmp_path / "c.csv"
+        fileio.write_code(p, FiniteCode([[0.5], [-0.5]], 1, 2, 0.01, 1.0, None))
+        text = p.read_text().replace("# expurgated=0\n", "# expurgated=0\n# period=2.2\n")
+        p.write_text(text)
+        rc, out, err = run(["verify", str(p)], capsys)
+        assert rc == 2 and out == ""
+        assert err == f"error: {p}: missing '# gap=' header\n"
 
     def test_construct_names_infinite_noise(self, tmp_path, capsys):
         args = ["construct", "--n", "3", "--L", "2", "--N", "inf", "--K", "1", "--seed", "1"]
@@ -206,6 +217,28 @@ class TestTailRatefn:
         assert err.startswith("budget error: M = ")
         assert not out.exists()
 
+    def test_overflowing_code_size_exits_2(self, capsys, tmp_path):
+        # n * lb_ppp = 2493 overflows lambda_n itself, not only M
+        out = tmp_path / "code.csv"
+        argv = ["construct", "--n", "1000", "--L", "2", "--N", "0.0001", "--K", "1", "--seed", "1", "--out", str(out)]
+        rc, _, err = run(argv, capsys)
+        assert rc == 2
+        assert err == "budget error: code size overflows at n = 1000\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n,N,want", [(1000, 0.0001, 2.4923913250429135), (2000, 0.4, -1.6542869214178204)])
+    def test_explicit_size_at_large_n(self, capsys, tmp_path, n, N, want):
+        # lambda_n over- (n = 1000) or underflows (n = 2000) here, and the
+        # printed (1/n) ln(lambda_n / 2) = lb_ppp + ln(prefactor / 2) / n
+        # never forms it
+        out = tmp_path / "code.csv"
+        argv = ["construct", "--n", str(n), "--L", "2", "--N", str(N), "--K", "1", "--M", "50", "--seed", "1"]
+        rc, text, err = run(argv + ["--out", str(out)], capsys)
+        assert rc == 0 and err == ""
+        assert f"(1/n) ln(lambda_n / 2): {want!r}\n" in text
+        assert want == pytest.approx(0.5 * math.log(1 / (4 * math.pi * math.e * N)) - math.log(2) * (0.5 + 1 / n), abs=1e-14)
+        assert fileio.read_code(out).n == n
+
     def test_explicit_size_over_the_budget_exits_2(self, capsys, tmp_path):
         # an explicit --M is refused like a computed one, before any point
         # is drawn
@@ -244,6 +277,15 @@ class TestRadius:
         rc, text, _ = run(["radius", str(p), "--mode", "p", "--p", "1"], capsys)
         assert rc == 0
         assert "rad_p" in text
+
+    def test_tolerance_is_not_an_option(self, tmp_path, capsys):
+        # both solvers stop at geometry.TOL; there is no --tol
+        p = tmp_path / "pts.csv"
+        fileio.write_points(p, fileio.PointList(np.eye(2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", str(p), "--mode", "cheb", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
     def test_parse_error_exit(self, tmp_path, capsys):
         p = tmp_path / "junk.csv"

@@ -24,7 +24,7 @@ from multipack import (
     verify_packing,
 )
 from multipack import construction
-from multipack.bounds import ExponentQuery
+from multipack.bounds import BoundQuery, ExponentQuery, lb_ppp
 from oracles import (
     cell_samples,
     cross_tile_min_sq_band,
@@ -128,6 +128,18 @@ class TestListEngineOracle:
         with pytest.raises(BudgetError, match="candidate cliques"):
             find_bad_lists(code)
 
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_candidate_budget_counts_the_pairs(self, monkeypatch, L):
+        # all C(12, 2) = 66 pairs are close: the pair count alone is held to
+        # the budget, at L = 2 too, where no clique grows past a pair
+        code = code_1d(np.linspace(0.0, 0.01, 12), N=1.0, L=L)
+        monkeypatch.setattr(construction, "SUBSET_BUDGET", 65)
+        with pytest.raises(BudgetError, match="^66 candidate cliques of 12 points exceed"):
+            find_bad_lists(code)
+        monkeypatch.setattr(construction, "SUBSET_BUDGET", 66)
+        if L == 2:
+            assert len(find_bad_lists(code)) == 66
+
 
 class TestMinAvgSubset:
     def test_matches_brute_force(self):
@@ -226,6 +238,18 @@ class TestSampleCode:
             sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=101)
         assert sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=100).M == 100
 
+    def test_overflowing_factor(self):
+        # n * lb_ppp = 2493 overflows lambda_n, and M with it: a budget error
+        with pytest.raises(BudgetError, match="^code size overflows at n = 1000$"):
+            sample_code(n=1000, L=2, N=1e-4, K=1.0, rate_margin=-0.1, seed=1)
+        # (2K)^2000 overflows while lambda_n underflows to 0, and M rounds to 0
+        with pytest.raises(ValueError, match="rounds to 0"):
+            sample_code(n=2000, L=2, N=0.4, K=1.0, rate_margin=-0.1, seed=1)
+        # lambda_n = e^792 overflows alone; the product, from logs, is e^4.92
+        lb = lb_ppp(BoundQuery(N=0.003, L=2))
+        code = sample_code(n=1000, L=2, N=0.003, K=0.2514, rate_margin=-0.1, seed=1)
+        assert code.M == round(math.exp(1000 * (lb - 0.1 + math.log(0.5028)))) == 137
+
     def test_subset_budget_reports_computed_size(self):
         with pytest.raises(BudgetError, match=r"C\(\d+, 2\)"):
             sample_code(n=8, L=2, N=1e-5, K=1.0, rate_margin=-0.01, seed=0)
@@ -260,24 +284,25 @@ class TestTile:
         assert cons.gap == pytest.approx(want_gap, rel=1e-12)
         assert cons.period == pytest.approx(2 * 1.0 + 2 * want_gap, rel=1e-12)
 
-    def test_gap_below_resolution_rejected(self):
+    def test_gap_is_not_an_argument(self):
+        # tile always uses 1.01 times the minimum gap; Constellation takes any
+        # other, below the minimum too
         clean = self.make_clean()
-        with pytest.raises(ValueError):
-            tile(clean, gap=0.9 * math.sqrt(4 * 0.005))
+        for gap in (0.9 * math.sqrt(4 * 0.005), 1.01 * math.sqrt(4 * 0.005), 0.5):
+            with pytest.raises(TypeError, match="gap"):
+                tile(clean, gap=gap)
+            assert Constellation(clean, gap).gap == gap
 
     @pytest.mark.parametrize("L", [3, 4, 5])
     def test_list_size_sets_minimum_gap(self, L):
         code = code_1d([0.0], N=0.01, K=1.0, L=L)
         g_min = L / (2 * math.sqrt(L - 1)) * 0.1
         assert tile(code).gap == pytest.approx(1.01 * g_min, rel=1e-12)
-        assert tile(code, gap=g_min).gap == g_min
-        with pytest.raises(ValueError):
-            tile(code, gap=0.999 * g_min)
 
     def test_density_accounting_identity(self):
         clean = self.make_clean()
         for gap in (None, 0.2, 0.5):
-            cons = tile(clean) if gap is None else tile(clean, gap=gap)
+            cons = tile(clean) if gap is None else Constellation(clean, gap)
             g = cons.gap
             want = achieved_rate(clean) + math.log(clean.K / (clean.K + g))
             assert abs(cons.nld - want) <= 1e-12
@@ -287,7 +312,7 @@ class TestTile:
 
     def test_window_enumeration_1d(self):
         base = code_1d([0.5], N=0.01, K=1.0)
-        cons = tile(base, gap=1.0)  # period 4
+        cons = Constellation(base, 1.0)  # period 4
         pts = enumerate_window(cons, np.zeros(1), 6.0)
         assert sorted(pts[:, 0].tolist()) == [-3.5, 0.5, 4.5]
         wide = enumerate_window(cons, np.zeros(1), 8.0)
@@ -359,7 +384,7 @@ class TestVerifyPacking:
         # case: the nearest sits 2*gap + 2*0.05 apart
         pts = np.array([[0.95], [-0.95]])
         code = FiniteCode(points=pts, n=1, L=2, N=0.005, K=1.0, seed=None)
-        cons = tile(code, gap=0.3)
+        cons = Constellation(code, 0.3)
         v = verify_packing(cons, 1.5 * cons.period)
         assert v.passed
         # 0.7 lies beyond the listing radius sqrt(2L*nN) = 0.1414
@@ -382,8 +407,6 @@ class TestVerifyPacking:
         # At gap 1.01 * sqrt(nN) = 0.101, the L = 2 default, the list
         # {0.998, 0.999, -0.999 + period} has avg_sq_radius 0.00929 < nN.
         code = FiniteCode(points=[[0.998], [0.999], [-0.999]], n=1, L=3, N=0.01, K=1, seed=0)
-        with pytest.raises(ValueError):
-            tile(code, gap=0.101)
         narrow = Constellation(base=code, gap=0.101)
         v = verify_packing(narrow, 1.5 * narrow.period)
         assert not v.passed
@@ -413,7 +436,7 @@ class TestVerifyPacking:
         # (L-1)/L^2 * D^2 = nN; every quantity here is exact in binary
         code = FiniteCode(points=[[1.0], [-1.0]], n=1, L=L, N=N, K=1.0, seed=None)
         g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(N)
-        cons = tile(code, gap=g_min)
+        cons = Constellation(code, g_min)
         v = verify_packing(cons, 1.5 * cons.period)
         assert 4 * (L - 1) * v.min_cross_half_dist_sq == L * L * v.threshold
         assert v.passed is passed
@@ -473,8 +496,7 @@ class TestVerifyPacking:
             code = FiniteCode(pts, n, L, N, 1.0, None)
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(n * N)
             gap = g_min * [0.3, 0.6, 1.0, 1.2][(trial // 2) % 4]
-            # only the constructor accepts a gap below the minimum
-            yield Constellation(base=code, gap=gap) if gap < g_min else tile(code, gap=gap)
+            yield Constellation(base=code, gap=gap)
 
     @staticmethod
     def planted_at_gap_bound(L):
@@ -483,7 +505,7 @@ class TestVerifyPacking:
         # avg = (L-1)/L^2 * (2*gap)^2 = nN, which rounds to <= nN at
         # N = 1/16 for every L in 2..5
         code = FiniteCode([[1.0]] + [[-1.0]] * (L - 1), 1, L, 0.0625, 1.0, None)
-        return tile(code, gap=L / (2.0 * math.sqrt(L - 1)) * math.sqrt(0.0625))
+        return Constellation(code, L / (2.0 * math.sqrt(L - 1)) * math.sqrt(0.0625))
 
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
     def test_matches_window_oracle(self, L):
@@ -541,7 +563,7 @@ class TestVerifyPacking:
             code = cons.base
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
             # a gap wider than the cube keeps same-tile pairs closer than D
-            for c in (cons, tile(code, gap=g_min), tile(code, gap=2.5)):
+            for c in (cons, Constellation(code, g_min), Constellation(code, 2.5)):
                 got = verify_packing(c, 1.5 * c.period).min_cross_half_dist_sq
                 assert got == self.capped(c, cross_tile_min_sq_lattice(c)) / 4
                 # a window of radius 0.5 holds the base tile alone: its D is inf
@@ -617,7 +639,7 @@ class TestVerifyPacking:
         for cons in list(self.oracle_constellations(L, rng)) + spread + few:
             code = cons.base
             g_min = L / (2 * math.sqrt(L - 1)) * math.sqrt(code.n * code.N)
-            for c in (cons, tile(code, gap=g_min), tile(code), tile(code, gap=2.5)):
+            for c in (cons, Constellation(code, g_min), tile(code), Constellation(code, 2.5)):
                 kinds.add(self.check_lattice_minimum(c))
         # both sides of the listing radius occur
         assert kinds == {True, False}
@@ -631,7 +653,7 @@ class TestVerifyPacking:
         # search takes seconds on it: that radius at the default gap only
         wide = (0.8, 1.5, 2.7)
         other = wide if n < 5 else (0.8, 1.5)
-        for c, periods in ((tile(clean, gap=g_min), other), (tile(clean), wide), (tile(clean, gap=2.5), other)):
+        for c, periods in ((Constellation(clean, g_min), other), (tile(clean), wide), (Constellation(clean, 2.5), other)):
             self.check_lattice_minimum(c, periods)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -876,7 +898,7 @@ class TestDensityReport:
     def test_single_point_code_is_exact(self):
         # disjoint balls: covered fraction = ball volume / cell volume
         code = FiniteCode(points=np.zeros((1, 3)), n=3, L=2, N=0.02, K=1.0, seed=None)
-        cons = tile(code, gap=0.5)
+        cons = Constellation(code, 0.5)
         rep = density_report(cons, 9.0, 200_000, seed=17)
         r = math.sqrt(3 * 0.02)
         ball = (4.0 / 3) * math.pi * r**3
@@ -894,7 +916,7 @@ class TestDensityReport:
 
     def test_zero_coverage(self):
         code = FiniteCode(points=np.zeros((1, 2)), n=2, L=2, N=1e-8, K=1.0, seed=None)
-        cons = tile(code, gap=0.5)
+        cons = Constellation(code, 0.5)
         rep = density_report(cons, 100.0, 2_000, seed=2)
         assert rep.covered == 0
         assert rep.delta_hat == -math.inf
@@ -902,7 +924,7 @@ class TestDensityReport:
 
     def test_reproducible(self):
         code = FiniteCode(points=np.zeros((1, 2)), n=2, L=2, N=0.05, K=1.0, seed=None)
-        cons = tile(code, gap=0.5)
+        cons = Constellation(code, 0.5)
         a = density_report(cons, 4.0, 10_000, seed=6)
         b = density_report(cons, 4.0, 10_000, seed=6)
         assert a.covered == b.covered
@@ -918,7 +940,7 @@ class TestDensityReport:
         faces = np.array([[1.0, 0.2, -0.3], [-1.0, 0.5, 0.0], [0.1, 1.0, 0.4], [0.3, -1.0, -1.0], [0.0, 0.0, 1.0]])
         code = FiniteCode(faces, 3, 2, 0.05, 1.0, None)
         r_cov = math.sqrt(3 * 0.05)
-        cases.append(tile(code, gap=r_cov))
+        cases.append(Constellation(code, r_cov))
         # narrower gaps, which only the constructor accepts, keep the face,
         # edge and corner neighbours in turn
         cases += [Constellation(base=code, gap=f * r_cov) for f in (0.8, 0.6, 0.3)]
@@ -1116,7 +1138,7 @@ class TestDensityReport:
 
     def test_golden_face_translates(self):
         faces = np.array([[1.0, 0.2, -0.3], [-1.0, 0.5, 0.0], [0.1, 1.0, 0.4], [0.3, -1.0, -1.0], [0.0, 0.0, 1.0]])
-        c = tile(FiniteCode(faces, 3, 2, 0.05, 1.0, None), gap=math.sqrt(3 * 0.05))
+        c = Constellation(FiniteCode(faces, 3, 2, 0.05, 1.0, None), math.sqrt(3 * 0.05))
         rep = density_report(c, 9.0, 30_000, seed=5)
         assert (rep.covered, repr(rep.delta_hat)) == (1643, "-0.9682245142023415")
 

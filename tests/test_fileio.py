@@ -104,17 +104,17 @@ class TestCode:
 
     def test_rejects_constellation_file(self, tmp_path):
         p = tmp_path / "cons.csv"
-        fileio.write_constellation(p, tile(sample_fcode(), gap=0.4))
-        with pytest.raises(ParseError, match="read_constellation"):
+        fileio.write_constellation(p, Constellation(sample_fcode(), 0.4))
+        with pytest.raises(ParseError, match="constellation file; use load"):
             fileio.read_code(p)
 
 
 class TestConstellation:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "cons.csv"
-        cons = tile(sample_fcode(), gap=0.4)
+        cons = Constellation(sample_fcode(), 0.4)
         fileio.write_constellation(p, cons)
-        back = fileio.read_constellation(p)
+        back = fileio.load(p)
         assert np.array_equal(back.base.points, cons.base.points)
         assert back.gap == cons.gap
         assert back.period == cons.period
@@ -122,28 +122,44 @@ class TestConstellation:
 
     def test_period_cross_check(self, tmp_path):
         p = tmp_path / "cons.csv"
-        fileio.write_constellation(p, tile(sample_fcode(), gap=0.4))
+        fileio.write_constellation(p, Constellation(sample_fcode(), 0.4))
         p.write_text(p.read_text().replace("# period=4.8", "# period=9.9"))
         with pytest.raises(ParseError, match="period"):
-            fileio.read_constellation(p)
+            fileio.load(p)
 
     @pytest.mark.parametrize("key", ["gap", "period"])
     def test_non_numeric_header_names_file(self, tmp_path, key):
         p = tmp_path / "cons.csv"
-        fileio.write_constellation(p, tile(sample_fcode(), gap=0.4))
+        fileio.write_constellation(p, Constellation(sample_fcode(), 0.4))
         p.write_text("".join(
             f"# {key}=wide\n" if line.startswith(f"# {key}=") else line
             for line in p.read_text().splitlines(keepends=True)
         ))
-        for read in (fileio.read_constellation, fileio.load):
-            with pytest.raises(ParseError, match=rf"cons\.csv: bad '# {key}=' header 'wide'"):
-                read(p)
+        with pytest.raises(ParseError, match=rf"cons\.csv: bad '# {key}=' header 'wide'"):
+            fileio.load(p)
 
     def test_code_file_is_not_constellation(self, tmp_path):
         p = tmp_path / "c.csv"
         fileio.write_code(p, sample_fcode())
-        with pytest.raises(ParseError, match="gap"):
-            fileio.read_constellation(p)
+        back = fileio.load(p)
+        assert type(back) is FiniteCode
+        assert np.array_equal(back.points, sample_fcode().points)
+
+    @pytest.mark.parametrize("drop", ["gap", "period"])
+    def test_one_tiling_header_makes_a_constellation_file(self, tmp_path, drop):
+        # a period header without a gap is refused, not read as a finite code;
+        # a gap alone gives the period
+        p = tmp_path / "cons.csv"
+        cons = Constellation(sample_fcode(), 0.4)
+        fileio.write_constellation(p, cons)
+        p.write_text("".join(line for line in p.read_text().splitlines(keepends=True) if not line.startswith(f"# {drop}=")))
+        if drop == "gap":
+            with pytest.raises(ParseError, match=r"cons\.csv: missing '# gap=' header$"):
+                fileio.load(p)
+        else:
+            assert fileio.load(p).period == cons.period
+        with pytest.raises(ParseError, match="constellation file; use load"):
+            fileio.read_code(p)
 
 
 def code_headers(code):
@@ -251,14 +267,14 @@ class TestDegenerate:
 
     def test_empty_constellation(self, tmp_path):
         p = tmp_path / "k.csv"
-        fileio.write_constellation(p, tile(self.empty_code(), gap=0.4))
+        fileio.write_constellation(p, Constellation(self.empty_code(), 0.4))
         assert p.read_text() == (
             "# n=3\n# L=2\n# N=0.01\n# K=1.0\n# seed=7\n# expurgated=5\n# period=2.8\n# gap=0.4\n"
         )
-        for back in (fileio.read_constellation(p), fileio.load(p)):
-            assert isinstance(back, Constellation)
-            assert back.base.points.shape == (0, 3)
-            assert (back.gap, back.period, back.base.expurgated_count) == (0.4, 2.8, 5)
+        back = fileio.load(p)
+        assert isinstance(back, Constellation)
+        assert back.base.points.shape == (0, 3)
+        assert (back.gap, back.period, back.base.expurgated_count) == (0.4, 2.8, 5)
 
     def test_one_dimensional_code(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -277,7 +293,7 @@ class TestLoad:
         pk = tmp_path / "k.csv"
         fileio.write_points(pp, sample_points())
         fileio.write_code(pc, sample_fcode())
-        fileio.write_constellation(pk, tile(sample_fcode(), gap=0.4))
+        fileio.write_constellation(pk, Constellation(sample_fcode(), 0.4))
         assert isinstance(fileio.load(pp), PointList)
         assert isinstance(fileio.load(pc), FiniteCode)
         assert isinstance(fileio.load(pk), Constellation)
