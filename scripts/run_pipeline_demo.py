@@ -20,6 +20,7 @@ from multipack import (
     find_bad_lists,
     achieved_rate,
     lambda_n_threshold,
+    log_threshold_size,
     sample_code,
     tile,
     verify_packing,
@@ -42,7 +43,8 @@ def main(argv=None):
     code = sample_code(
         n=args.n, L=args.L, N=args.N, K=args.K, rate_margin=args.rate_margin, seed=args.seed
     )
-    lam_n = lambda_n_threshold(ExponentQuery(N=args.N, L=args.L, K=args.K), args.n)
+    q = ExponentQuery(N=args.N, L=args.L, K=args.K)
+    lam_n = lambda_n_threshold(q, args.n)
     print(f"sampled M = {code.M} points on [-{args.K}, {args.K}]^{args.n}")
     print(f"  threshold density lambda_n = {lam_n:.6g}, margin {args.rate_margin}")
 
@@ -50,7 +52,9 @@ def main(argv=None):
     clean = expurgate(code, bad)
     print(f"expurgation: {len(bad)} violating lists, removed {clean.expurgated_count} points")
     print(f"  achieved rate {achieved_rate(clean):.6f} nats")
-    target = math.log(lam_n * math.exp(args.n * args.rate_margin) / 2.0) / args.n
+    # the rate that survives when expurgation removes at most half the code,
+    # as `multipack construct` prints it
+    target = (log_threshold_size(q, args.n, args.rate_margin) - math.log(2.0)) / args.n - math.log(2.0 * args.K)
     print(f"  accounting target {target:.6f} nats")
 
     cons = tile(clean)

@@ -17,6 +17,7 @@ from .bounds import (
     lb_blachman_few,
     lb_ppp,
     ld_capacity,
+    log_threshold_size,
     ub_elias_bassalygo,
 )
 from .construction import (
@@ -96,6 +97,7 @@ __all__ = [
     "lb_blachman_few",
     "lb_ppp",
     "ld_capacity",
+    "log_threshold_size",
     "mc_tail",
     "mgf_log",
     "min_avg_subset",

@@ -98,6 +98,13 @@ def lambda_n_threshold(q: ExponentQuery, n: int) -> float:
     return lambda_n_prefactor(q.L) * math.exp(n * lb_ppp(q.query))
 
 
+def log_threshold_size(q: ExponentQuery, n: int, rate_margin: float) -> float:
+    """ln(lambda_n_threshold * e^(n*rate_margin) * (2K)^n), the code size the
+    construction samples, summed from logs so that no factor leaves the doubles."""
+    n = check_count("n", n, 1)
+    return math.log(lambda_n_prefactor(q.L)) + n * (lb_ppp(q.query) + rate_margin + math.log(2.0 * q.K))
+
+
 def ball_log_volume_rate(N: float) -> float:
     """Asymptotic (1/n) log-volume of the n-ball of radius sqrt(n*N)."""
     return 0.5 * math.log(TWO_PI_E * check_positive("N", N))

@@ -142,14 +142,12 @@ def cmd_construct(args, argv) -> int:
     )
     bad = construction.find_bad_lists(code)
     clean = construction.expurgate(code, bad)
-    # summed in log space: lambda_n itself over- or underflows at large n
-    q = bounds.BoundQuery(N=args.N, L=args.L)
-    log_rate = bounds.lb_ppp(q) + math.log(bounds.lambda_n_prefactor(args.L) / 2.0) / args.n
+    log_size = bounds.log_threshold_size(bounds.ExponentQuery(N=args.N, L=args.L, K=args.K), args.n, args.rate_margin)
     print(f"M: {code.M}")
     print(f"bad lists: {len(bad)}")
     print(f"removed: {clean.expurgated_count}")
     print(f"achieved rate: {construction.achieved_rate(clean)!r}")
-    print(f"(1/n) ln(lambda_n / 2): {log_rate!r}")
+    print(f"accounting target: {(log_size - math.log(2.0)) / args.n - math.log(2.0 * args.K)!r}")
     fileio.write_code(args.out, clean)
     _write_manifest(args.out, argv, args, args.seed, t0)
     print(f"wrote {args.out}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ExponentQuery, ball_log_volume_rate_finite, lambda_n_prefactor, lambda_n_threshold, lb_ppp
+from .bounds import ExponentQuery, ball_log_volume_rate_finite, log_threshold_size
 from .errors import BudgetError
 from .rng import _clopper_pearson, check_count, check_positive, check_seed, chunk_rngs, chunk_sum
 
@@ -122,9 +122,7 @@ class PackingVerdict:
 
 @dataclass(frozen=True)
 class DensityReport:
-    rate_nld: float
     delta_hat: float
-    P_used: float
     mc_samples: int
     covered: int
     delta_ci_low: float
@@ -136,10 +134,10 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     """Uniform code at the expurgation-threshold density, backed off by
     exp(n * rate_margin).
 
-    M defaults to round(lambda_n * e^(n*margin) * (2K)^n), summed from logs
-    where lambda_n or (2K)^n alone overflows a double; pass M explicitly to
-    override.  Refuses an M, computed or explicit, above WINDOW_BUDGET
-    points before anything is drawn, and a computed M that overflows.
+    M defaults to round(lambda_n * e^(n*margin) * (2K)^n), taken from its
+    log, bounds.log_threshold_size; pass M explicitly to override.  Refuses
+    an M above WINDOW_BUDGET points before anything is drawn: a computed one
+    by its log, before it is exponentiated, so no size can overflow.
     """
     n, L = check_count("n", n, 1), check_count("L", L, 2)
     N, K = check_positive("N", N), check_positive("K", K)
@@ -147,19 +145,13 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
         raise ValueError(f"rate_margin must be <= 0, got {rate_margin}")
     seed = check_seed(seed)
     if M is None:
-        q = ExponentQuery(N=N, L=L, K=K)
-        try:
-            target = lambda_n_threshold(q, n) * math.exp(n * rate_margin) * (2.0 * K) ** n
-        except OverflowError:
-            log_target = math.log(lambda_n_prefactor(L)) + n * (lb_ppp(q.query) + rate_margin + math.log(2.0 * K))
-            target = math.exp(log_target) if log_target < 709.0 else math.inf
-        if not math.isfinite(target):
-            raise BudgetError(f"code size overflows at n = {n}")
-        M = int(round(target))
+        log_size = log_threshold_size(ExponentQuery(N=N, L=L, K=K), n, rate_margin)
+        # a size within 1 of the budget is left to the exact check on M below
+        if log_size > math.log(WINDOW_BUDGET + 1):
+            raise BudgetError(f"M = e^{log_size:.6g} points exceeds the {WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M")
+        M = round(math.exp(log_size))
         if M < 1:
-            raise ValueError(
-                f"computed code size rounds to {M}; relax rate_margin or parameters"
-            )
+            raise ValueError(f"computed code size rounds to {M}; relax rate_margin or parameters")
     else:
         M = check_count("M", M, 1)
     if M > WINDOW_BUDGET:
@@ -187,6 +179,11 @@ def _avg_sq_radii(points, lists):
 def _pair_radius(L, t):
     """sqrt(2L*t) with a margin against rounding: _near_lists' pair radius."""
     return math.sqrt(2.0 * L * t) * (1.0 + 1e-6)
+
+
+def _cover_radius(r):
+    """h = r*(1 + 1e-6): the noise radius r with the coverage tests' margin."""
+    return r * (1.0 + 1e-6)
 
 
 def _check_subset_budget(candidates, M):
@@ -398,21 +395,21 @@ def _near_points(c, r, half, center=None, one_sign=False):
 
     The tiles are the walk of _tile_offsets at w = half + K, the box against
     the cube k*period + [-K, K]^n; with ``one_sign`` only the k != 0 whose
-    first nonzero coordinate is positive.  Raises BudgetError when the
-    walk's tiles hold more than WINDOW_BUDGET points, before any translate
-    is formed.  The translates are built in blocks of tiles, so only the
-    kept ones are held."""
+    first nonzero coordinate is positive.  The translates are built in
+    blocks of tiles, and only the kept ones are held: BudgetError is raised
+    once they number more than WINDOW_BUDGET."""
     code = c.base
     center = np.zeros(code.n) if center is None else np.asarray(center, dtype=float).reshape(code.n)
     tiles = _tile_offsets(c.period, half + code.K, r, center, one_sign)
-    if len(tiles) * code.M > WINDOW_BUDGET:
-        raise BudgetError(f"{len(tiles)} neighbor tiles * {code.M} points exceed the window budget")
-    rows, out = [np.empty(0, np.intp)], [np.empty((0, code.n))]
+    rows, out, held = [np.empty(0, np.intp)], [np.empty((0, code.n))], 0
     step = max(1, 2**18 // max(code.points.size, 1))
     for j0 in range(0, len(tiles), step):
         Y = code.points[None, :, :] + (tiles[j0 : j0 + step] * c.period)[:, None, :]
         e = np.maximum(np.abs(Y - center) - half, 0.0)
         kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= r * r)
+        held += len(bj)
+        if held > WINDOW_BUDGET:
+            raise BudgetError(f"{len(tiles)} neighbor tiles keep more than the {WINDOW_BUDGET} point window budget")
         rows.append(bj)
         out.append(Y[kj, bj])
     return np.concatenate(rows), np.concatenate(out)
@@ -422,8 +419,8 @@ def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     """All constellation points within the closed ball (center, radius),
     tile by tile in lexicographic tile order, each tile's in base order:
     _near_points at half = 0.  Raises ValueError unless 0 <= radius < inf
-    and the centre is finite, and BudgetError when the tiles reaching the
-    ball hold more than WINDOW_BUDGET points."""
+    and the centre is finite, and BudgetError when the ball holds more than
+    WINDOW_BUDGET points."""
     return _near_points(c, radius, 0.0, center)[1]
 
 
@@ -457,8 +454,8 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     same_tile_lists, taken from a KD-tree of the base code for each tile
     whose cube reaches the window (the walk of _near_points at half = 0),
     without listing the window.  Raises ValueError unless 0 <= window_radius
-    < inf, and BudgetError when the listing's tiles hold more than
-    WINDOW_BUDGET points.
+    < inf, and BudgetError when the listing keeps more than WINDOW_BUDGET
+    translates.
     """
     from scipy.spatial import cKDTree
 
@@ -585,7 +582,7 @@ def _cell_index(pts, r, half):
     table, number more than WINDOW_BUDGET.  The box starts at one corner on
     every axis, with a spare cell on each side for the samples that rounding
     in the fold leaves just outside the cell."""
-    h = r * (1.0 + 1e-6)
+    h = _cover_radius(r)
     corner = min(float(pts.min()), -half) - h
     shape = ((np.maximum(pts.max(axis=0), half) - corner) / h).astype(np.intp) + 2
     if math.prod(shape.astype(float)) > WINDOW_BUDGET:
@@ -617,7 +614,7 @@ def _covered(y, tree, index, r):
     where its smallest squared distance lies outside a relative 1e-12 of
     r^2, from the tree (as dmin <= r) inside that band and when there is no
     index.  ``tree`` builds the KD-tree on its first call."""
-    h = r * (1.0 + 1e-6)
+    h = _cover_radius(r)
     if index is None:
         # samples with no point within the bound come back at distance inf
         return tree().query(y, k=1, distance_upper_bound=h)[0] <= r
@@ -635,28 +632,26 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
 
     Samples uniformly from the ball of radius sqrt(n*P), folds each sample
     into the cell [-period/2, period/2]^n, and tests coverage against the
-    points of the constellation within h = r*(1 + 1e-6) of the cell: the
-    points of the base code and its translates by k*period within h of the
-    cell: _near_points at half = period/2 and radius h, with k and -k both
-    and k = 0 for the base.  Each nonzero coordinate of k costs at least
+    points of the constellation within h = _cover_radius(r) of the cell:
+    _near_points at half = period/2 and radius h, with k and -k both and
+    k = 0 for the base.  Each nonzero coordinate of k costs at least
     (period/2 - K)^2 = gap^2, so only the base is kept for any gap above h,
-    as tile() gives, and the 2n face translates at gap = r.  Refuses codes whose kept tiles, counted whole, hold more than
-    WINDOW_BUDGET points, before any translate is formed.
+    as tile() gives, and the 2n face translates at gap = r.  Refuses a
+    constellation whose kept points number more than WINDOW_BUDGET.
 
-    When the cells of side h = r*(1 + 1e-6) over all n axes fit in
-    WINDOW_BUDGET, a cell index (_CellIndex) decides most samples.  A sample
-    y within r of a point x has |y_i - x_i| <= r < h, so x is a candidate of
-    y's cell, and the smallest |y - x|^2 over the candidates decides y
-    outright unless it lies within a relative 1e-12 of r^2.  A KD-tree of
-    the kept points, built when first needed, decides the samples in that
-    band, and every sample when there is no index (at n >= 6 near the
-    threshold density, a single axis too long for the budget, or a
-    candidate table wider than it).  The tree's squared distance differs
-    from the index's only in summation order, about n*eps relative, so the
-    count equals that of querying the tree for every sample.  rng.chunk_sum
-    splits the chunks over the workers MULTIPACK_THREADS sets (one when it
-    is unset, all cores at 0), with the same count; with no index the tree
-    is built once, before they start.
+    When the cells of side h over all n axes fit in WINDOW_BUDGET, a cell
+    index (_CellIndex) decides most samples.  A sample y within r of a point
+    x has |y_i - x_i| <= r < h, so x is a candidate of y's cell, and the
+    smallest |y - x|^2 over the candidates decides y outright unless it lies
+    within a relative 1e-12 of r^2.  A KD-tree of the kept points, built when
+    first needed, decides the samples in that band, and every sample when
+    there is no index (at n >= 6 near the threshold density, a single axis
+    too long for the budget, or a candidate table wider than it).  The tree's
+    squared distance differs from the index's only in summation order, about
+    n*eps relative, so the count equals that of querying the tree for every
+    sample.  rng.chunk_sum splits the chunks over the workers
+    MULTIPACK_THREADS sets (one when it is unset, all cores at 0), with the
+    same count; with no index the tree is built once, before they start.
     """
     from scipy.spatial import cKDTree
 
@@ -668,7 +663,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     if code.M == 0:
         raise ValueError("empty base code")
     r_cov, half = math.sqrt(n * code.N), c.period / 2.0
-    _, pts = _near_points(c, r_cov * (1.0 + 1e-6), half)
+    _, pts = _near_points(c, _cover_radius(r_cov), half)
     tree = functools.cache(lambda: cKDTree(pts))
     index = _cell_index(pts, r_cov, half)
     if index is None:
@@ -680,9 +675,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
 
     lo, hi = _clopper_pearson(covered, mc_samples)
     return DensityReport(
-        rate_nld=c.nld,
         delta_hat=math.log(covered / mc_samples) / n if covered else -math.inf,
-        P_used=P,
         mc_samples=mc_samples,
         covered=covered,
         delta_ci_low=math.log(lo) / n if lo > 0 else -math.inf,

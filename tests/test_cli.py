@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -218,26 +219,40 @@ class TestTailRatefn:
         assert not out.exists()
 
     def test_overflowing_code_size_exits_2(self, capsys, tmp_path):
-        # n * lb_ppp = 2493 overflows lambda_n itself, not only M
+        # n * lb_ppp = 2493 overflows lambda_n itself, not only M; the size
+        # is refused by its log
         out = tmp_path / "code.csv"
         argv = ["construct", "--n", "1000", "--L", "2", "--N", "0.0001", "--K", "1", "--seed", "1", "--out", str(out)]
         rc, _, err = run(argv, capsys)
         assert rc == 2
-        assert err == "budget error: code size overflows at n = 1000\n"
+        assert err == "budget error: M = e^3086.23 points exceeds the 1e+07 point budget; pass a smaller explicit M\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("n,N,want", [(1000, 0.0001, 2.4923913250429135), (2000, 0.4, -1.6542869214178204)])
+    @pytest.mark.parametrize("n,N,want", [(1000, 0.0001, 2.392391325042913), (2000, 0.4, -1.7542869214178207)])
     def test_explicit_size_at_large_n(self, capsys, tmp_path, n, N, want):
         # lambda_n over- (n = 1000) or underflows (n = 2000) here, and the
-        # printed (1/n) ln(lambda_n / 2) = lb_ppp + ln(prefactor / 2) / n
-        # never forms it
+        # printed accounting target, lb_ppp + margin + ln(prefactor / 2) / n
+        # at K = 1, is taken from the log size and never forms it
         out = tmp_path / "code.csv"
         argv = ["construct", "--n", str(n), "--L", "2", "--N", str(N), "--K", "1", "--M", "50", "--seed", "1"]
         rc, text, err = run(argv + ["--out", str(out)], capsys)
         assert rc == 0 and err == ""
-        assert f"(1/n) ln(lambda_n / 2): {want!r}\n" in text
-        assert want == pytest.approx(0.5 * math.log(1 / (4 * math.pi * math.e * N)) - math.log(2) * (0.5 + 1 / n), abs=1e-14)
+        assert f"accounting target: {want!r}\n" in text
+        assert want == pytest.approx(0.5 * math.log(1 / (4 * math.pi * math.e * N)) - math.log(2) * (0.5 + 1 / n) - 0.1, abs=1e-14)
         assert fileio.read_code(out).n == n
+
+    def test_accounting_target_keeps_the_margin(self, capsys, tmp_path):
+        # at n = 8 and the default margin -0.1 the target lies below the
+        # achieved rate, and the pipeline demo prints the same value
+        argv = ["construct", "--n", "8", "--L", "2", "--N", "0.005", "--K", "1", "--seed", "1"]
+        rc, text, _ = run(argv + ["--out", str(tmp_path / "code.csv")], capsys)
+        vals = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+        target = float(vals["accounting target"])
+        assert rc == 0 and f"{target:.6f}" == "0.350430"
+        assert target < float(vals["achieved rate"])
+        demo = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "run_pipeline_demo.py"))
+        assert demo["main"](["--n", "8", "--L", "2", "--seed", "1", "--mc-samples", "1000"]) == 0
+        assert f"  accounting target {target:.6f} nats\n" in capsys.readouterr().out
 
     def test_explicit_size_over_the_budget_exits_2(self, capsys, tmp_path):
         # an explicit --M is refused like a computed one, before any point

@@ -24,7 +24,7 @@ from multipack import (
     verify_packing,
 )
 from multipack import construction
-from multipack.bounds import BoundQuery, ExponentQuery, lb_ppp
+from multipack.bounds import BoundQuery, ExponentQuery, lb_ppp, log_threshold_size
 from oracles import (
     cell_samples,
     cross_tile_min_sq_band,
@@ -211,10 +211,18 @@ class TestExpurgate:
 
 class TestSampleCode:
     def test_size_formula(self):
-        q = ExponentQuery(N=0.005, L=2, K=1.0)
-        lam_n = lambda_n_threshold(q, 4)
-        code = sample_code(n=4, L=2, N=0.005, K=1.0, rate_margin=-0.1, seed=0)
-        assert code.M == round(lam_n * math.exp(4 * -0.1) * 2**4)
+        # the size as a product of lambda_n, e^(n*margin) and (2K)^n, kept as
+        # an oracle where no factor leaves the doubles: the log form rounds
+        # to the same M wherever the product is a code of 1..2000 points,
+        # (4,2) at the bench's N, K and margin among them
+        cases = 0
+        grid = itertools.product(range(1, 41), range(2, 8), (0.001, 0.005, 0.02, 0.05, 0.2), (0.5, 1.0, 2.0), (0.0, -0.1, -0.5))
+        for n, L, N, K, margin in grid:
+            size = round(lambda_n_threshold(ExponentQuery(N=N, L=L, K=K), n) * math.exp(n * margin) * (2.0 * K) ** n)
+            if 1 <= size <= 2000:
+                assert sample_code(n, L, N, K, margin, 0).M == size, (n, L, N, K, margin)
+                cases += 1
+        assert cases > 500
 
     def test_override_size(self):
         code = sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=37)
@@ -239,8 +247,9 @@ class TestSampleCode:
         assert sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=100).M == 100
 
     def test_overflowing_factor(self):
-        # n * lb_ppp = 2493 overflows lambda_n, and M with it: a budget error
-        with pytest.raises(BudgetError, match="^code size overflows at n = 1000$"):
+        # n * lb_ppp = 2493 overflows lambda_n, and M with it: refused by its
+        # log, a budget error
+        with pytest.raises(BudgetError, match=r"^M = e\^3086\.23 points exceeds the 1e\+07 point budget"):
             sample_code(n=1000, L=2, N=1e-4, K=1.0, rate_margin=-0.1, seed=1)
         # (2K)^2000 overflows while lambda_n underflows to 0, and M rounds to 0
         with pytest.raises(ValueError, match="rounds to 0"):
@@ -249,9 +258,32 @@ class TestSampleCode:
         lb = lb_ppp(BoundQuery(N=0.003, L=2))
         code = sample_code(n=1000, L=2, N=0.003, K=0.2514, rate_margin=-0.1, seed=1)
         assert code.M == round(math.exp(1000 * (lb - 0.1 + math.log(0.5028)))) == 137
+        # e^(n*margin) = e^-750 underflows to 0 while neither other factor
+        # overflows; ln M = 449.8 is far over the budget, not a size of 0
+        with pytest.raises(BudgetError, match=r"^M = e\^449\.789 points"):
+            sample_code(n=1000, L=2, N=0.00441, K=0.911, rate_margin=-0.75, seed=1)
+
+    @pytest.mark.parametrize("n,L", [(2, 4), (3, 3), (4, 2), (4, 3), (5, 2), (6, 3), (8, 2)])
+    def test_accounting(self, n, L):
+        # nld - lb_ppp splits exactly into the margin, the prefactor
+        # (L!/2)^(1/(L-1)), M's rounding, the expurgated share and the guard
+        # gap
+        q = ExponentQuery(N=0.005, L=L, K=1.0)
+        log_size = log_threshold_size(q, n, -0.1)
+        for seed in range(3):
+            code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
+            c = tile(expurgate(code, find_bad_lists(code)))
+            terms = (
+                -0.1
+                + math.log(math.factorial(L) / 2.0) / (L - 1) / n
+                + (math.log(code.M) - log_size) / n
+                + math.log(1.0 - c.base.expurgated_count / code.M) / n
+                + math.log(c.base.K / (c.base.K + c.gap))
+            )
+            assert c.nld - lb_ppp(q.query) == pytest.approx(terms, rel=0, abs=1e-12)
 
     def test_subset_budget_reports_computed_size(self):
-        with pytest.raises(BudgetError, match=r"C\(\d+, 2\)"):
+        with pytest.raises(BudgetError, match=r"^M = e\^34\.6202 points"):
             sample_code(n=8, L=2, N=1e-5, K=1.0, rate_margin=-0.01, seed=0)
 
     @pytest.mark.parametrize("n,L", [(6, 3), (5, 4)])
@@ -751,42 +783,55 @@ class TestVerifyPacking:
             construction._tile_offsets(2.2, 2.1, 1.0, (0.0,) * 10, True)
 
     def test_window_over_the_budget_is_refused(self, monkeypatch):
-        # the tiles reaching the ball hold tiles * M points: at that budget
-        # the window is listed, one point below it is refused before any
-        # translate is formed, so the peak stays below a quarter of them
+        # the budget counts the points of the ball, not the tiles * M points
+        # of the tiles reaching it: at that count the window is listed, one
+        # point below it is refused once the kept translates pass it, so the
+        # peak stays below those points and four blocks of 2^18 coordinates
         rng = np.random.default_rng(80)
         cons = tile(FiniteCode(rng.uniform(-1, 1, size=(400, 3)), 3, 2, 0.005, 1.0, None))
         centre, R = np.full(3, 0.3), 2.5 * cons.period
         want = enumerate_window(cons, centre, R)
         tiles = len(construction._tile_offsets(cons.period, cons.base.K, R, centre, False))
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 400)
+        assert len(want) < tiles * 400
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", len(want))
         assert np.array_equal(enumerate_window(cons, centre, R), want)
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 400 - 1)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", len(want) - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles \* 400 points"):
+            with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles keep more than the {len(want) - 1} point"):
                 enumerate_window(cons, centre, R)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < tiles * 400 * 3 * 8 / 4
+        assert peak < len(want) * 3 * 8 + 4 * 2**18 * 8
 
     def test_listing_over_the_budget_is_refused(self, monkeypatch):
-        # at a narrow gap the listing reaches many tiles; the verifier
-        # refuses them once they hold more than WINDOW_BUDGET points
+        # at a narrow gap the listing reaches many tiles but keeps only the
+        # translates within the pair radius of the base cube, 88 of their
+        # 390 points: at that count the verdict is the unbudgeted one, and
+        # one point below it is refused, holding at most those translates and
+        # four blocks of 2^18 coordinates
         rng = np.random.default_rng(81)
         code = FiniteCode(rng.uniform(-1, 1, size=(30, 3)), 3, 3, 0.05, 1.0, None)
         cons = Constellation(code, 0.05)
         r = math.sqrt(2 * 3 * 3 * 0.05) * (1 + 1e-6)
         tiles = len(construction._tile_offsets(cons.period, 2 * code.K, r, np.zeros(3), True))
+        kept = len(construction._near_points(cons, r, code.K, one_sign=True)[0])
+        assert (kept, tiles * 30) == (88, 390)
         want = verify_packing(cons, 0.5)
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 30)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", kept)
         got = verify_packing(cons, 0.5)
         assert (got.passed, got.min_avg_radius_sq, got.violation_base_indices) == (
             want.passed, want.min_avg_radius_sq, want.violation_base_indices)
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", tiles * 30 - 1)
-        with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles \* 30 points"):
-            verify_packing(cons, 0.5)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", kept - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles keep more than the {kept - 1} point"):
+                verify_packing(cons, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kept * 3 * 8 + 4 * 2**18 * 8
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):
@@ -912,7 +957,6 @@ class TestDensityReport:
         rep = density_report(cons, 25.0, 100_000, seed=11)
         assert rep.covered > 0
         assert abs(rep.delta_hat - rep.predicted_delta) <= 0.1
-        assert rep.rate_nld == pytest.approx(cons.nld, rel=1e-12)
 
     def test_zero_coverage(self):
         code = FiniteCode(points=np.zeros((1, 2)), n=2, L=2, N=1e-8, K=1.0, seed=None)
@@ -948,9 +992,8 @@ class TestDensityReport:
             rep = density_report(c, 9.0, 20_000, seed=5)
             assert rep.covered == ring_covered(c, 9.0, 20_000, 5)
 
-    def test_high_dimension(self):
-        # the 3^12 ring would hold 5.3e8 points, over WINDOW_BUDGET; at the
-        # default gap only the base code can cover a sample
+    def test_high_dimension(self, monkeypatch):
+        # at the default gap only the base code can cover a sample
         rng = np.random.default_rng(12)
         code = FiniteCode(rng.uniform(-1, 1, size=(1000, 12)), 12, 2, 0.1, 1.0, None)
         cons = tile(code)
@@ -958,7 +1001,12 @@ class TestDensityReport:
         samples = np.vstack(list(cell_samples(12, cons.period, math.sqrt(12 * 0.3), 2_000, 4)))
         d2 = ((samples[:, None, :] - code.points[None, :, :]) ** 2).sum(axis=2)
         assert rep.covered == int((d2.min(axis=1) <= 12 * 0.1).sum()) > 0
-        with pytest.raises(BudgetError, match="neighbor tiles"):
+        # at gap 0.1 the cell keeps 381,320 translates from the 3^12 ring,
+        # which the default budget lets through after walking every tile; a
+        # budget below that count refuses the ring, here from its 531,441
+        # candidate offsets before any tile is walked
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", 381_319)
+        with pytest.raises(BudgetError, match="^531441 candidate tile offsets"):
             density_report(Constellation(base=code, gap=0.1), 0.3, 2_000, seed=4)
 
     # The cell index sends only rounding ties to the tree, so the counts are
@@ -978,7 +1026,7 @@ class TestDensityReport:
         assert density_report(c, 9.0, 6_000, seed=5).covered == rep.covered
 
     @pytest.mark.parametrize("factor", [1.0, 0.8, 0.6, 0.3])
-    def test_covered_equals_tree_oracle_with_translates(self, factor):
+    def test_covered_equals_tree_oracle_with_translates(self, factor, monkeypatch):
         # points on the cube's faces, edges and corners, so that the face,
         # edge and corner translates kept at narrower gaps reach into the cell
         rng = np.random.default_rng(21)
@@ -990,6 +1038,18 @@ class TestDensityReport:
         c = Constellation(base=code, gap=factor * r_cov)
         rep = density_report(c, 9.0, 20_001, seed=8)
         assert 0 < rep.covered == tree_covered(c, 9.0, 20_001, 8)
+        # the budget counts the kept translates, far fewer than the points of
+        # their tiles: at that count the report is the same, one below it is
+        # refused
+        h = construction._cover_radius(r_cov)
+        tiles = len(construction._tile_offsets(c.period, c.period / 2 + 1.0, h, np.zeros(3), False))
+        kept = len(construction._near_points(c, h, c.period / 2)[0])
+        assert kept < tiles * 40 / 2
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", kept)
+        assert density_report(c, 9.0, 20_001, seed=8).covered == rep.covered
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", kept - 1)
+        with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles keep more than the {kept - 1} point"):
+            density_report(c, 9.0, 20_001, seed=8)
 
     def test_tie_band_decisions_equal_the_tree(self):
         # samples planted at r, r*(1 +- 1e-13) and r*(1 +- 1e-6) from base
