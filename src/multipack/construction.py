@@ -353,74 +353,59 @@ def tile(code: FiniteCode) -> Constellation:
     return Constellation(base=code, gap=1.01 * g_min)
 
 
-def _tile_offsets(period, w, r, center, one_sign):
-    """The tile offsets k with sum_i (|k_i*period - center_i| - w)_+^2 <= r^2,
-    in lexicographic order; with ``one_sign``, only the k != 0 whose first
-    nonzero coordinate is positive (one of k and -k, about a zero centre).
-
-    The sum is a squared lower bound on the distance between two boxes
-    centred on ``center`` and on k*period whose half-widths sum to w
-    (_near_points takes w = half + K, its box against a tile's cube).
-    The rows grow one coordinate at a time over the k_i whose own term is
-    at most r^2, dropping a prefix once its partial sum passes
-    r^2*(1 + 1e-9), so only prefixes of kept rows are held; the exact sum
-    filters the rows at the end.  Raises ValueError unless 0 <= r < inf and
-    the centre is finite, and BudgetError when a step's candidates exceed
-    WINDOW_BUDGET."""
-    if not 0.0 <= r < math.inf or not np.isfinite(center).all():
-        raise ValueError(f"window needs a finite centre and a radius in [0, inf), got radius {r!r}")
-    rows, reach = np.zeros((1, 0), dtype=np.intp), np.zeros(1)
-    for ci in center:
-        lo, hi = math.ceil((ci - w - r) / period), math.floor((ci + w + r) / period)
-        if len(rows) * (hi - lo + 1) > WINDOW_BUDGET:
-            raise BudgetError(f"{len(rows) * (hi - lo + 1)} candidate tile offsets exceed the window budget")
-        values = np.arange(lo, hi + 1)
-        cost = np.maximum(np.abs(values * period - ci) - w, 0.0) ** 2
-        keep = reach[:, None] + cost <= r * r * (1.0 + 1e-9)
-        if one_sign:
-            # every kept prefix but the zero one starts with a positive entry
-            keep[~rows.any(axis=1)] &= values >= 0
-        i, j = np.nonzero(keep)
-        rows, reach = np.column_stack([rows[i], values[j]]), reach[i] + cost[j]
-    if one_sign:
-        rows = rows[rows.any(axis=1)]
-    return rows[(np.maximum(np.abs(rows * period - center) - w, 0.0) ** 2).sum(axis=1) <= r * r]
-
-
 def _near_points(c, r, half, center=None, one_sign=False):
-    """The points x + k*period of the constellation within r of the box
-    center + [-half, half]^n (about the origin by default), tile by tile in
-    lexicographic order of k and each tile's in base order, with the row of
-    x in the base code.
+    """The points y = x + k*period of the constellation within r of the box
+    center + [-half, half]^n (the origin by default), sum_i (|y_i - c_i| -
+    half)_+^2 <= r^2, tile by tile in lexicographic order of k, each tile's
+    in base order, with the row of x; with ``one_sign`` only the k whose
+    first nonzero entry is positive (one of k and -k, about a zero centre).
 
-    The tiles are the walk of _tile_offsets at w = half + K, the box against
-    the cube k*period + [-K, K]^n; with ``one_sign`` only the k != 0 whose
-    first nonzero coordinate is positive.  The translates are built in
-    blocks of tiles, and only the kept ones are held: BudgetError is raised
-    once they number more than WINDOW_BUDGET."""
+    From every base point k grows one axis at a time while that sum over
+    the walked axes is within r^2*(1 + 1e-9); a step lists its rows value
+    by value, so equal prefixes keep base order, and after the exact sum a
+    stable lexsort on k gives tile order.  Raises ValueError unless 0 <= r
+    < inf and the centre is finite, and BudgetError when an axis step keeps
+    more than WINDOW_BUDGET rows (at half >= K, most at the last: the kept)."""
     code = c.base
     center = np.zeros(code.n) if center is None else np.asarray(center, dtype=float).reshape(code.n)
-    tiles = _tile_offsets(c.period, half + code.K, r, center, one_sign)
-    rows, out, held = [np.empty(0, np.intp)], [np.empty((0, code.n))], 0
-    step = max(1, 2**18 // max(code.points.size, 1))
-    for j0 in range(0, len(tiles), step):
-        Y = code.points[None, :, :] + (tiles[j0 : j0 + step] * c.period)[:, None, :]
-        e = np.maximum(np.abs(Y - center) - half, 0.0)
-        kj, bj = np.nonzero(np.einsum("kij,kij->ki", e, e) <= r * r)
-        held += len(bj)
-        if held > WINDOW_BUDGET:
-            raise BudgetError(f"{len(tiles)} neighbor tiles keep more than the {WINDOW_BUDGET} point window budget")
-        rows.append(bj)
-        out.append(Y[kj, bj])
-    return np.concatenate(rows), np.concatenate(out)
+    if not 0.0 <= r < math.inf or not np.isfinite(center).all():
+        raise ValueError(f"window needs a finite centre and a radius in [0, inf), got radius {r!r}")
+    X, P, M = code.points, c.period, code.M
+    rows, reach, steps = np.arange(M), np.zeros(M), []
+    # under one_sign, which rows' offsets are still all zero
+    zero = np.ones(M, dtype=bool) if one_sign else np.False_
+    # the points' coordinate range on each axis (with 0, for an empty code)
+    tops, bottoms = X.max(axis=0, initial=0.0).tolist(), X.min(axis=0, initial=0.0).tolist()
+    for i, ci in enumerate(center.tolist()):
+        xi = X[rows, i]
+        lo = math.ceil((ci - half - r - tops[i]) / P)
+        values = np.arange(lo, math.floor((ci + half + r - bottoms[i]) / P) + 1)
+        # one row per value, one column per walked row
+        d = np.maximum(np.abs((values * P)[:, None] + xi - ci) - half, 0.0) ** 2 + reach
+        keep = d <= r * r * (1.0 + 1e-9)
+        # a prefix still zero takes no negative entry
+        keep[: max(-lo, 0)] &= ~zero
+        j, a = np.nonzero(keep)
+        if len(a) > WINDOW_BUDGET:
+            raise BudgetError(f"{len(a)} translates within reach on {i + 1} of {code.n} axes exceed the {WINDOW_BUDGET} point window budget")
+        steps.append((a, values[j]))
+        rows, reach = rows[a], d[j, a]
+        if one_sign:
+            zero = zero[a] & (steps[-1][1] == 0)
+    k, at = np.empty((len(rows), code.n), dtype=np.intp), np.arange(len(rows))
+    for i, (a, v) in reversed(list(enumerate(steps))):
+        k[:, i], at = v[at], a[at]
+    Y = X[rows] + k * P
+    e = np.maximum(np.abs(Y - center) - half, 0.0)
+    ok = (np.einsum("ij,ij->i", e, e) <= r * r) & ~zero
+    order = np.flatnonzero(ok)[np.lexsort(k[ok].T[::-1])]
+    return rows[order], Y[order]
 
 
 def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     """All constellation points within the closed ball (center, radius),
     tile by tile in lexicographic tile order, each tile's in base order:
-    _near_points at half = 0.  Raises ValueError unless 0 <= radius < inf
-    and the centre is finite, and BudgetError when the ball holds more than
-    WINDOW_BUDGET points."""
+    _near_points at half = 0, with its ValueError and BudgetError."""
     return _near_points(c, radius, 0.0, center)[1]
 
 
@@ -450,21 +435,20 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     up to translation, a cross-tile pair within the pair radius is a pair
     of the graph joining a base row to a translate row.
 
-    ``window_radius`` only sizes the counts window_points and
-    same_tile_lists, taken from a KD-tree of the base code for each tile
-    whose cube reaches the window (the walk of _near_points at half = 0),
-    without listing the window.  Raises ValueError unless 0 <= window_radius
-    < inf, and BudgetError when the listing keeps more than WINDOW_BUDGET
-    translates.
+    ``window_radius`` only sizes window_points and same_tile_lists, taken
+    from a KD-tree of the base code for each tile whose cube reaches the
+    window (_near_points of one point at the origin at half = K), without
+    listing it.  Raises ValueError and BudgetError as _near_points does.
     """
     from scipy.spatial import cKDTree
 
     code = c.base
     M, L, K, P = code.M, code.L, code.K, c.period
     thr = code.n * code.N
-    tiles = _tile_offsets(P, K, window_radius, np.zeros(code.n), False)
-    # x + t*period lies in the window when x is within its radius of -t*period
-    counts = cKDTree(code.points).query_ball_point(-(tiles * P), window_radius, return_length=True)
+    # one point at the origin walks the tiles whose cube reaches the window
+    _, centres = _near_points(replace(c, base=replace(code, points=np.zeros((1, code.n)))), window_radius, K)
+    # x + k*period lies in the window when x is within its radius of -k*period
+    counts = cKDTree(code.points).query_ball_point(-centres, window_radius, return_length=True)
     sizes, repeats = np.unique(counts, return_counts=True)
     window_points = int(counts.sum())
     same_tile_lists = sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, repeats))
@@ -636,8 +620,8 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     _near_points at half = period/2 and radius h, with k and -k both and
     k = 0 for the base.  Each nonzero coordinate of k costs at least
     (period/2 - K)^2 = gap^2, so only the base is kept for any gap above h,
-    as tile() gives, and the 2n face translates at gap = r.  Refuses a
-    constellation whose kept points number more than WINDOW_BUDGET.
+    as tile() gives, and the 2n face translates at gap = r.  The walk's
+    rows only grow here, so it refuses kept points past WINDOW_BUDGET.
 
     When the cells of side h over all n axes fit in WINDOW_BUDGET, a cell
     index (_CellIndex) decides most samples.  A sample y within r of a point

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,7 @@ class PointList:
     """An ordered list of L >= 2 points in R^n, one per row of ``points``."""
 
     points: np.ndarray
+    _magnitude: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -41,10 +42,12 @@ class PointList:
             raise ValueError(f"need at least 2 points, got {pts.shape[0]}")
         if pts.shape[1] < 1:
             raise ValueError("points must have at least one coordinate")
-        if not np.all(np.isfinite(pts)):
+        magnitude = float(np.abs(pts).max())
+        if not magnitude < math.inf:
             raise ValueError("points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_magnitude", magnitude)
 
     @property
     def L(self) -> int:
@@ -105,6 +108,13 @@ class SpectralPair:
     D: np.ndarray
 
 
+def _radius_points(pl: PointList) -> np.ndarray:
+    """pl.points, refused past 2^400 in magnitude, where squares overflow."""
+    if pl._magnitude > 2.0**400:
+        raise ValueError("coordinates must be at most 2^400 in magnitude")
+    return pl.points
+
+
 def pairwise_sq_dists(X: np.ndarray) -> np.ndarray:
     """Dense matrix of squared Euclidean distances between rows of X."""
     sq = np.einsum("ij,ij->i", X, X)
@@ -122,7 +132,7 @@ def avg_sq_radius(pl: PointList, formula: str = "centroid") -> float:
     mean squared norm minus squared centroid norm, the norm/correlation
     split, and the mean pairwise squared distance.
     """
-    X = pl.points
+    X = _radius_points(pl)
     L = pl.L
     if formula == "centroid":
         diff = X - X.mean(axis=0)
@@ -266,7 +276,7 @@ def chebyshev_radius(pl: PointList) -> ChebResult:
     ConvergenceWarning is raised and the gap is reported as-is.
     """
     xbar = pl.centroid()
-    X = pl.points - xbar
+    X = _radius_points(pl) - xbar
     L = pl.L
     max_steps = CHEB_STEPS * L * 21
     S = [int(np.argmax(np.einsum("ij,ij->i", X, X)))]
@@ -358,13 +368,15 @@ def rad_p(pl: PointList, p: float) -> float:
     run out first, a ConvergenceWarning is raised and the smaller of the
     value at the last iterate and at chebyshev_radius's centre is returned,
     so an unconverged value too stays at most the squared Chebyshev radius.
+    Lists whose squared distances from the centroid are all below 2^-800 are
+    solved as X - X[0] scaled by a power of two, and the value scaled back.
     The result is m * mean((r_i^2/m)^p)^(1/p).  p = 1 gives avg_sq_radius
     up to round-off; the value is nondecreasing in p, at most the squared
     Chebyshev radius, and approaches it as p grows.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    X = pl.points
+    X = _radius_points(pl)
     L = pl.L
     if (X == X[0]).all():
         return 0.0
@@ -380,6 +392,9 @@ def rad_p(pl: PointList, p: float) -> float:
 
     y = pl.centroid()
     diff, r2 = radii(y)
+    if float(r2.max()) < 2.0**-800:
+        e = -math.frexp(float(np.ptp(X, axis=0).max()))[1]
+        return math.ldexp(rad_p(PointList(np.ldexp(X - X[0], e)), p), -2 * e)
     # every p <= 4 is one stage from the centroid
     q = min(p, 4.0)
     converged = False

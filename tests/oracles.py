@@ -10,7 +10,8 @@ writer with one repr per coordinate.
 
 The exhaustive ones scan every L-subset, every window pair, every tile of
 the window's bounding box, every base pair against every neighbour
-translate, every tile of the 3^n ring,
+translate, every tile of the 3^n ring, every (point, offset) of a padded
+offset box,
 every circumscribed ball or a dense tensor grid, so they are only for small
 inputs.  The straightforward ones (a Counter over every surviving list per
 removal, one quadrature per order and panel, two
@@ -269,14 +270,60 @@ def offset_box(bound):
     order (the verifier's offset list before it was pruned by reach)."""
     axes = [np.arange(-b, b + 1) for b in bound]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    first = grid[np.arange(len(grid)), (grid != 0).argmax(axis=1)]
-    return grid[first > 0]
+    return grid[_first_positive(grid)]
 
 
 def offset_reach(offsets, period, w, center):
-    """sum_i (|k_i*period - center_i| - w)_+^2 for each row k, the exact sum
-    that _tile_offsets filters its rows by."""
+    """sum_i (|k_i*period - center_i| - w)_+^2 for each row k: the squared
+    distance from the box center + [-w, w]^n to k*period, the exact sum the
+    offset walk filters a point at the origin by."""
     return (np.maximum(np.abs(offsets * period - center) - w, 0.0) ** 2).sum(axis=1)
+
+
+def _padded_axes(X, period, r, half, center):
+    """Per axis, the offsets k_i from one below to one above those that can
+    bring a point of X within r + half of center_i."""
+    return [
+        np.arange(math.floor((ci - half - r - X[:, i].max()) / period) - 1, math.ceil((ci + half + r - X[:, i].min()) / period) + 2)
+        for i, ci in enumerate(center)
+    ]
+
+
+def _first_positive(k):
+    """Which rows of k have a positive first nonzero coordinate."""
+    return k[np.arange(len(k)), (k != 0).argmax(axis=1)] > 0
+
+
+def box_translates(X, period, r, half, center, one_sign):
+    """The translates x_b + k*period within r of the box center +
+    [-half, half]^n, as (rows b, points), from every (b, k) of the padded
+    offset box filtered by the exact sum, in lexicographic k order and each
+    k's in row order; with ``one_sign`` only the k whose first nonzero
+    coordinate is positive."""
+    axes = _padded_axes(X, period, r, half, center)
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    if one_sign:
+        box = box[_first_positive(box)]
+    Y = X[None, :, :] + (box * period)[:, None, :]
+    e = np.maximum(np.abs(Y - center) - half, 0.0)
+    k, b = np.nonzero((e * e).sum(axis=2) <= r * r)
+    return b, Y[k, b]
+
+
+def walk_step_rows(X, period, r, half, center, one_sign):
+    """The rows the offset walk holds after each axis: per prefix length j,
+    the (b, k_1..k_j) of the padded box whose partial sum over the first j
+    axes is at most r^2*(1 + 1e-9), with ``one_sign`` those whose prefix is
+    zero or starts with a positive entry."""
+    axes = _padded_axes(X, period, r, half, center)
+    counts = []
+    for j in range(1, len(axes) + 1):
+        box = np.stack(np.meshgrid(*axes[:j], indexing="ij"), axis=-1).reshape(-1, j)
+        if one_sign:
+            box = box[_first_positive(box) | ~box.any(axis=1)]
+        e = np.maximum(np.abs(X[None, :, :j] + (box * period)[:, None, :] - center[:j]) - half, 0.0)
+        counts.append(int(((e * e).sum(axis=2) <= r * r * (1.0 + 1e-9)).sum()))
+    return counts
 
 
 def ring_offsets(n, nonzero):

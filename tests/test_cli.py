@@ -302,6 +302,19 @@ class TestRadius:
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
 
+    def test_underflowing_and_overflowing_lists(self, tmp_path, capsys):
+        # 1e-200 apart rad_p is 2.5e-401, 0.0 in doubles; 1e200 apart the
+        # squared distances overflow, so the list is refused
+        p = tmp_path / "tiny.csv"
+        p.write_text("# n=1\n0.0\n1e-200\n")
+        rc, text, _ = run(["radius", str(p), "--mode", "p"], capsys)
+        assert (rc, text) == (0, "rad_p(2.0): 0.0\n")
+        p = tmp_path / "huge.csv"
+        p.write_text("# n=1\n0.0\n1e200\n")
+        for mode in ("avg", "cheb", "p"):
+            rc, _, err = run(["radius", str(p), "--mode", mode], capsys)
+            assert (rc, err) == (2, "error: coordinates must be at most 2^400 in magnitude\n")
+
     def test_parse_error_exit(self, tmp_path, capsys):
         p = tmp_path / "junk.csv"
         p.write_text("# n=2\n1,2\n3,oops\n")

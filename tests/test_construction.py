@@ -26,6 +26,7 @@ from multipack import (
 from multipack import construction
 from multipack.bounds import BoundQuery, ExponentQuery, lb_ppp, log_threshold_size
 from oracles import (
+    box_translates,
     cell_samples,
     cross_tile_min_sq_band,
     cross_tile_min_sq_gram,
@@ -38,9 +39,19 @@ from oracles import (
     same_tile_min_per_tile,
     scan_subsets,
     tree_covered,
+    walk_step_rows,
     window_bad_lists,
     window_rows,
 )
+
+
+def tile_offsets(P, w, r, center, one_sign):
+    """The offset walk of one point at the origin, in a constellation of
+    period P: the tiles k with sum_i (|k_i*P - center_i| - w)_+^2 <= r^2,
+    in lexicographic order."""
+    n = len(center)
+    c = Constellation(FiniteCode(np.zeros((1, n)), n, 2, 1.0, P / 4, None), P / 4)
+    return np.rint(construction._near_points(c, r, w, center, one_sign)[1] / P).astype(np.intp)
 
 
 def code_1d(points, N, K=10.0, L=2):
@@ -701,9 +712,9 @@ class TestVerifyPacking:
         # radii inside each shell, and just below the edge
         for j, r in [(j, 2 * gap * math.sqrt(j + 0.5)) for j in range(n)] + [(n, edge * (1 - 1e-9))]:
             want = {tuple(k) for k in ring_offsets(n, j).astype(int)}
-            assert {tuple(k) for k in construction._tile_offsets(P, 2 * K, r, zero, False)} == want
+            assert {tuple(k) for k in tile_offsets(P, 2 * K, r, zero, False)} == want
         # just past it, |k_i| = 2 comes in
-        assert (np.abs(construction._tile_offsets(P, 2 * K, edge * (1 + 1e-9), zero, False)) == 2).any()
+        assert (np.abs(tile_offsets(P, 2 * K, edge * (1 + 1e-9), zero, False)) == 2).any()
         assert len(grid) == (5**n - 1) // 2
         assert not (set(map(tuple, grid)) & set(map(tuple, -grid)))
 
@@ -717,9 +728,9 @@ class TestVerifyPacking:
         first = want[np.arange(len(want)), (want != 0).argmax(axis=1)]
         # the centre as a tuple and as an array
         for c in (tuple(center), np.asarray(center, dtype=float)):
-            got = construction._tile_offsets(P, w, r, c, False)
+            got = tile_offsets(P, w, r, c, False)
             assert got.shape == want.shape and (got == want).all()
-            got = construction._tile_offsets(P, w, r, c, True)
+            got = tile_offsets(P, w, r, c, True)
             assert got.shape == want[first > 0].shape and (got == want[first > 0]).all()
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -734,7 +745,7 @@ class TestVerifyPacking:
             for r in radii:
                 box = offset_box((int((r + 2 * K) / P),) * n)
                 want = box[offset_reach(box, P, 2 * K, 0.0) <= r * r]
-                got = construction._tile_offsets(P, 2 * K, r, (0.0,) * n, True)
+                got = tile_offsets(P, 2 * K, r, (0.0,) * n, True)
                 assert got.shape == want.shape and (got == want).all()
             # both signs, the three box widths and random centres, while the
             # padded box, about 6^n rows, stays small
@@ -755,7 +766,7 @@ class TestVerifyPacking:
             P = 2 * K + 2 * gap
             for j in range(n + 1):
                 r = gap * math.sqrt(j + 0.5)
-                got = construction._tile_offsets(P, P / 2 + K, r, (0.0,) * n, True)
+                got = tile_offsets(P, P / 2 + K, r, (0.0,) * n, True)
                 both = {tuple(k) for k in np.vstack([got, -got])}
                 want = {tuple(k) for k in ring_offsets(n, j).astype(int)} - {(0,) * n}
                 assert both == want and 2 * len(got) == len(want)
@@ -776,62 +787,101 @@ class TestVerifyPacking:
         assert peak <= 32 * 2**20
 
     def test_offset_rows_are_refused_while_grown(self, monkeypatch):
-        # every ring offset reaches r, 3^10/2 rows: the growth stops at the
-        # last step, whose 3^9 + 1 prefixes times 3 values exceed the budget
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", 10**4)
-        with pytest.raises(BudgetError, match="29526 candidate tile offsets"):
-            construction._tile_offsets(2.2, 2.1, 1.0, (0.0,) * 10, True)
+        # every ring offset reaches r: the 3^9/2 nonzero prefixes grow into
+        # 3 rows each and the zero prefix into 2 at the last step, which
+        # exceeds the budget that every earlier step (at most 3^9/2 + 1
+        # rows) fits
+        count = 3 * (3**9 - 1) // 2 + 2
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", count)
+        assert len(tile_offsets(2.2, 2.1, 1.0, (0.0,) * 10, True)) == (3**10 - 1) // 2
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", count - 1)
+        with pytest.raises(BudgetError, match=f"^{count} translates within reach on 10 of 10 axes"):
+            tile_offsets(2.2, 2.1, 1.0, (0.0,) * 10, True)
+
+    @staticmethod
+    def walk_bytes(X, P, r, half, centre, steps):
+        # what the walk holds when its last step is refused: per candidate
+        # of that step (a value on one of the previous step's rows) the
+        # translate and the running sum, 8 bytes each, and a mask byte; per
+        # row of either step its index, reach, key, flag, coordinates and
+        # the step's two index arrays
+        n = len(centre)
+        span = math.floor((centre[-1] + half + r - X[:, -1].min()) / P) - math.ceil((centre[-1] - half - r - X[:, -1].max()) / P) + 1
+        return 24 * span * steps[-2] + (8 * n + 32) * (steps[-2] + steps[-1]) + 2**16
 
     def test_window_over_the_budget_is_refused(self, monkeypatch):
-        # the budget counts the points of the ball, not the tiles * M points
-        # of the tiles reaching it: at that count the window is listed, one
-        # point below it is refused once the kept translates pass it, so the
-        # peak stays below those points and four blocks of 2^18 coordinates
+        # the budget counts the rows the walk holds, the points of the ball
+        # on the axes walked so far, not the tiles * M points of the tiles
+        # reaching it: at the last step's count, the ball, the window is
+        # listed, one point below it is refused, and the peak stays within
+        # what that step holds
         rng = np.random.default_rng(80)
         cons = tile(FiniteCode(rng.uniform(-1, 1, size=(400, 3)), 3, 2, 0.005, 1.0, None))
         centre, R = np.full(3, 0.3), 2.5 * cons.period
         want = enumerate_window(cons, centre, R)
-        tiles = len(construction._tile_offsets(cons.period, cons.base.K, R, centre, False))
-        assert len(want) < tiles * 400
+        steps = walk_step_rows(cons.base.points, cons.period, R, 0.0, centre, False)
+        tiles = len(tile_offsets(cons.period, cons.base.K, R, centre, False))
+        assert steps == [2000, 7898, len(want)] and len(want) == 26300 < tiles * 400
         monkeypatch.setattr(construction, "WINDOW_BUDGET", len(want))
         assert np.array_equal(enumerate_window(cons, centre, R), want)
         monkeypatch.setattr(construction, "WINDOW_BUDGET", len(want) - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles keep more than the {len(want) - 1} point"):
+            with pytest.raises(BudgetError, match=rf"^{len(want)} translates within reach on 3 of 3 axes exceed the {len(want) - 1} point"):
                 enumerate_window(cons, centre, R)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < len(want) * 3 * 8 + 4 * 2**18 * 8
+        assert peak < self.walk_bytes(cons.base.points, cons.period, R, 0.0, centre, steps)
 
     def test_listing_over_the_budget_is_refused(self, monkeypatch):
         # at a narrow gap the listing reaches many tiles but keeps only the
         # translates within the pair radius of the base cube, 88 of their
-        # 390 points: at that count the verdict is the unbudgeted one, and
-        # one point below it is refused, holding at most those translates and
-        # four blocks of 2^18 coordinates
+        # 390 points; the walk's rows only grow at half = K, and its last
+        # step holds those translates and the 30 zero-offset rows it drops
+        # at the end: at that count the verdict is the unbudgeted one, and
+        # one row below it is refused, holding no more than that step
         rng = np.random.default_rng(81)
         code = FiniteCode(rng.uniform(-1, 1, size=(30, 3)), 3, 3, 0.05, 1.0, None)
         cons = Constellation(code, 0.05)
         r = math.sqrt(2 * 3 * 3 * 0.05) * (1 + 1e-6)
-        tiles = len(construction._tile_offsets(cons.period, 2 * code.K, r, np.zeros(3), True))
+        tiles = len(tile_offsets(cons.period, 2 * code.K, r, np.zeros(3), True))
         kept = len(construction._near_points(cons, r, code.K, one_sign=True)[0])
-        assert (kept, tiles * 30) == (88, 390)
+        steps = walk_step_rows(code.points, cons.period, r, code.K, np.zeros(3), True)
+        assert (kept, tiles * 30, steps) == (88, 390, [42, 70, 88 + 30])
         want = verify_packing(cons, 0.5)
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", kept)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", steps[-1])
         got = verify_packing(cons, 0.5)
         assert (got.passed, got.min_avg_radius_sq, got.violation_base_indices) == (
             want.passed, want.min_avg_radius_sq, want.violation_base_indices)
-        monkeypatch.setattr(construction, "WINDOW_BUDGET", kept - 1)
+        monkeypatch.setattr(construction, "WINDOW_BUDGET", steps[-1] - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles keep more than the {kept - 1} point"):
+            with pytest.raises(BudgetError, match=rf"^{steps[-1]} translates within reach on 3 of 3 axes exceed the {steps[-1] - 1} point"):
                 verify_packing(cons, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < kept * 3 * 8 + 4 * 2**18 * 8
+        assert peak < self.walk_bytes(code.points, cons.period, r, code.K, np.zeros(3), steps)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_translates_are_the_filtered_box(self, n):
+        # every (x, k) of the padded offset box, filtered by the exact sum,
+        # in tile-then-base order: rows and points bit for bit, about random
+        # centres, from a point box, the base cube and the fold cell
+        rng = np.random.default_rng(40 + n)
+        for K, gap in ((1.0, 0.3), (1.0, 0.05), (0.5, 0.7)):
+            code = FiniteCode(rng.uniform(-K, K, size=(int(rng.integers(1, 25)), n)), n, 2, 0.01, K, None)
+            c = Constellation(code, gap)
+            P = c.period
+            for centre in [np.zeros(n)] + list(rng.uniform(-P, P, size=(2, n))):
+                for half in (0.0, K, P / 2):
+                    for r in (0.0, gap, 0.7 * P, 1.3 * P if n <= 3 else 0.4 * P):
+                        for one_sign in (False, True):
+                            rows, pts = construction._near_points(c, r, half, centre, one_sign)
+                            want_rows, want_pts = box_translates(code.points, P, r, half, centre, one_sign)
+                            assert np.array_equal(rows, want_rows)
+                            assert pts.shape == want_pts.shape and pts.tobytes() == want_pts.tobytes()
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):
@@ -1001,13 +1051,26 @@ class TestDensityReport:
         samples = np.vstack(list(cell_samples(12, cons.period, math.sqrt(12 * 0.3), 2_000, 4)))
         d2 = ((samples[:, None, :] - code.points[None, :, :]) ** 2).sum(axis=2)
         assert rep.covered == int((d2.min(axis=1) <= 12 * 0.1).sum()) > 0
-        # at gap 0.1 the cell keeps 381,320 translates from the 3^12 ring,
-        # which the default budget lets through after walking every tile; a
-        # budget below that count refuses the ring, here from its 531,441
-        # candidate offsets before any tile is walked
+        # at gap 0.1 the cell keeps 381,320 translates from the 3^12 ring;
+        # the walk goes point by point, so the report runs end to end, and
+        # its count is that of the nearest translates: x + k*period nearest
+        # y has k_i = round((y_i - x_i)/period) on each axis
+        # (each sample's tree query over the ring's 12-D points takes ms,
+        # so it runs on fewer samples)
+        ring = Constellation(base=code, gap=0.1)
+        rep = density_report(ring, 0.3, 400, seed=4)
+        samples = np.vstack(list(cell_samples(12, ring.period, math.sqrt(12 * 0.3), 400, 4)))
+        best = np.full(len(samples), np.inf)
+        for x in np.array_split(code.points, 10):
+            d = samples[:, None, :] - x[None, :, :]
+            d -= np.round(d / ring.period) * ring.period
+            np.minimum(best, np.einsum("ijk,ijk->ij", d, d).min(axis=1), out=best)
+        assert rep.covered == int((best <= 12 * 0.1).sum()) > 0
+        # the walk's rows only grow at half = period/2 >= K, so a budget
+        # below the kept translates refuses the ring at its last step
         monkeypatch.setattr(construction, "WINDOW_BUDGET", 381_319)
-        with pytest.raises(BudgetError, match="^531441 candidate tile offsets"):
-            density_report(Constellation(base=code, gap=0.1), 0.3, 2_000, seed=4)
+        with pytest.raises(BudgetError, match="^381320 translates within reach on 12 of 12 axes"):
+            density_report(ring, 0.3, 400, seed=4)
 
     # The cell index sends only rounding ties to the tree, so the counts are
     # equal to those of the tree alone, with and without the index; 6000
@@ -1038,17 +1101,18 @@ class TestDensityReport:
         c = Constellation(base=code, gap=factor * r_cov)
         rep = density_report(c, 9.0, 20_001, seed=8)
         assert 0 < rep.covered == tree_covered(c, 9.0, 20_001, 8)
-        # the budget counts the kept translates, far fewer than the points of
-        # their tiles: at that count the report is the same, one below it is
-        # refused
+        # the budget counts the rows the walk holds, which only grow at half
+        # = period/2 >= K, so the last step's are the kept translates, far
+        # fewer than the points of their tiles: at that count the report is
+        # the same, one below it is refused
         h = construction._cover_radius(r_cov)
-        tiles = len(construction._tile_offsets(c.period, c.period / 2 + 1.0, h, np.zeros(3), False))
+        tiles = len(tile_offsets(c.period, c.period / 2 + 1.0, h, np.zeros(3), False))
         kept = len(construction._near_points(c, h, c.period / 2)[0])
-        assert kept < tiles * 40 / 2
+        assert max(walk_step_rows(pts, c.period, h, c.period / 2, np.zeros(3), False)) == kept < tiles * 40 / 2
         monkeypatch.setattr(construction, "WINDOW_BUDGET", kept)
         assert density_report(c, 9.0, 20_001, seed=8).covered == rep.covered
         monkeypatch.setattr(construction, "WINDOW_BUDGET", kept - 1)
-        with pytest.raises(BudgetError, match=rf"^{tiles} neighbor tiles keep more than the {kept - 1} point"):
+        with pytest.raises(BudgetError, match=rf"^{kept} translates within reach on 3 of 3 axes exceed the {kept - 1} point"):
             density_report(c, 9.0, 20_001, seed=8)
 
     def test_tie_band_decisions_equal_the_tree(self):

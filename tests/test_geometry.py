@@ -1,6 +1,8 @@
 import math
 import sys
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +106,18 @@ class TestPointList:
             PointList(np.zeros((3,)))  # needs 2-D
         with pytest.raises(ValueError):
             PointList(np.array([[0.0, np.nan], [1.0, 2.0]]))
+
+    def test_radii_refuse_coordinates_past_2_400(self):
+        # 1e200 apart the squared distances overflow: every radius came out
+        # inf or nan, and rad_p ran for minutes; the list itself, which
+        # point files carry, holds any finite doubles
+        ok = PointList(np.array([[0.0, 1.0], [2.0**400, 1.0]]))
+        assert rad_p(ok, 2.0) == pytest.approx(2.0**798, rel=1e-9)
+        for big in (np.nextafter(2.0**400, math.inf), 1e200, -1e300):
+            pl = PointList(np.array([[0.0, 1.0], [big, 1.0]]))
+            for radius in [lambda pl, f=f: avg_sq_radius(pl, f) for f in AVG_FORMULAS] + [chebyshev_radius, lambda pl: rad_p(pl, 2.0)]:
+                with pytest.raises(ValueError, match="at most 2\\^400 in magnitude"):
+                    radius(pl)
 
     def test_immutable(self):
         pl = PointList(np.ones((2, 3)))
@@ -441,6 +455,29 @@ class TestRadP:
             pl = random_list(rng, L=4, n=2)
             cheb = chebyshev_radius(pl).radius_sq
             assert rad_p(pl, 6.0) <= cheb * (1 + 1e-6)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 8.0, 1e8])
+    def test_underflowing_lists(self, p):
+        # two points at d have rad_p = d^2/4 at every p: at 1e-160 that is
+        # subnormal, at 1e-200 below the subnormals, and the squared
+        # distances underflow in both; the value comes back rounded, in
+        # normal time, also beside a large coordinate shared by both points
+        for d in (1e-160, 1e-200):
+            start = time.perf_counter()
+            assert rad_p(PointList(np.array([[0.0, 1e100], [d, 1e100]])), p) == float(Fraction(d) ** 2 / 4)
+            assert time.perf_counter() - start < 5.0
+        assert float(Fraction(1e-200) ** 2 / 4) == 0.0 < float(Fraction(1e-160) ** 2 / 4)
+
+    def test_scaled_lists_scale_the_value(self):
+        # with every squared distance from the centroid below 2^-800 the
+        # list is solved scaled by a power of two, which scales the value
+        # by its square
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            pl = random_list(rng, n=int(rng.integers(1, 5)), scale=1.0)
+            for p in (1.0, 3.0, 12.0):
+                want = math.ldexp(rad_p(PointList(pl.points - pl.points[0]), p), -1200)
+                assert rad_p(PointList(np.ldexp(pl.points, -600)), p) == pytest.approx(want, rel=1e-8)
 
     def test_rejects_bad_p(self):
         pl = PointList(np.zeros((2, 1)))
