@@ -42,14 +42,9 @@ class RunManifest:
 
 
 def _write_manifest(out_path, argv, args, seed, t0) -> None:
-    params = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func" and not k.startswith("_")
-    }
     manifest = RunManifest(
         command="multipack " + " ".join(argv),
-        parameters=params,
+        parameters={k: v for k, v in vars(args).items() if k != "func"},
         seed=seed,
         version=__version__,
         wall_time_s=round(time.monotonic() - t0, 6),
@@ -179,9 +174,8 @@ def cmd_verify(args, argv) -> int:
     if not bad:
         print("PASS")
         return 0
-    radii = construction._avg_sq_radii(obj.points, np.array(bad))
-    i = int(np.argmin(radii))
-    print(f"smallest bad list: {bad[i]} with avg_sq_radius {float(radii[i])!r}")
+    radius, smallest = construction.min_avg_subset(obj)
+    print(f"smallest bad list: {smallest} with avg_sq_radius {radius!r}")
     print("FAIL")
     return 1
 

@@ -353,24 +353,25 @@ def tile(code: FiniteCode) -> Constellation:
     return Constellation(base=code, gap=1.01 * g_min)
 
 
-def _near_points(c, r, half, center=None, one_sign=False):
-    """The points y = x + k*period of the constellation within r of the box
-    center + [-half, half]^n (the origin by default), sum_i (|y_i - c_i| -
-    half)_+^2 <= r^2, tile by tile in lexicographic order of k, each tile's
-    in base order, with the row of x; with ``one_sign`` only the k whose
-    first nonzero entry is positive (one of k and -k, about a zero centre).
+def _near_points(X, period, r, half, center=None, one_sign=False):
+    """The translates y = x + k*period of the rows x of X (M by n) within r
+    of the box center + [-half, half]^n (the origin by default), sum_i
+    (|y_i - c_i| - half)_+^2 <= r^2, tile by tile in lexicographic order of
+    k, each tile's in row order, with the row of x; with ``one_sign`` only
+    the k whose first nonzero entry is positive (one of k and -k, about a
+    zero centre).  X is a base code's points, or one point at the origin,
+    whose translates are the tile offsets k*period themselves.
 
-    From every base point k grows one axis at a time while that sum over
+    From every row k grows one axis at a time while that sum over
     the walked axes is within r^2*(1 + 1e-9); a step lists its rows value
     by value, so equal prefixes keep base order, and after the exact sum a
     stable lexsort on k gives tile order.  Raises ValueError unless 0 <= r
     < inf and the centre is finite, and BudgetError when an axis step keeps
     more than WINDOW_BUDGET rows (at half >= K, most at the last: the kept)."""
-    code = c.base
-    center = np.zeros(code.n) if center is None else np.asarray(center, dtype=float).reshape(code.n)
+    (M, n), P = X.shape, period
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     if not 0.0 <= r < math.inf or not np.isfinite(center).all():
         raise ValueError(f"window needs a finite centre and a radius in [0, inf), got radius {r!r}")
-    X, P, M = code.points, c.period, code.M
     rows, reach, steps = np.arange(M), np.zeros(M), []
     # under one_sign, which rows' offsets are still all zero
     zero = np.ones(M, dtype=bool) if one_sign else np.False_
@@ -387,12 +388,12 @@ def _near_points(c, r, half, center=None, one_sign=False):
         keep[: max(-lo, 0)] &= ~zero
         j, a = np.nonzero(keep)
         if len(a) > WINDOW_BUDGET:
-            raise BudgetError(f"{len(a)} translates within reach on {i + 1} of {code.n} axes exceed the {WINDOW_BUDGET} point window budget")
+            raise BudgetError(f"{len(a)} translates within reach on {i + 1} of {n} axes exceed the {WINDOW_BUDGET} point window budget")
         steps.append((a, values[j]))
         rows, reach = rows[a], d[j, a]
         if one_sign:
             zero = zero[a] & (steps[-1][1] == 0)
-    k, at = np.empty((len(rows), code.n), dtype=np.intp), np.arange(len(rows))
+    k, at = np.empty((len(rows), n), dtype=np.intp), np.arange(len(rows))
     for i, (a, v) in reversed(list(enumerate(steps))):
         k[:, i], at = v[at], a[at]
     Y = X[rows] + k * P
@@ -405,8 +406,9 @@ def _near_points(c, r, half, center=None, one_sign=False):
 def enumerate_window(c: Constellation, center, radius: float) -> np.ndarray:
     """All constellation points within the closed ball (center, radius),
     tile by tile in lexicographic tile order, each tile's in base order:
-    _near_points at half = 0, with its ValueError and BudgetError."""
-    return _near_points(c, radius, 0.0, center)[1]
+    _near_points of the base points at the period and half = 0, with its
+    ValueError and BudgetError."""
+    return _near_points(c.base.points, c.period, radius, 0.0, center)[1]
 
 
 def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
@@ -437,7 +439,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
 
     ``window_radius`` only sizes window_points and same_tile_lists, taken
     from a KD-tree of the base code for each tile whose cube reaches the
-    window (_near_points of one point at the origin at half = K), without
+    window (_near_points of the array np.zeros((1, n)) at half = K), without
     listing it.  Raises ValueError and BudgetError as _near_points does.
     """
     from scipy.spatial import cKDTree
@@ -446,7 +448,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     M, L, K, P = code.M, code.L, code.K, c.period
     thr = code.n * code.N
     # one point at the origin walks the tiles whose cube reaches the window
-    _, centres = _near_points(replace(c, base=replace(code, points=np.zeros((1, code.n)))), window_radius, K)
+    _, centres = _near_points(np.zeros((1, code.n)), P, window_radius, K)
     # x + k*period lies in the window when x is within its radius of -k*period
     counts = cKDTree(code.points).query_ball_point(-centres, window_radius, return_length=True)
     sizes, repeats = np.unique(counts, return_counts=True)
@@ -454,7 +456,7 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     same_tile_lists = sum(math.comb(int(m), L) * int(k) for m, k in zip(sizes, repeats))
 
     r = _pair_radius(L, thr)
-    bj, Q = _near_points(c, r, K, one_sign=True)
+    bj, Q = _near_points(code.points, P, r, K, one_sign=True)
     pts = np.vstack([code.points, Q])
     lists, avg, pairs = _near_lists(pts, L, thr)
     # rows ascend, so a list has a base member when it starts in the base
@@ -647,7 +649,7 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     if code.M == 0:
         raise ValueError("empty base code")
     r_cov, half = math.sqrt(n * code.N), c.period / 2.0
-    _, pts = _near_points(c, _cover_radius(r_cov), half)
+    _, pts = _near_points(code.points, c.period, _cover_radius(r_cov), half)
     tree = functools.cache(lambda: cKDTree(pts))
     index = _cell_index(pts, r_cov, half)
     if index is None:

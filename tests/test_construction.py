@@ -49,9 +49,7 @@ def tile_offsets(P, w, r, center, one_sign):
     """The offset walk of one point at the origin, in a constellation of
     period P: the tiles k with sum_i (|k_i*P - center_i| - w)_+^2 <= r^2,
     in lexicographic order."""
-    n = len(center)
-    c = Constellation(FiniteCode(np.zeros((1, n)), n, 2, 1.0, P / 4, None), P / 4)
-    return np.rint(construction._near_points(c, r, w, center, one_sign)[1] / P).astype(np.intp)
+    return np.rint(construction._near_points(np.zeros((1, len(center))), P, r, w, center, one_sign)[1] / P).astype(np.intp)
 
 
 def code_1d(points, N, K=10.0, L=2):
@@ -846,7 +844,7 @@ class TestVerifyPacking:
         cons = Constellation(code, 0.05)
         r = math.sqrt(2 * 3 * 3 * 0.05) * (1 + 1e-6)
         tiles = len(tile_offsets(cons.period, 2 * code.K, r, np.zeros(3), True))
-        kept = len(construction._near_points(cons, r, code.K, one_sign=True)[0])
+        kept = len(construction._near_points(code.points, cons.period, r, code.K, one_sign=True)[0])
         steps = walk_step_rows(code.points, cons.period, r, code.K, np.zeros(3), True)
         assert (kept, tiles * 30, steps) == (88, 390, [42, 70, 88 + 30])
         want = verify_packing(cons, 0.5)
@@ -868,20 +866,78 @@ class TestVerifyPacking:
     def test_translates_are_the_filtered_box(self, n):
         # every (x, k) of the padded offset box, filtered by the exact sum,
         # in tile-then-base order: rows and points bit for bit, about random
-        # centres, from a point box, the base cube and the fold cell
+        # centres, from a point box, the base cube and the fold cell; gap 0
+        # is the torus of period 2K, with a point on the corner of the cube
         rng = np.random.default_rng(40 + n)
-        for K, gap in ((1.0, 0.3), (1.0, 0.05), (0.5, 0.7)):
-            code = FiniteCode(rng.uniform(-K, K, size=(int(rng.integers(1, 25)), n)), n, 2, 0.01, K, None)
-            c = Constellation(code, gap)
-            P = c.period
+        for K, gap in ((1.0, 0.3), (1.0, 0.05), (0.5, 0.7), (1.0, 0.0)):
+            X = rng.uniform(-K, K, size=(int(rng.integers(1, 25)), n))
+            if gap == 0.0:
+                X[0] = K
+            P = 2 * K + 2 * gap
             for centre in [np.zeros(n)] + list(rng.uniform(-P, P, size=(2, n))):
                 for half in (0.0, K, P / 2):
                     for r in (0.0, gap, 0.7 * P, 1.3 * P if n <= 3 else 0.4 * P):
                         for one_sign in (False, True):
-                            rows, pts = construction._near_points(c, r, half, centre, one_sign)
-                            want_rows, want_pts = box_translates(code.points, P, r, half, centre, one_sign)
+                            rows, pts = construction._near_points(X, P, r, half, centre, one_sign)
+                            want_rows, want_pts = box_translates(X, P, r, half, centre, one_sign)
                             assert np.array_equal(rows, want_rows)
                             assert pts.shape == want_pts.shape and pts.tobytes() == want_pts.tobytes()
+
+    @pytest.mark.parametrize("L", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_torus_listing_is_the_offset_box_scan(self, n, L):
+        # at period exactly 2K > sqrt(2L*n*N) a list's members lie in tiles
+        # at most one apart on each axis, so up to translation the bad lists
+        # are those of the 3^n offset box; the walk's listing, its rows
+        # starting in the base, gives each once as (base index, offset) sets
+        rng = np.random.default_rng(100 * n + L)
+        K, P = 1.0, 2.0
+        # a list holds no point with its own translate, so M >= L; else the
+        # box's 3^n * M points have at most 4e5 L-subsets, but at (3, 4) its
+        # 108 points have 5.2e6, scanned in one trial
+        M = max(m for m in range(L, 7) if m == L or math.comb(3**n * m, L) <= 4 * 10**5)
+        box = offset_box((1,) * n)
+        box = np.vstack([np.zeros((1, n), dtype=box.dtype), box, -box])
+        for trial in range(1 if (n, L) == (3, 4) else 2):
+            N = rng.uniform(0.1, 0.5) * P**2 / (2 * L * n)
+            X = rng.uniform(-K, K, size=(M, n))
+            # half the coordinates on the faces, where translates meet; the
+            # first trial wraps L points about the corner (K, ..., K) round
+            # the torus, a list across up to 2^n tiles
+            X = np.where(rng.random((M, n)) < 0.5, np.sign(X) * K, X)
+            if trial == 0:
+                X[:L] = (2 * K + rng.normal(scale=0.3 * math.sqrt(N), size=(L, n))) % P - K
+            r = construction._pair_radius(L, n * N)
+            assert r < P
+            rows, Q = construction._near_points(X, P, r, K, one_sign=True)
+            lists, _, _ = construction._near_lists(np.vstack([X, Q]), L, n * N)
+            members = [(b, (0,) * n) for b in range(M)]
+            members += [(int(b), tuple(int(v) for v in k)) for b, k in zip(rows, np.rint((Q - X[rows]) / P))]
+            got = [frozenset(members[j] for j in row) for row in lists if row[0] < M]
+            Y = (X[None, :, :] + (box * P)[:, None, :]).reshape(-1, n)
+            flat = [(b, tuple(int(v) for v in k)) for k in box for b in range(M)]
+            want = set()
+            for row in scan_subsets(Y, L, n * N)[0]:
+                lo = min(flat[j][1] for j in row)
+                want.add(frozenset((flat[j][0], tuple(a - b for a, b in zip(flat[j][1], lo))) for j in row))
+            assert len(got) == len(set(got)) and set(got) == want
+            if trial == 0:
+                assert any(any(any(k) for _, k in lst) for lst in want)
+
+    def test_verifier_builds_no_code(self, monkeypatch):
+        # the window tiles are walked from an array, so verify_packing
+        # validates no FiniteCode or Constellation of its own
+        code = sample_code(n=3, L=3, N=0.005, K=1.0, rate_margin=-0.1, seed=1)
+        c = tile(expurgate(code, find_bad_lists(code)))
+        built = []
+        for cls in (FiniteCode, Constellation):
+            init = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, init=init: built.append(type(self)) or init(self))
+        assert verify_packing(c, 1.5 * c.period).passed
+        assert built == []
+        # the counter sees what a one-point code of the same shape builds
+        Constellation(FiniteCode(np.zeros((1, 3)), 3, 3, 0.005, 1.0, None), c.gap)
+        assert built == [FiniteCode, Constellation]
 
     @staticmethod
     def same_tile_constellations(L, rng, count=8):
@@ -1107,7 +1163,7 @@ class TestDensityReport:
         # the same, one below it is refused
         h = construction._cover_radius(r_cov)
         tiles = len(tile_offsets(c.period, c.period / 2 + 1.0, h, np.zeros(3), False))
-        kept = len(construction._near_points(c, h, c.period / 2)[0])
+        kept = len(construction._near_points(code.points, c.period, h, c.period / 2)[0])
         assert max(walk_step_rows(pts, c.period, h, c.period / 2, np.zeros(3), False)) == kept < tiles * 40 / 2
         monkeypatch.setattr(construction, "WINDOW_BUDGET", kept)
         assert density_report(c, 9.0, 20_001, seed=8).covered == rep.covered
@@ -1223,7 +1279,7 @@ class TestDensityReport:
         code = sample_code(n=n, L=L, N=0.005, K=1.0, rate_margin=-0.1, seed=seed)
         c = tile(expurgate(code, find_bad_lists(code)))
         r = math.sqrt(n * c.base.N)
-        _, pts = construction._near_points(c, r * (1.0 + 1e-6), c.period / 2)
+        _, pts = construction._near_points(c.base.points, c.period, r * (1.0 + 1e-6), c.period / 2)
         assert (construction._cell_index(pts, r, c.period / 2) is not None) == indexed
         want = tree_covered(c, 25.0, 20_000, seed)
         built = []
