@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,27 +30,17 @@ from .rng import check_count, check_positive
 CURVE_HEADER = "N,lb_ppp,lb_blachman_few,ub_elias_bassalygo,ld_capacity"
 
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int | None
-    version: str
-    wall_time_s: float
-    created_utc: str
-
-
 def _write_manifest(out_path, argv, args, seed, t0) -> None:
-    manifest = RunManifest(
-        command="multipack " + " ".join(argv),
-        parameters={k: v for k, v in vars(args).items() if k != "func"},
-        seed=seed,
-        version=__version__,
-        wall_time_s=round(time.monotonic() - t0, 6),
-        created_utc=datetime.now(timezone.utc).isoformat(),
-    )
+    manifest = {
+        "command": "multipack " + " ".join(argv),
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": seed,
+        "version": __version__,
+        "wall_time_s": round(time.monotonic() - t0, 6),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
     with open(str(out_path) + ".manifest.json", "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
+        json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
@@ -174,8 +163,12 @@ def cmd_verify(args, argv) -> int:
     if not bad:
         print("PASS")
         return 0
-    radius, smallest = construction.min_avg_subset(obj)
-    print(f"smallest bad list: {smallest} with avg_sq_radius {radius!r}")
+    # every minimising list is bad, so the bad lists' members hold it, and
+    # their sorted order keeps the lexicographically first one first
+    members = np.unique(np.array(bad))
+    sub = construction.FiniteCode(obj.points[members], obj.n, obj.L, obj.N, obj.K, obj.seed)
+    radius, smallest = construction.min_avg_subset(sub)
+    print(f"smallest bad list: {tuple(int(members[i]) for i in smallest)} with avg_sq_radius {radius!r}")
     print("FAIL")
     return 1
 

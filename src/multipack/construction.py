@@ -22,7 +22,9 @@ from .errors import BudgetError
 from .rng import _clopper_pearson, check_count, check_positive, check_seed, chunk_rngs, chunk_sum
 
 SUBSET_BUDGET = 10**8  # candidate lists
-WINDOW_BUDGET = 10**7  # points or tiles held at once
+# a code's points, the rows one axis step of the translate walk keeps, and
+# the cell index's cells and table entries
+WINDOW_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,7 @@ def sample_code(n, L, N, K, rate_margin, seed, M=None) -> FiniteCode:
     else:
         M = check_count("M", M, 1)
     if M > WINDOW_BUDGET:
-        raise BudgetError(
-            f"M = {M} points (C(M, L) = C({M}, {L}) lists) exceeds the "
-            f"{WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M"
-        )
+        raise BudgetError(f"M = {M} points exceeds the {WINDOW_BUDGET:.0e} point budget; pass a smaller explicit M")
     pts = next(chunk_rngs(seed, (0,))).uniform(-K, K, size=(M, n))
     return FiniteCode(points=pts, n=n, L=L, N=N, K=K, seed=seed)
 

@@ -29,8 +29,9 @@ SLICE = 2**15
 
 LOG2 = math.log(2.0)
 
-# Newton/bisection steps of the rate search after its bracket; bisection
-# alone closes any bracket the doubling leaves in fewer
+# Newton/bisection steps of the rate search, its only cap; bisection alone
+# narrows its first bracket [0, 4 lambda_s] to the step tolerance in fewer
+# while lambda_s < 1e19
 RATE_MAX_STEPS = 100
 
 
@@ -90,33 +91,6 @@ def _gauss_nodes(order: int):
     return X, w1, w2
 
 
-def _shoulder_nodes(c: float, order: int):
-    """The panel half-widths, the nodes mu of the order and 2*order
-    Gauss-Legendre rules on every panel (one row per panel, the order rule's
-    nodes first), G at those nodes from one erf pass, and the two rules'
-    weights.
-
-    G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu)))/2 is a smoothed
-    indicator of [-1, 1] with shoulder width 1/sqrt(c), so the panels are
-    pinned to the shoulders; the integrands are negligible beyond 8 widths
-    outside.
-    """
-    from scipy.special import erf
-
-    rc = math.sqrt(c)
-    w = 8.0 / rc
-    if w < 0.5:
-        edges = np.array([-1.0 - w, -1.0 + w, 1.0 - w, 1.0 + w])
-    else:
-        edges = np.linspace(-(1.0 + w), 1.0 + w, 5)
-    X, w1, w2 = _gauss_nodes(order)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    mu = mid[:, None] + half[:, None] * X
-    g = 0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))
-    return half, mu, g, w1, w2
-
-
 def mgf_log(L: int, K: float, lam: float, quad_order: int = 64) -> float:
     """Log moment generating function of the scaled centering form.
 
@@ -167,13 +141,29 @@ def _shoulder_derivatives(L: int, c: float, order: int) -> tuple[float, float, f
     laplace_check at rate_function's lambda_opt asks for again: the search
     has just integrated at that c.
 
+    G(mu) = (erf(sqrt(c)(1-mu)) + erf(sqrt(c)(1+mu)))/2 is a smoothed
+    indicator of [-1, 1] with shoulder width 1/sqrt(c), so the panels are
+    pinned to the shoulders; the integrands are negligible beyond 8 widths
+    outside.  Each panel's row of nodes holds the order rule's nodes first.
     With a = 1 - mu, b = 1 + mu and E(x) = x exp(-c x^2),
         dG/dc   = (E(a) + E(b)) / (2 sqrt(pi c)),
         d2G/dc2 = -(E(a)(1/(2c) + a^2) + E(b)(1/(2c) + b^2)) / (2 sqrt(pi c)),
         J'  = integral L G^(L-1) dG/dc,
         J'' = integral L(L-1) G^(L-2) (dG/dc)^2 + L G^(L-1) d2G/dc2.
     """
-    half, mu, g, w1, w2 = _shoulder_nodes(c, order)
+    from scipy.special import erf
+
+    rc = math.sqrt(c)
+    w = 8.0 / rc
+    if w < 0.5:
+        edges = np.array([-1.0 - w, -1.0 + w, 1.0 - w, 1.0 + w])
+    else:
+        edges = np.linspace(-(1.0 + w), 1.0 + w, 5)
+    X, w1, w2 = _gauss_nodes(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    mu = mid[:, None] + half[:, None] * X
+    g = 0.5 * (erf(rc * (1.0 - mu)) + erf(rc * (1.0 + mu)))
     gpow = g**L
     mu, g = mu[:, order:], g[:, order:]
     a, b = 1.0 - mu, 1.0 + mu
@@ -234,16 +224,25 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     Maximizes psi(lam) = -lam*L*N - mgf_log(lam) over lam >= 0.  mgf_log is
     a log moment generating function, hence convex, so psi is concave and its
     maximizer is the unique root of psi'.  Each evaluation takes psi, psi'
-    and psi'' from one quadrature pass (_mgf_log_derivatives).  The bracket
-    [lo, hi] is doubled until psi' < 0 at hi; then Newton steps on psi' = 0
-    follow, with a bisection whenever a step would leave the bracket, until a
-    step is at most 1e-10 * max(1, lam); more than RATE_MAX_STEPS steps
-    warn.  The rate is psi at that last iterate, capped by Jensen's bound
-    lam * (mean - L*N), and ``mgf_log_at_opt`` is derived from it, so no
-    quadrature follows the search.  ``iterations`` counts the psi
-    evaluations of bracket and search together.  The tail must be rare: L*N
-    may not exceed the mean of the per-coordinate form; at the mean (within
-    1e-12 relative) Jensen gives psi <= 0, and the rate is exactly 0.
+    and psi'' from one quadrature pass (_mgf_log_derivatives).
+
+    The maximizer lies at or below the Gaussian-limit tilt
+    lambda_s = (L-1)/(2LN) (bounds.lambda_star).  G_c is the indicator of
+    [-1, 1] smoothed by a normal of variance 1/(2c); a smaller c smooths
+    it further, and x^L is convex on [0, 1], so by Jensen J(c) = int G_c^L
+    is nondecreasing and J' >= 0.  At c = K^2 lambda_s the (L-1)/(2c) term
+    of mgf_log' cancels L*N, so psi'(lambda_s) = -K^2 J'/J <= 0, and psi'
+    at lam0 = 4 lambda_s is at most -(3/4) L*N < 0.  The search starts
+    there with the bracket [0, inf), which its first sign test closes to
+    [0, lam0]: Newton steps on psi' = 0, with a bisection whenever a step
+    would leave the bracket, until a step is at most 1e-10 * max(1, lam);
+    more than RATE_MAX_STEPS steps warn.  The rate is psi at that last
+    iterate, capped by Jensen's bound lam * (mean - L*N), and
+    ``mgf_log_at_opt`` is derived from it, so no quadrature follows the
+    search.  ``iterations`` counts the psi evaluations, the one at lam0
+    included.  The tail must be rare: L*N may not exceed the mean of the
+    per-coordinate form; at the mean (within 1e-12 relative) Jensen gives
+    psi <= 0, and the rate is exactly 0.
     """
     L, K, quad_order = _validate_quad_args(L, K, quad_order)
     N = check_positive("N", N)
@@ -260,14 +259,9 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
         m, dm, d2m = _mgf_log_derivatives(L, K, lam, quad_order)
         return -lam * L * N - m, -L * N - dm, -d2m
 
-    lo, lam = 0.0, 4.0 * (L - 1) / (2.0 * L * N)
+    lo, hi, lam = 0.0, math.inf, 4.0 * (L - 1) / (2.0 * L * N)
     evaluations = 1
     value, d1, d2 = psi(lam)
-    while d1 >= 0.0 and evaluations < 70:
-        lo, lam = lam, 2.0 * lam
-        evaluations += 1
-        value, d1, d2 = psi(lam)
-    hi = lam
     for _ in range(RATE_MAX_STEPS):
         if d1 > 0.0:
             lo = lam

@@ -492,9 +492,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def rate_function_golden(L: int, K: float, N: float, quad_order: int = 64) -> RateFunctionResult:
-    """rate_function by golden section to a 1e-10 bracket after the same
-    bracket doubling, with a second quadrature at the optimum; ``iterations``
-    counts doubling steps and golden-section steps."""
+    """rate_function by golden section to a 1e-10 bracket after bracket
+    doubling from 4 lambda_s, with a second quadrature at the optimum;
+    ``iterations`` counts doubling steps and golden-section steps."""
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     mean = cube_form_mean(int(L), K)

@@ -186,6 +186,25 @@ class TestConstructVerify:
         assert "smallest bad list: (0, 1) with avg_sq_radius 0.000625" in text
         assert text.rstrip().endswith("FAIL")
 
+    def test_finite_code_failure_lists_the_code_once(self, tmp_path, capsys, monkeypatch):
+        # two bad lists tie at 0.0625^2/4, exactly; the smallest is taken from
+        # the bad lists' members, so only find_bad_lists lists the whole code,
+        # and the line names the lexicographically first list in its indices
+        pts = np.array([[-0.75], [0.5], [0.0], [0.5625], [0.0625]])
+        p = tmp_path / "tie.csv"
+        fileio.write_code(p, FiniteCode(points=pts, n=1, L=2, N=0.01, K=1.0, seed=None))
+        near_lists, sizes = multipack.construction._near_lists, []
+
+        def counting(points, L, t):
+            sizes.append(len(points))
+            return near_lists(points, L, t)
+
+        monkeypatch.setattr(multipack.construction, "_near_lists", counting)
+        rc, text, _ = run(["verify", str(p)], capsys)
+        assert rc == 1
+        assert "bad lists: 2\nsmallest bad list: (1, 3) with avg_sq_radius 0.0009765625\nFAIL\n" in text
+        assert sizes.count(5) == 1
+
 
 class TestTailRatefn:
     def test_tail_row(self, capsys):

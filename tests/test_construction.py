@@ -251,7 +251,7 @@ class TestSampleCode:
         # an explicit M is held to the same point budget as a computed one,
         # before anything is drawn
         monkeypatch.setattr(construction, "WINDOW_BUDGET", 100)
-        with pytest.raises(BudgetError, match=r"^M = 101 points \(C\(M, L\) = C\(101, 2\) lists\)"):
+        with pytest.raises(BudgetError, match=r"^M = 101 points exceeds the 1e\+02 point budget; pass a smaller explicit M$"):
             sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=101)
         assert sample_code(n=2, L=2, N=0.01, K=1.0, rate_margin=-0.1, seed=0, M=100).M == 100
 

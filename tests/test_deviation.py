@@ -34,6 +34,8 @@ from oracles import (
 # the analysis bench's rate_function grid
 RATE_GRID = [(L, K, N) for L in (2, 3, 4, 5) for K in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
              for N in (0.005, 0.01, 0.02, 0.05)]
+# list sizes 2..12 and scales c = K^2 lam from 1e-3 to 1e7, two per decade
+SCALE_GRID = [(L, float(c)) for L in range(2, 13) for c in np.geomspace(1e-3, 1e7, 21)]
 
 
 def with_warnings(f, *args):
@@ -143,6 +145,13 @@ class TestMgfLog:
                 assert d1 == pytest.approx((fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h), rel=1e-6)
                 assert d2 == pytest.approx((-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h), rel=1e-4)
 
+    def test_J_is_nondecreasing(self):
+        # G_c is the indicator of [-1, 1] smoothed by a normal of variance
+        # 1/(2c), and x^L is convex on [0, 1], so by Jensen J(c) = int G_c^L
+        # grows with c; the smallest c J'/J here is 6.3e-5 (L = 2, c = 1e7)
+        for L, c in SCALE_GRID:
+            assert _shoulder_derivatives(L, c, 96)[2] >= 0.0
+
     # the last two have finite K and lam, but c = K^2 * lam overflows to inf
     # or underflows to 0
     @pytest.mark.parametrize(
@@ -176,13 +185,13 @@ class TestLaplace:
         # rate_function's last Newton step integrates at c = K^2 lambda_opt,
         # so laplace_check there computes no nodes, and gives the ratio a
         # fresh quadrature gives
-        nodes, calls = deviation._shoulder_nodes, []
+        nodes, calls = deviation._gauss_nodes, []
 
         def counting(*args):
             calls.append(args)
             return nodes(*args)
 
-        monkeypatch.setattr(deviation, "_shoulder_nodes", counting)
+        monkeypatch.setattr(deviation, "_gauss_nodes", counting)
         for L, K, N in RATE_GRID[::5]:
             lam = rate_function(L, K, N, order).lambda_opt
             calls.clear()
@@ -237,7 +246,7 @@ class TestRateFunction:
             (math.inf, 0.01, "finite"),
             (math.nan, 0.01, "positive"),
             (1.0, math.nan, "positive"),
-            (1e200, 0.01, "positive finite"),  # K^2 * lam overflows in the bracket search
+            (1e200, 0.01, "positive finite"),  # K^2 * lam overflows at the search's first tilt
         ],
     )
     def test_rejects_non_finite_arguments(self, K, N, match):
@@ -298,6 +307,35 @@ class TestRateFunction:
                 # the rates agree to 8 units in the last place of 30
                 ref = rate_function_golden(L, 1.0, N, quad_order=96)
                 assert res.rate == pytest.approx(ref.rate, rel=1e-12, abs=8 * math.ulp(30.0))
+
+    @pytest.mark.parametrize("K", [0.05, 1.0, 100.0])
+    def test_gaussian_tilt_bounds_the_optimum(self, K):
+        # at lambda_s = lambda_star the (L-1)/(2c) term of mgf_log' cancels
+        # L*N, so psi'(lambda_s) = -K^2 J'/J <= 0 and the concave psi peaks
+        # at or below lambda_s; below c = 1.5 the tail is not rare
+        for L, c in SCALE_GRID:
+            N = (L - 1) * K * K / (2.0 * L * c)
+            ls = lambda_star(BoundQuery(N=N, L=L))
+            assert -L * N - _mgf_log_derivatives(L, K, ls, 96)[1] <= 0.0
+            if c > 1.5:
+                assert rate_function(L, K, N, 96).lambda_opt <= ls
+
+    def test_search_starts_above_the_optimum(self, monkeypatch):
+        # every evaluation lies in the bracket [0, 4 lambda_s] that the first
+        # one, at its upper end, closes
+        derivatives, tilts = deviation._mgf_log_derivatives, []
+
+        def recording(L, K, lam, quad_order):
+            tilts.append(lam)
+            return derivatives(L, K, lam, quad_order)
+
+        monkeypatch.setattr(deviation, "_mgf_log_derivatives", recording)
+        for L, K, N in RATE_GRID + [(12, 0.05, 1e-8), (2, 100.0, 1666.0), (7, 0.3, 1e-6)]:
+            tilts.clear()
+            res = rate_function(L, K, N, 96)
+            lam0 = 4.0 * (L - 1) / (2.0 * L * N)
+            assert tilts[0] == lam0 and max(tilts) == lam0
+            assert len(tilts) == res.iterations
 
     def test_unconverged_search_warns(self, monkeypatch):
         monkeypatch.setattr(deviation, "RATE_MAX_STEPS", 1)
