@@ -11,6 +11,7 @@ Carlo estimate with an exact binomial confidence interval.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -296,35 +297,140 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     )
 
 
-def _tail_chunk(L, n, K, threshold, rng, count):
-    """Hits in one chunk of ``count`` lists drawn from ``rng``.  Each
-    coordinate block is filled sample-major, in slices of at most SLICE
-    floats (or one sample's block, if longer), so the stream is consumed in
-    the same order as one fill of the whole block."""
+def _spreads(L, n, rng, count, K=None):
+    """Each list's spread sum_j sum_l (x_lj - xbar_j)^2 for ``count`` lists
+    drawn from ``rng``.  Each coordinate block is filled sample-major, in
+    slices of at most SLICE floats (or one sample's block, if longer), so the
+    stream is consumed in the same order as one fill of the whole block.
+
+    With K = None the statistic is taken on the standard uniforms u that
+    rng.random gives, no scale applied: the spread is unchanged by
+    translation and grows by (2K)^2 under scaling.  At L = 2 it is half the
+    squared distance of the two points, from differences that are exact
+    (both on the 2^-53 grid in [0, 1)); at L >= 3, sum u^2 - |sum_l u_l|^2/L.
+    With a float K it is taken on the coordinates of rng.uniform(-K, K),
+    -K + 2K u scaled in place, by the same two sums, with each list's
+    coordinate sums added point by point (the order of x.sum(axis=1), save
+    that numpy adds a one-coordinate block of L >= 8 points pairwise)."""
     q = np.zeros(count)
     s2 = np.zeros(count)
-    rows = max(1, SLICE // (L * min(n, NBLOCK)))
-    buf = np.empty(min(count, rows) * L * min(n, NBLOCK))
+    b = min(n, NBLOCK)
+    rows = max(1, SLICE // (L * b))
+    buf = np.empty(min(count, rows) * L * b)
+    pair = K is None and L == 2
+    if pair:
+        dbuf = np.empty(min(count, rows) * b)
     for j0 in range(0, n, NBLOCK):
         nb = min(NBLOCK, n - j0)
         for r0 in range(0, count, rows):
             r1 = min(count, r0 + rows)
             x = buf[: (r1 - r0) * L * nb].reshape(r1 - r0, L, nb)
-            # the draws and arithmetic of rng.uniform(-K, K, size=x.shape):
-            # -K + (K - (-K)) * U, with U the standard uniform stream
             rng.random(out=x)
-            x *= 2.0 * K
-            x -= K
+            if pair:
+                d = np.subtract(x[:, 0], x[:, 1], out=dbuf[: (r1 - r0) * nb].reshape(r1 - r0, nb))
+                q[r0:r1] += np.einsum("ij,ij->i", d, d)
+                continue
+            if K is not None:
+                x *= 2.0 * K
+                x -= K
             q[r0:r1] += np.einsum("ilj,ilj->i", x, x)
-            # each list's coordinate sums, added point by point: the order of
-            # x.sum(axis=1), which is slow on short blocks, save that it adds
-            # a one-coordinate block of L >= 8 points pairwise
             s = x[:, 0] + x[:, 1]
             for l in range(2, L):
                 s += x[:, l]
             s2[r0:r1] += np.einsum("ij,ij->i", s, s)
-    stat = q - s2 / L
-    return int((stat <= threshold).sum())
+    return 0.5 * q if pair else q - s2 / L
+
+
+def _tail_delta(L, n, K):
+    """A bound delta, exact, on |(2K)^2 s_u - s_x| for every list of L points
+    in n dimensions, where s_u is _spreads' statistic on the standard
+    uniforms u and s_x the one it computes at a float K, on the coordinates
+    x = fl(fl(2K u) - K) that rng.uniform(-K, K) gives.
+
+    Notation (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed.: the model of arithmetic of section 2.2, Lemmas 3.1 and 3.3, and the
+    error of a sum in any order, chapter 4): u = 2^-53 is the unit roundoff,
+    gamma_k = k u/(1 - k u), and eta = 2^-1075 bounds the absolute error a
+    product or quotient adds when it underflows; sums and differences never
+    do.  S(y) = ||A y||^2,
+    with A = I - J/L the centering projection applied coordinate by
+    coordinate, is the exact spread, so S(x^) = (2K)^2 S(u) for the exact
+    uniforms x^ = 2K(u - 1/2).
+
+    (i) Each kernel forms q - s2/L, q the sum of squares and s2 the sum over
+    coordinates of the squared list sums.  With b = min(n, NBLOCK) and m
+    blocks, a term x_l x_l' of the expansion passes through at most
+    k = L b + 2L + m roundings whatever order numpy adds in: a square, L b - 1
+    adds in its block's einsum, m - 1 across blocks and the final subtraction
+    for q; 2(L - 1) list adds, the square, b - 1 and m - 1 adds, the division
+    by L and the subtraction for s2.  By Lemmas 3.1 and 3.3 the computed
+    value is then the sum of the terms, each times some 1 + theta_k with
+    |theta_k| <= gamma_k, so it is within gamma_k (sum y^2 + sum_j
+    (sum_l |y_lj|)^2 / L) <= 2 gamma_k L n max|y|^2 of S(y).  For u in
+    [0, 1) that is 2 gamma_k L n, and it holds at L = 2 too, where the
+    statistic is the exact differences' squares halved: b + m - 1
+    roundings.  No product of uniforms underflows (u = 0 or u >= 2^-53).  For
+    x, with |x| <= K, it is 2 gamma_k L n K^2, plus (L n + n + 1)(1 + gamma_k)
+    eta for the underflows of the L n + n products and the division.
+
+    (ii) 2K is exact, fl(2K u) = 2K u (1 + e1) + eta1 and x = fl(fl(2K u) - K)
+    = (fl(2K u) - K)(1 + e2), so |x - x^| <= K u (3 + 2u) + 2 eta; as A is
+    an orthogonal projection, |S(x) - S(x^)| <= ||x - x^|| (||x|| + ||x^||)
+    <= 2 L n K^2 u (3 + 2u) + 4 L n K eta.
+
+    Adding (2K)^2 times (i) for u, (i) for x and (ii):
+        delta = L n K^2 (10 gamma_k + 6u + 4u^2)
+                + eta (4 L n K + (L n + n + 1)(1 + gamma_k)).
+    k u < 1 for every L whose one list of one block fits in memory.
+    """
+    from fractions import Fraction
+
+    u, eta, K = Fraction(1, 2**53), Fraction(1, 2**1075), Fraction(K)
+    k = L * min(n, NBLOCK) + 2 * L + -(-n // NBLOCK)
+    g = k * u / (1 - k * u)
+    return (L * n * K * K * (10 * g + 6 * u + 4 * u * u)
+            + eta * (4 * L * n * K + (L * n + n + 1) * (1 + g)))
+
+
+def _tail_band(L, n, K, threshold):
+    """The floats (lo, hi) outside which _spreads' statistic s_u on the
+    standard uniforms decides a list as its statistic s_x on
+    rng.uniform(-K, K)'s coordinates does, s_x <= threshold: s_u <= lo is a
+    hit and s_u > hi a miss, since lo <= (threshold - delta)/(2K)^2 and
+    hi >= (threshold + delta)/(2K)^2 exactly (_tail_delta); a list between
+    them is in the rounding band.  The edges are rounded outward from exact
+    rationals and clamped to the finite doubles, which compare alike with
+    every finite s_u; an infinite threshold, where L*n*N overflowed, is
+    clamped the same way."""
+    from fractions import Fraction
+
+    big = Fraction(sys.float_info.max)
+    scale = 4 * Fraction(K) ** 2
+    t = Fraction(min(threshold, sys.float_info.max)) / scale
+    d = _tail_delta(L, n, K) / scale
+    lo, hi = (min(max(v, -big), big) for v in (t - d, t + d))
+    flo, fhi = float(lo), float(hi)
+    if Fraction(flo) > lo:
+        flo = math.nextafter(flo, -math.inf)
+    if Fraction(fhi) < hi:
+        fhi = math.nextafter(fhi, math.inf)
+    return flo, fhi
+
+
+def _tail_chunk(L, n, K, threshold, band, rng, count):
+    """Hits, lists whose spread is at most ``threshold``, in one chunk of
+    ``count`` lists drawn from ``rng``, as rng.uniform(-K, K)'s coordinates
+    give them.  The lists are decided on the standard uniforms against
+    ``band`` (_tail_band); a chunk holding any list in the rounding band is
+    drawn again from the generator's state at its start and counted on
+    rng.uniform(-K, K)'s coordinates."""
+    lo, hi = band
+    state = rng.bit_generator.state
+    s = _spreads(L, n, rng, count)
+    if np.any((s > lo) & (s <= hi)):
+        rng.bit_generator.state = state
+        return int((_spreads(L, n, rng, count, K) <= threshold).sum())
+    return int((s <= lo).sum())
 
 
 def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstimate:
@@ -339,12 +445,22 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstim
     chunk through rng.chunk_sum, on the workers MULTIPACK_THREADS sets, so
     the hit count is a pure function of (seed, sample index) and
     bit-identical for every worker count and slice size.
+
+    Each list is decided on the standard uniforms behind its coordinates,
+    and a chunk holding a list within the rounding bound delta of the
+    threshold (_tail_delta) is counted again with rng.uniform(-K, K)'s
+    coordinates, so the hits are those of that arithmetic.  K above 2^400,
+    where squared coordinates overflow, is refused.
     """
     L, n = check_count("L", L, 2), check_count("n", n, 1)
     K, N = check_positive("K", K), check_positive("N", N)
+    if K > 2.0**400:
+        raise ValueError(f"K must be at most 2^400, where squared coordinates overflow, got {K!r}")
     samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
-    hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, L * n * N, rng, m))
+    threshold = L * n * N
+    band = _tail_band(L, n, K, threshold)
+    hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, threshold, band, rng, m))
     p_hat = hits / samples
     ci_low, ci_high = _clopper_pearson(hits, samples)
     # with no hits the exponent is the lower bound the interval's ceiling gives

@@ -18,7 +18,9 @@ removal, one quadrature per order and panel, two
 coordinate sums per tail block, the away step over the active indices, the
 mean in rad_p, a tree query for every coverage sample) do the same
 arithmetic as the production kernels, or as the first-order radius solvers,
-and must match them exactly; so must the lattice scan, whose cross-tile
+and must match them exactly (the tail block in its hits, which mc_tail
+decides on the standard uniforms and recounts near the threshold with
+rng.uniform's coordinates); so must the lattice scan, whose cross-tile
 minimum the verifier's base-translate search reproduces.  The window
 oracles bound the verifier from the other side: a finite window holds only
 some of the constellation's lists and pairs.
@@ -553,21 +555,27 @@ def clopper_pearson_beta_ppf(hits: int, samples: int) -> tuple[float, float]:
     return lo, hi
 
 
+def tail_chunk_spreads(L, n, K, rng, count):
+    """Each list's spread in one chunk of mc_tail, as rng.uniform(-K, K)'s
+    coordinates give it, with the coordinate sum of each block taken once
+    per factor of its square."""
+    q = np.zeros(count)
+    s2 = np.zeros(count)
+    for j0 in range(0, n, NBLOCK):
+        nb = min(NBLOCK, n - j0)
+        x = rng.uniform(-K, K, size=(count, L, nb))
+        q += np.einsum("ilj,ilj->i", x, x)
+        s2 += np.einsum("ij,ij->i", x.sum(axis=1), x.sum(axis=1))
+    return q - s2 / L
+
+
 def tail_hits_two_sums(L, n, K, N, samples, seed):
-    """mc_tail's hit count, chunk by chunk on one thread, with the
-    coordinate sum of each block taken once per factor of its square."""
+    """mc_tail's hit count, chunk by chunk on one thread, from
+    tail_chunk_spreads."""
     hits = 0
     for chunk in range((samples + CHUNK - 1) // CHUNK):
         count = min(CHUNK, samples - chunk * CHUNK)
-        rng = philox_chunk_rng(seed, chunk)
-        q = np.zeros(count)
-        s2 = np.zeros(count)
-        for j0 in range(0, n, NBLOCK):
-            nb = min(NBLOCK, n - j0)
-            x = rng.uniform(-K, K, size=(count, L, nb))
-            q += np.einsum("ilj,ilj->i", x, x)
-            s2 += np.einsum("ij,ij->i", x.sum(axis=1), x.sum(axis=1))
-        hits += int((q - s2 / L <= L * n * N).sum())
+        hits += int((tail_chunk_spreads(L, n, K, philox_chunk_rng(seed, chunk), count) <= L * n * N).sum())
     return hits
 
 

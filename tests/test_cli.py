@@ -218,6 +218,16 @@ class TestTailRatefn:
         p_hat = float(lines[1].split(",")[6])
         assert abs(p_hat - 0.36) < 0.02
 
+    def test_tail_refuses_K_past_2_400(self, capsys):
+        # at K = 1e200 the squared coordinates overflow to inf and their
+        # difference is NaN, which no hit test passes
+        rc, text, err = run(
+            ["tail", "--L", "2", "--n", "4", "--K", "1e200", "--N", "1e-3", "--samples", "1000", "--seed", "0"],
+            capsys,
+        )
+        assert (rc, text) == (2, "")
+        assert err == "error: K must be at most 2^400, where squared coordinates overflow, got 1e+200\n"
+
     def test_ratefn(self, capsys):
         rc, text, _ = run(["ratefn", "--L", "2", "--K", "8", "--N", "0.01"], capsys)
         assert rc == 0

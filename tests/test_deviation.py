@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from multipack.rng import CHUNK
 from oracles import (
     mgf_log_panels,
     mgf_log_tensor,
+    philox_chunk_rng,
     rate_function_golden,
     shoulder_integral_panels,
+    tail_chunk_spreads,
     tail_hits_two_sums,
 )
 
@@ -447,9 +450,10 @@ class TestMcTail:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hits_match_two_sum_oracle_at_other_K(self, workers, monkeypatch):
-        # the in-place scaling of the standard uniforms must equal
-        # rng.uniform(-K, K) bit for bit at a K whose 2K is not a power of 2;
-        # one thread reuses its buffer for all three chunks, the last partial
+        # the hits decided on the standard uniforms must be those of
+        # rng.uniform(-K, K)'s coordinates at a K whose 2K is not a power of
+        # 2; one thread reuses its buffers for all three chunks, the last
+        # partial
         monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
         N = cube_form_mean(2, 0.7) / 2
         est = mc_tail(L=2, n=300, K=0.7, N=N, samples=9000, seed=5)
@@ -473,3 +477,90 @@ class TestMcTail:
         small = mc_tail(L=2, n=2, K=1.0, N=0.01, samples=100_000, seed=4)
         large = mc_tail(L=2, n=2, K=1.0, N=0.04, samples=100_000, seed=4)
         assert small.p_hat < large.p_hat
+
+    def test_refuses_K_past_2_400(self):
+        # squared coordinates past 2^800 overflow: at K = 1e200 they were
+        # inf, their difference NaN, and no list hit
+        with pytest.raises(ValueError, match=r"K must be at most 2\^400"):
+            mc_tail(L=2, n=4, K=1e200, N=1e-3, samples=1000, seed=0)
+        K = 2.0**400
+        N = cube_form_mean(2, K) / 2
+        est = mc_tail(L=2, n=4, K=K, N=N, samples=5000, seed=0)
+        assert 0 < est.hits < est.samples
+        assert est.hits == tail_hits_two_sums(2, 4, K, N, 5000, 0)
+
+
+# the analysis bench's tail cases (perfbench/workloads.py), at K = 1
+BENCH_TAIL_CASES = [(2, n) for n in (8, 16, 32, 64, 128)] + [(3, 8), (3, 16)]
+
+
+class TestTailKernel:
+    """The statistic on the standard uniforms, its rounding bound delta and
+    the recount of a chunk with a list in the band."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The K of every _spreads call: None on the uniforms, K in a recount."""
+        calls = []
+        spreads = deviation._spreads
+
+        def counting(L, n, rng, count, K=None):
+            calls.append(K)
+            return spreads(L, n, rng, count, K)
+
+        monkeypatch.setattr(deviation, "_spreads", counting)
+        return calls
+
+    @pytest.mark.parametrize("L, n", [(2, 8), (3, 16), (2, 300)])
+    def test_threshold_at_a_spread_recounts(self, L, n, monkeypatch):
+        # the threshold is one list's spread as rng.uniform(-K, K)'s
+        # coordinates give it, so that list is within delta of it; n = 300
+        # spans three coordinate blocks
+        K, count = 0.7, 1000
+        spreads = tail_chunk_spreads(L, n, K, philox_chunk_rng(11, 0), count)
+        threshold = float(np.sort(spreads)[count // 2])
+        calls = self.spy(monkeypatch)
+        band = deviation._tail_band(L, n, K, threshold)
+        hits = deviation._tail_chunk(L, n, K, threshold, band, philox_chunk_rng(11, 0), count)
+        assert calls == [None, K]
+        assert hits == int((spreads <= threshold).sum()) == count // 2 + 1
+
+    @pytest.mark.parametrize("K", [2.0**-20, 0.7, 1.0, 3.0, 2.0**300])
+    def test_rounding_bound(self, K):
+        # |(2K)^2 s_u - s_x| <= delta, exactly in rationals, on 64 lists for
+        # every shape; delta is below 1e-11 of the form's range L*n*K^2, so
+        # the band is narrow
+        scale = 4 * Fraction(K) ** 2
+        for L in range(2, 9):
+            for n in (1, 8, 128, 129, 300):
+                rng = philox_chunk_rng(1000 * L + n, 0)
+                state = rng.bit_generator.state
+                su = deviation._spreads(L, n, rng, 64)
+                rng.bit_generator.state = state
+                sx = deviation._spreads(L, n, rng, 64, K)
+                delta = deviation._tail_delta(L, n, K)
+                assert max(abs(scale * Fraction(a) - Fraction(b)) for a, b in zip(su, sx)) <= delta
+                assert delta <= Fraction(1, 10**11) * L * n * Fraction(K) ** 2
+
+    def test_band_edges(self):
+        # the edges are the floats just outside (threshold -+ delta)/(2K)^2,
+        # and an overflowed threshold puts lo above every spread of L
+        # uniforms in n dimensions, at most L*n
+        L, n, K, threshold = 3, 16, 0.7, 1.9
+        lo, hi = deviation._tail_band(L, n, K, threshold)
+        scale, delta = 4 * Fraction(K) ** 2, deviation._tail_delta(L, n, K)
+        threshold = Fraction(threshold)
+        assert Fraction(lo) <= (threshold - delta) / scale < Fraction(math.nextafter(lo, math.inf))
+        assert Fraction(math.nextafter(hi, -math.inf)) < (threshold + delta) / scale <= Fraction(hi)
+        lo, hi = deviation._tail_band(L, n, K, math.inf)
+        assert L * n < lo <= hi
+
+    def test_bench_cases_never_recount(self, monkeypatch):
+        # each case's seed as perfbench/workloads.py derives it from the
+        # bench seed, at the bench's N = 0.14 and 100,000 samples
+        calls = self.spy(monkeypatch)
+        for seed in (1, 2, 3):
+            seeds = np.random.default_rng(seed).integers(0, 2**63, size=len(BENCH_TAIL_CASES))
+            for (L, n), s in zip(BENCH_TAIL_CASES, seeds):
+                mc_tail(L, n, 1.0, 0.14, 100_000, int(s))
+        assert calls and set(calls) == {None}
