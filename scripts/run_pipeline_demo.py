@@ -9,22 +9,25 @@ against the predicted value.
 """
 
 import argparse
-import math
 import sys
 import time
 
 from multipack import (
     ExponentQuery,
+    accounting_target,
     density_report,
     expurgate,
     find_bad_lists,
     achieved_rate,
     lambda_n_threshold,
-    log_threshold_size,
     sample_code,
     tile,
     verify_packing,
 )
+
+# the density report samples a ball of radius sqrt(n*P) at this P, the
+# benchmark's DENSITY_P
+MC_POWER = 25.0
 
 
 def main(argv=None):
@@ -36,7 +39,6 @@ def main(argv=None):
     ap.add_argument("--rate-margin", type=float, default=-0.1)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--mc-samples", type=int, default=100_000)
-    ap.add_argument("--mc-power", type=float, default=25.0)
     args = ap.parse_args(argv)
 
     t0 = time.monotonic()
@@ -52,10 +54,7 @@ def main(argv=None):
     clean = expurgate(code, bad)
     print(f"expurgation: {len(bad)} violating lists, removed {clean.expurgated_count} points")
     print(f"  achieved rate {achieved_rate(clean):.6f} nats")
-    # the rate that survives when expurgation removes at most half the code,
-    # as `multipack construct` prints it
-    target = (log_threshold_size(q, args.n, args.rate_margin) - math.log(2.0)) / args.n - math.log(2.0 * args.K)
-    print(f"  accounting target {target:.6f} nats")
+    print(f"  accounting target {accounting_target(q, args.n, args.rate_margin):.6f} nats")
 
     cons = tile(clean)
     print(f"tiled with gap {cons.gap:.6f}, period {cons.period:.6f}, NLD {cons.nld:.6f}")
@@ -73,7 +72,7 @@ def main(argv=None):
         )
         return 1
 
-    rep = density_report(cons, args.mc_power, args.mc_samples, seed=args.seed)
+    rep = density_report(cons, MC_POWER, args.mc_samples, seed=args.seed)
     print(
         f"density: measured {rep.delta_hat:.4f} (covered {rep.covered}/{rep.mc_samples}), "
         f"predicted {rep.predicted_delta:.4f}"

@@ -105,6 +105,14 @@ def log_threshold_size(q: ExponentQuery, n: int, rate_margin: float) -> float:
     return math.log(lambda_n_prefactor(q.L)) + n * (lb_ppp(q.query) + rate_margin + math.log(2.0 * q.K))
 
 
+def accounting_target(q: ExponentQuery, n: int, rate_margin: float) -> float:
+    """(ln M - ln 2)/n - ln 2K at ln M = log_threshold_size: the rate that
+    survives when expurgation removes at most half of the sampled code (the
+    alteration method), as `multipack construct` and the pipeline demo
+    print it.  It is taken from the log, so it exists at any n."""
+    return (log_threshold_size(q, n, rate_margin) - math.log(2.0)) / n - math.log(2.0 * q.K)
+
+
 def ball_log_volume_rate(N: float) -> float:
     """Asymptotic (1/n) log-volume of the n-ball of radius sqrt(n*N)."""
     return 0.5 * math.log(TWO_PI_E * check_positive("N", N))

@@ -637,6 +637,28 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     sample.  rng.chunk_sum splits the chunks over the workers
     MULTIPACK_THREADS sets (one when it is unset, all cores at 0), with the
     same count; with no index the tree is built once, before they start.
+
+    The fold's rounding grows with R = sqrt(n*P), which bounds P.  With
+    u = 2^-53, every coordinate of a sample is at most R*(1 + (n/2 + 3)*u)
+    in magnitude: R times the uniform's root, at most 1, rounds to at most
+    R, and the computed norm is at least |y|*(1 - gamma_n)^(1/2)*(1 - u)
+    (numpy's normal draws are 0 or far above 1e-150, so no square
+    underflows).  Folding y_i to y_i - round(y_i/period)*period, with each
+    step rounded, moves round() by the quotient's error, at most
+    u*|y_i|/period cells, adds the product's u*(|y_i| + period/2)*(1 + u)
+    and the difference's u times the result, so for n below 10^6 every
+    folded coordinate lies within u*(2.01*R + 1.01*period) of the cell.
+    The index box keeps a spare cell of side h beyond the cell on each
+    axis, and a cell id is computed to within a few u times the box's at
+    most WINDOW_BUDGET cells a side, far below 1e-6 of a cell.  So P is
+    refused unless 2.01*R + 1.01*period <= 2^53*(1 - 1e-6)*min(h, period):
+    every sample then lies within h*(1 - 1e-6) of the cell, its cell id in
+    the box, and |y_i/period| below 2^53, so every sample is finite when
+    there is no index.  (Past about (h - r)/(2u) the rounding exceeds the
+    margin h - r of the kept points, and the count follows the samples'
+    rounded positions.)  At tile()'s gap for a (3,3) code at N = 0.005,
+    h = 0.122 and P may reach about 1e29; at P = 1e31 samples once fell
+    0.87 outside the cell, past the box.
     """
     from scipy.spatial import cKDTree
 
@@ -648,12 +670,19 @@ def density_report(c: Constellation, P: float, mc_samples: int, seed) -> Density
     if code.M == 0:
         raise ValueError("empty base code")
     r_cov, half = math.sqrt(n * code.N), c.period / 2.0
-    _, pts = _near_points(code.points, c.period, _cover_radius(r_cov), half)
+    h, R = _cover_radius(r_cov), math.sqrt(n * P)
+    # the rounding bound of the docstring; n*P = inf gives R = inf
+    reach = 2.0**53 * (1.0 - 1e-6) * min(h, c.period) - 1.01 * c.period
+    if not 2.01 * R <= reach:
+        raise ValueError(
+            f"P must keep sqrt(n*P) at most {reach / 2.01:.6g}, where rounding in the fold stays "
+            f"within the spare cell of side {h:.6g}, got {P!r}"
+        )
+    _, pts = _near_points(code.points, c.period, h, half)
     tree = functools.cache(lambda: cKDTree(pts))
     index = _cell_index(pts, r_cov, half)
     if index is None:
         tree()
-    R = math.sqrt(n * P)
     covered = chunk_sum(
         seed, mc_samples, lambda rng, m: int(_covered(_cell_samples(rng, m, n, c.period, R), tree, index, r_cov).sum())
     )

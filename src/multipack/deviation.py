@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bounds import BoundQuery, lambda_star
 from .errors import ConvergenceWarning
 from .rng import _clopper_pearson, check_count, check_positive, check_seed, chunk_sum
 
@@ -260,7 +261,7 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
         m, dm, d2m = _mgf_log_derivatives(L, K, lam, quad_order)
         return -lam * L * N - m, -L * N - dm, -d2m
 
-    lo, hi, lam = 0.0, math.inf, 4.0 * (L - 1) / (2.0 * L * N)
+    lo, hi, lam = 0.0, math.inf, 4.0 * lambda_star(BoundQuery(N, L))
     evaluations = 1
     value, d1, d2 = psi(lam)
     for _ in range(RATE_MAX_STEPS):

@@ -56,14 +56,31 @@ class TestBounds:
         assert (tmp_path / "curves_L5.csv").exists()
         assert not out.exists()
 
-    def test_L_and_multi_L_are_exclusive(self, tmp_path, capsys):
-        args = ["bounds", "--L", "4", "--multi-L", "3,5", "--N-min", "0.001", "--N-max", "0.01", "--out",
-                str(tmp_path / "b.csv")]
-        with pytest.raises(SystemExit) as exc:
-            main(args)
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    @pytest.mark.parametrize("sizes, files", [("3,5", ["b_L3.csv", "b_L5.csv"]), ("4", ["b.csv"])], ids=["list", "one"])
+    def test_L_and_multi_L_write_the_same_files(self, tmp_path, capsys, sizes, files):
+        # --L and --multi-L spell one option: one size or a comma list
+        for flag in ("--L", "--multi-L"):
+            (tmp_path / flag).mkdir()
+            args = ["bounds", flag, sizes, "--N-min", "0.001", "--N-max", "0.01", "--steps", "5", "--out",
+                    str(tmp_path / flag / "b.csv")]
+            assert run(args, capsys)[0] == 0
+            assert sorted(p.name for p in (tmp_path / flag).glob("*.csv")) == files
+        for f in files:
+            assert (tmp_path / "--L" / f).read_bytes() == (tmp_path / "--multi-L" / f).read_bytes()
+
+    def test_repeated_size_option_takes_the_last(self, tmp_path, capsys):
+        # one option given twice follows argparse's last-wins rule
+        base = ["bounds", "--N-min", "0.001", "--N-max", "0.01", "--steps", "5", "--out"]
+        assert run(base + [str(tmp_path / "a.csv"), "--multi-L", "3,5", "--L", "4"], capsys)[0] == 0
+        assert run(base + [str(tmp_path / "b.csv"), "--L", "4"], capsys)[0] == 0
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["a.csv", "b.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_default_size_is_3(self, tmp_path, capsys):
+        base = ["bounds", "--N-min", "0.001", "--N-max", "0.01", "--steps", "5", "--out"]
+        assert run(base + [str(tmp_path / "a.csv")], capsys)[0] == 0
+        assert run(base + [str(tmp_path / "b.csv"), "--L", "3"], capsys)[0] == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_bad_grid(self, tmp_path, capsys):
         rc, _, err = run(
@@ -94,6 +111,15 @@ class TestBounds:
         rc, _, err = run(args, capsys)
         assert rc == 2
         assert err.strip() == "error: --L must be an integer >= 2, got 1"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--L", "--multi-L"])
+    def test_each_spelling_is_named_in_its_errors(self, tmp_path, capsys, flag):
+        base = ["bounds", "--N-min", "0.001", "--N-max", "0.01", "--out", str(tmp_path / "b.csv"), flag]
+        rc, _, err = run(base + ["3,3"], capsys)
+        assert rc == 2 and err == f"error: {flag} must not repeat an entry, got '3,3'\n"
+        rc, _, err = run(base + ["1"], capsys)
+        assert rc == 2 and err == f"error: {flag} must be an integer >= 2, got 1\n"
         assert not list(tmp_path.iterdir())
 
 
@@ -227,6 +253,16 @@ class TestTailRatefn:
         )
         assert (rc, text) == (2, "")
         assert err == "error: K must be at most 2^400, where squared coordinates overflow, got 1e+200\n"
+
+    def test_tail_rate_line_is_at_the_default_order(self, capsys):
+        # tail takes no --quad-order: its rate line is rate_function's at 64
+        argv = ["tail", "--L", "2", "--n", "8", "--K", "1", "--N", "0.14", "--samples", "2000", "--seed", "1"]
+        rc, text, _ = run(argv, capsys)
+        res = multipack.rate_function(2, 1.0, 0.14, quad_order=64)
+        assert rc == 0 and f"rate_function: {res.rate!r} (lambda_opt {res.lambda_opt!r})\n" in text
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--quad-order", "64"])
+        assert exc.value.code == 2
 
     def test_ratefn(self, capsys):
         rc, text, _ = run(["ratefn", "--L", "2", "--K", "8", "--N", "0.01"], capsys)

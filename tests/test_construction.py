@@ -1347,6 +1347,30 @@ class TestDensityReport:
         with pytest.raises(ValueError, match=match):
             density_report(cons, P, mc_samples, seed=0)
 
+    @pytest.mark.parametrize("n, L, seed", [(3, 3, 7), (5, 2, 3)])
+    def test_refuses_a_power_past_the_fold_rounding(self, n, L, seed):
+        # at P = 1e31 rounding in the fold put samples past the cell index's
+        # spare cell (an IndexError), and at P = 1e308 n*P overflows
+        code = sample_code(n, L, 0.005, 1.0, -0.1, seed)
+        c = tile(expurgate(code, find_bad_lists(code)))
+        h = construction._cover_radius(math.sqrt(n * 0.005))
+        r_max = (2.0**53 * (1 - 1e-6) * h - 1.01 * c.period) / 2.01
+        for P in (1e31, 1e308, 1.0001 * r_max**2 / n):
+            with pytest.raises(ValueError, match=r"^P must keep sqrt\(n\*P\) at most .*, got "):
+                density_report(c, P, 20_000, 1)
+        rep = density_report(c, 0.9999 * r_max**2 / n, 20_000, 1)
+        assert 0 < rep.covered < rep.mc_samples
+
+    def test_refuses_a_power_past_the_fold_rounding_with_no_index(self):
+        # six axes of about 17 cells exceed WINDOW_BUDGET, so the tree
+        # decides every sample; at P = 1e308 the samples were NaN
+        cons = Constellation(FiniteCode(np.zeros((1, 6)), 6, 2, 0.005, 1.0, None), 0.5)
+        _, pts = construction._near_points(cons.base.points, cons.period, math.sqrt(0.03), cons.period / 2)
+        assert construction._cell_index(pts, math.sqrt(0.03), cons.period / 2) is None
+        with pytest.raises(ValueError, match="^P must keep"):
+            density_report(cons, 1e308, 1_000, 1)
+        assert density_report(cons, 1e28, 1_000, 1).mc_samples == 1_000
+
 
 class TestFiniteCodeValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
