@@ -66,15 +66,19 @@ class FiniteCode:
 class Constellation:
     """A finite code repeated on the lattice (period * Z)^n.
 
-    period = 2K + 2*gap, so distinct tiles are separated by at least 2*gap
-    in some coordinate.
+    period = 2K + 2*gap with 0 <= gap < inf, so distinct tiles are
+    separated by at least 2*gap in some coordinate; at gap 0 the code lies
+    on the torus of period 2K.  When the period is at most sqrt(2L*n*N)
+    (2K at gap 0), a point and its own translate can lie in one list:
+    verify_packing lists it like any other and reports that base index
+    twice.
     """
 
     base: FiniteCode
     gap: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gap", check_positive("gap", self.gap))
+        object.__setattr__(self, "gap", check_positive("gap", self.gap, zero=True))
 
     @property
     def period(self) -> float:
@@ -190,10 +194,11 @@ def _check_subset_budget(candidates, M):
         raise BudgetError(f"{candidates} candidate cliques of {M} points exceed the {SUBSET_BUDGET:.0e} subset budget")
 
 
-def _near_lists(points, L, t):
-    """Every L-subset of ``points`` with average squared radius <= t, as index
-    rows in lexicographic order, with their average squared radii and the
-    near-pair graph: every pair i < j within _pair_radius(L, t), in order.
+def _near_lists(points, L, t, roots=None):
+    """Every L-subset of ``points`` with average squared radius <= t (that
+    starts below ``roots``, if given), as index rows in lexicographic order,
+    with their average squared radii and the near-pair graph: every pair
+    i < j within _pair_radius(L, t), in order.
 
     A list with average squared radius <= t has every pair at
     d^2 <= 2L*t, since L*avg = sum_i |x_i - c|^2 >= |x_i - c|^2 + |x_j - c|^2
@@ -201,10 +206,10 @@ def _near_lists(points, L, t):
     at that radius.  Each clique is grown from its lowest vertex along
     forward edges i < j, as in the ordered clique listing of Chiba &
     Nishizeki (1985); index order makes the output lexicographic without a
-    sort, and fewer than L points grow none.  The exact average radius then
-    filters the cliques.  Refuses inputs whose candidate cliques, summed
-    over the clique sizes 2..L, exceed SUBSET_BUDGET; at every L, the pairs
-    alone are counted before any list is formed.
+    sort, and fewer than L points grow none; only the prefix of pairs that
+    start below ``roots`` grows.  The exact average radius then filters the
+    cliques.  Refuses inputs whose candidate cliques exceed SUBSET_BUDGET:
+    every pair, counted before any list is formed, then each grown clique.
     """
     from scipy.spatial import cKDTree
 
@@ -215,7 +220,7 @@ def _near_lists(points, L, t):
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     starts = np.searchsorted(pairs[:, 0], np.arange(M + 1))
     keys = pairs[:, 0] * M + pairs[:, 1]
-    lists = pairs
+    lists = pairs if roots is None else pairs[: starts[roots]]
     for k in range(2, L):
         last = lists[:, -1]
         deg = starts[last + 1] - starts[last]
@@ -427,10 +432,11 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     therefore, up to translation, exactly the rows of one _near_lists call
     at n*N over the base code and its translates by such offsets within
     the pair radius _pair_radius(L, n*N) of the base cube (_near_points at
-    half = K, one sign) that start in the base, the base coming first.  The
-    constellation passes when there is none.  Otherwise the row of smallest
-    average squared radius is reported, the lexicographically first on
-    ties, so a same-tile list is reported as base points, bit for bit.
+    half = K, one sign), the base first, grown from the base rows alone
+    (roots = M: the budget counts every pair, then only rooted cliques).
+    The constellation passes when there is none.  Otherwise the row of
+    smallest average squared radius is reported, the lexicographically
+    first on ties: a same-tile list is reported as base points, bit for bit.
 
     min_cross_half_dist_sq is read off the same listing's near-pair graph:
     up to translation, a cross-tile pair within the pair radius is a pair
@@ -457,16 +463,14 @@ def verify_packing(c: Constellation, window_radius: float) -> PackingVerdict:
     r = _pair_radius(L, thr)
     bj, Q = _near_points(code.points, P, r, K, one_sign=True)
     pts = np.vstack([code.points, Q])
-    lists, avg, pairs = _near_lists(pts, L, thr)
-    # rows ascend, so a list has a base member when it starts in the base
-    based = np.flatnonzero(lists[:, 0] < M)
+    lists, avg, pairs = _near_lists(pts, L, thr, roots=M)
     # a pair's average squared radius is a quarter of its squared distance
     cross = _avg_sq_radii(pts, pairs[(pairs[:, 0] < M) & (pairs[:, 1] >= M)])
     cross = cross[cross <= r * r / 4.0]
 
     violation, indices, min_avg = None, None, math.inf
-    if len(based):
-        i = based[np.argmin(avg[based])]
+    if len(lists):
+        i = np.argmin(avg)
         violation, min_avg = pts[lists[i]], float(avg[i])
         indices = tuple(int(b) for b in np.concatenate([np.arange(M), bj])[lists[i]])
     return PackingVerdict(

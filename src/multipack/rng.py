@@ -1,7 +1,7 @@
 """Counter-based random streams, worker-count resolution, the exact
 binomial interval that the Monte Carlo estimators report, and the two
 argument checks every public routine uses: ``check_count`` for integers and
-``check_positive`` for positive finite reals.
+``check_positive`` for positive (or non-negative) finite reals.
 
 Randomized routines draw in chunks of CHUNK samples, each from a Philox
 generator keyed by (seed, chunk index) with its counter at 0, as in the
@@ -44,10 +44,12 @@ def check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def check_positive(name: str, value) -> float:
-    """Validate and return a positive finite real, not a boolean, as a float."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+def check_positive(name: str, value, zero: bool = False) -> float:
+    """Validate and return a positive finite real, not a boolean, as a float;
+    with ``zero``, 0 as well."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and (0 <= value if zero else 0 < value) and value < math.inf):
+        raise ValueError(f"{name} must be {'non-negative' if zero else 'positive'} and finite, got {value!r}")
     return float(value)
 
 

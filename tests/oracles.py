@@ -1,4 +1,5 @@
-"""Exhaustive references for the near-pair list engine, the verifier, the
+"""Exhaustive references for the near-pair list engine, the verifier (and
+its listing grown from every row, then cut to the base rows), the
 coverage Monte Carlo, the enclosing-ball solver and the 1-D mgf_log
 quadrature, the Counter-rebuilding expurgation greedy, the golden-section
 rate search, the first-order radius solvers (away-step conditional gradient
@@ -264,6 +265,38 @@ def cross_tile_min_sq_lattice(c):
         d = (X[:, None, :] - (X + k * c.period)[None, :, :]).reshape(-1, n)
         best = min(best, float(np.einsum("ij,ij->i", d, d).min()))
     return best
+
+
+def near_lists_unrooted(points, L, t, roots):
+    """_near_lists grown from every row, cut to the rows that start below
+    ``roots``: lists, average squared radii and the whole near-pair graph,
+    the rule the rooted listing must reproduce bit for bit."""
+    lists, avg, pairs = construction._near_lists(points, L, t)
+    keep = lists[:, 0] < roots
+    return lists[keep], avg[keep], pairs
+
+
+def verify_unrooted(c):
+    """verify_packing's listing fields from near_lists_unrooted over the
+    base code and its one-sign translates within the pair radius of the
+    base cube: (passed, min_avg_radius_sq, violation,
+    violation_base_indices, min_cross_half_dist_sq)."""
+    code = c.base
+    M, L, thr = code.M, code.L, code.n * code.N
+    r = construction._pair_radius(L, thr)
+    bj, Q = construction._near_points(code.points, c.period, r, code.K, one_sign=True)
+    pts = np.vstack([code.points, Q])
+    lists, avg, pairs = near_lists_unrooted(pts, L, thr, M)
+    cross = pairs[(pairs[:, 0] < M) & (pairs[:, 1] >= M)]
+    d = pts[cross[:, 0]] - pts[cross[:, 1]]
+    cross = np.einsum("ij,ij->i", d, d) / 4.0
+    cross = cross[cross <= r * r / 4.0]
+    min_cross = float(cross.min()) if len(cross) else math.inf
+    if not len(lists):
+        return True, math.inf, None, None, min_cross
+    i = int(np.argmin(avg))
+    indices = tuple(int(b) for b in np.concatenate([np.arange(M), bj])[lists[i]])
+    return False, float(avg[i]), pts[lists[i]], indices, min_cross
 
 
 def offset_box(bound):

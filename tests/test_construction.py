@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     cross_tile_min_sq_gram,
     cross_tile_min_sq_lattice,
     expurgate_counter,
+    near_lists_unrooted,
     offset_box,
     offset_reach,
     ring_covered,
@@ -39,6 +41,7 @@ from oracles import (
     same_tile_min_per_tile,
     scan_subsets,
     tree_covered,
+    verify_unrooted,
     walk_step_rows,
     window_bad_lists,
     window_rows,
@@ -889,7 +892,9 @@ class TestVerifyPacking:
         # at period exactly 2K > sqrt(2L*n*N) a list's members lie in tiles
         # at most one apart on each axis, so up to translation the bad lists
         # are those of the 3^n offset box; the walk's listing, its rows
-        # starting in the base, gives each once as (base index, offset) sets
+        # starting in the base, gives each once as (base index, offset) sets,
+        # and verify_packing at gap 0 gives the scan's verdict and smallest
+        # list; a third trial, just below the box's smallest list, passes
         rng = np.random.default_rng(100 * n + L)
         K, P = 1.0, 2.0
         # a list holds no point with its own translate, so M >= L; else the
@@ -898,15 +903,21 @@ class TestVerifyPacking:
         M = max(m for m in range(L, 7) if m == L or math.comb(3**n * m, L) <= 4 * 10**5)
         box = offset_box((1,) * n)
         box = np.vstack([np.zeros((1, n), dtype=box.dtype), box, -box])
-        for trial in range(1 if (n, L) == (3, 4) else 2):
+        verdicts = set()
+        for trial in (0,) if (n, L) == (3, 4) else (0, 1, 2):
             N = rng.uniform(0.1, 0.5) * P**2 / (2 * L * n)
             X = rng.uniform(-K, K, size=(M, n))
-            # half the coordinates on the faces, where translates meet; the
+            # half the coordinates on the faces, where translates meet (not in
+            # the passing trial: opposite faces meet at distance 0); the
             # first trial wraps L points about the corner (K, ..., K) round
             # the torus, a list across up to 2^n tiles
-            X = np.where(rng.random((M, n)) < 0.5, np.sign(X) * K, X)
+            if trial < 2:
+                X = np.where(rng.random((M, n)) < 0.5, np.sign(X) * K, X)
             if trial == 0:
                 X[:L] = (2 * K + rng.normal(scale=0.3 * math.sqrt(N), size=(L, n))) % P - K
+            Y = (X[None, :, :] + (box * P)[:, None, :]).reshape(-1, n)
+            if trial == 2:
+                N = 0.99 * scan_subsets(Y, L, -math.inf)[1][0] / n
             r = construction._pair_radius(L, n * N)
             assert r < P
             rows, Q = construction._near_points(X, P, r, K, one_sign=True)
@@ -914,15 +925,101 @@ class TestVerifyPacking:
             members = [(b, (0,) * n) for b in range(M)]
             members += [(int(b), tuple(int(v) for v in k)) for b, k in zip(rows, np.rint((Q - X[rows]) / P))]
             got = [frozenset(members[j] for j in row) for row in lists if row[0] < M]
-            Y = (X[None, :, :] + (box * P)[:, None, :]).reshape(-1, n)
             flat = [(b, tuple(int(v) for v in k)) for k in box for b in range(M)]
-            want = set()
-            for row in scan_subsets(Y, L, n * N)[0]:
-                lo = min(flat[j][1] for j in row)
-                want.add(frozenset((flat[j][0], tuple(a - b for a, b in zip(flat[j][1], lo))) for j in row))
+            bad, (best, first) = scan_subsets(Y, L, n * N)
+            want = {self.untranslated(flat[j] for j in row) for row in bad}
             assert len(got) == len(set(got)) and set(got) == want
             if trial == 0:
                 assert any(any(any(k) for _, k in lst) for lst in want)
+            v = verify_packing(Constellation(FiniteCode(X, n, L, N, K, None), 0.0), 0.0)
+            verdicts.add(v.passed)
+            assert v.passed == (not want)
+            if not v.passed:
+                # the members' offsets from their base points, up to translation
+                k = np.rint((v.violation - X[list(v.violation_base_indices)]) / P).astype(int)
+                reported = self.untranslated((b, tuple(kb)) for b, kb in zip(v.violation_base_indices, k.tolist()))
+                assert reported == self.untranslated(flat[j] for j in first)
+                assert v.min_avg_radius_sq == pytest.approx(best, rel=1e-12, abs=0.0)
+        assert verdicts == ({False} if (n, L) == (3, 4) else {False, True})
+
+    @staticmethod
+    def untranslated(members):
+        """(base index, offset) members moved so that the lexicographically
+        smallest offset is 0, as a set."""
+        members = list(members)
+        lo = min(k for _, k in members)
+        return frozenset((b, tuple(a - c for a, c in zip(k, lo))) for b, k in members)
+
+    @staticmethod
+    def rooted_cases(n, L):
+        # a seeded code at twice the threshold size (at most 60 points) at
+        # K = 0.5 with L points planted about the corner (K, ..., K), a
+        # wrap-around list, and the seeded code expurgated; each at gap 1e-9
+        # and on the torus
+        size = log_threshold_size(ExponentQuery(N=0.005, L=L, K=0.5), n, 0.0)
+        code = sample_code(n, L, 0.005, 0.5, 0.0, 10 * n + L, M=min(2 * round(math.exp(size)) + L, 60))
+        rng = np.random.default_rng(10 * n + L)
+        planted = code.points.copy()
+        planted[:L] = (1.0 + rng.normal(scale=0.1 * math.sqrt(n * 0.005), size=(L, n))) % 1.0 - 0.5
+        for base in (replace(code, points=planted), expurgate(code, find_bad_lists(code))):
+            for gap in (1e-9, 0.0):
+                yield Constellation(base, gap)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_rooted_listing_is_the_unrooted_cut(self, n, L):
+        # growing lists from the base rows alone gives the rows, radii and
+        # pairs of the whole listing cut to the rows that start in the base,
+        # bit for bit, and so the same verdict, passing or failing
+        verdicts = []
+        for c in self.rooted_cases(n, L):
+            code, thr = c.base, n * c.base.N
+            r = construction._pair_radius(L, thr)
+            _, Q = construction._near_points(code.points, c.period, r, code.K, one_sign=True)
+            pts = np.vstack([code.points, Q])
+            got = construction._near_lists(pts, L, thr, roots=code.M)
+            want = near_lists_unrooted(pts, L, thr, code.M)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+            v = verify_packing(c, c.period)
+            passed, min_avg, violation, indices, min_cross = verify_unrooted(c)
+            assert (v.passed, v.min_avg_radius_sq, v.violation_base_indices, v.min_cross_half_dist_sq) == (
+                passed, min_avg, indices, min_cross)
+            assert (v.violation is None) == (violation is None)
+            assert violation is None or v.violation.tobytes() == violation.tobytes()
+            verdicts.append(v.passed)
+        # the planted wrap-around list fails at both gaps
+        assert verdicts[:2] == [False, False]
+
+    def test_budget_counts_the_rooted_cliques(self, monkeypatch):
+        # past the pairs the budget counts only cliques grown from the base:
+        # at the rooted count the whole listing is refused, and the rooted
+        # one gives its verdict
+        c = next(self.rooted_cases(3, 4))
+        check, counts = construction._check_subset_budget, []
+        monkeypatch.setattr(construction, "_check_subset_budget", lambda k, M: counts.append(k) or check(k, M))
+        want = verify_unrooted(c)
+        unrooted = counts[-1]
+        verify_packing(c, c.period)
+        rooted = counts[-1]
+        assert rooted < unrooted
+        monkeypatch.setattr(construction, "_check_subset_budget", check)
+        monkeypatch.setattr(construction, "SUBSET_BUDGET", rooted)
+        with pytest.raises(BudgetError, match="candidate cliques"):
+            verify_unrooted(c)
+        v = verify_packing(c, c.period)
+        assert not v.passed
+        assert (v.passed, v.min_avg_radius_sq, v.violation.tobytes(), v.violation_base_indices, v.min_cross_half_dist_sq) == (
+            want[0], want[1], want[2].tobytes(), *want[3:])
+
+    @pytest.mark.parametrize("gap", [0.0, 0.01])
+    def test_a_point_with_its_own_translate_is_a_list(self, gap):
+        # at a period of at most sqrt(2L*n*N) = 0.2 a point and its own
+        # translate form a list, reported with the base index twice
+        v = verify_packing(Constellation(FiniteCode([[0.0, 0.0]], 2, 2, 0.005, 0.01, None), gap), 0.0)
+        P = 0.02 + 2 * gap
+        assert (v.passed, v.violation_base_indices) == (False, (0, 0))
+        assert v.violation.tolist() == [[0.0, 0.0], [0.0, P]]
+        assert v.min_avg_radius_sq == v.min_cross_half_dist_sq == P * P / 4
 
     def test_verifier_builds_no_code(self, monkeypatch):
         # the window tiles are walked from an array, so verify_packing
@@ -1378,10 +1475,16 @@ class TestFiniteCodeValidation:
         with pytest.raises(ValueError, match="finite"):
             FiniteCode(points=np.array([[0.1], [bad], [0.2]]), n=1, L=2, N=0.01, K=1.0, seed=0)
 
-    @pytest.mark.parametrize("gap", [0.0, -0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("gap", [-0.1, -math.inf, math.nan, math.inf, True, False])
     def test_constellation_rejects_bad_gap(self, gap):
-        with pytest.raises(ValueError, match="gap"):
+        with pytest.raises(ValueError, match="^gap must be non-negative and finite"):
             Constellation(base=code_1d([0.0], N=0.01), gap=gap)
+
+    @pytest.mark.parametrize("gap", [0.0, 0, np.float64(0.0), 5e-324, 0.25], ids=["0.0", "int-0", "numpy-0.0", "5e-324", "0.25"])
+    def test_constellation_takes_a_gap_from_zero(self, gap):
+        # gap 0 is the torus of period 2K
+        c = Constellation(base=code_1d([0.0], N=0.01), gap=gap)
+        assert type(c.gap) is float and c.gap == gap and c.period == 20.0 + 2.0 * gap
 
     def test_rejects_out_of_cube(self):
         with pytest.raises(ValueError):

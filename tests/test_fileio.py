@@ -120,6 +120,21 @@ class TestConstellation:
         assert back.period == cons.period
         assert back.nld == pytest.approx(cons.nld, rel=1e-15)
 
+    def test_round_trip_at_gap_zero(self, tmp_path):
+        # the torus of period 2K reads back as written; a negative gap is
+        # refused by the constellation's own check
+        p = tmp_path / "cons.csv"
+        cons = Constellation(sample_fcode(), 0.0)
+        fileio.write_constellation(p, cons)
+        text = p.read_text()
+        assert f"# period={2 * cons.base.K!r}\n# gap=0.0\n" in text
+        back = fileio.load(p)
+        assert np.array_equal(back.base.points, cons.base.points)
+        assert (back.gap, back.period) == (0.0, 2 * cons.base.K)
+        p.write_text(text.replace("# gap=0.0", "# gap=-0.0001"))
+        with pytest.raises(ValueError, match="^gap must be non-negative and finite"):
+            fileio.load(p)
+
     def test_period_cross_check(self, tmp_path):
         p = tmp_path / "cons.csv"
         fileio.write_constellation(p, Constellation(sample_fcode(), 0.4))
