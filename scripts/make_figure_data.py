@@ -25,6 +25,7 @@ SEED = 5
 
 def write_exponent_table(path, L, N):
     with open(path, "w") as fh:
+        fh.write(f"# L={L} N={N} quad_order={QUAD_ORDER}\n")
         fh.write("K,exponent_E,rate_function,lambda_opt,rel_gap\n")
         for K in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
             E = exponent_E(ExponentQuery(N=N, L=L, K=K))

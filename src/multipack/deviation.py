@@ -304,33 +304,38 @@ def _spreads(L, n, rng, count, K=None):
     slices of at most SLICE floats (or one sample's block, if longer), so the
     stream is consumed in the same order as one fill of the whole block.
 
-    With K = None the statistic is taken on the standard uniforms u that
-    rng.random gives, no scale applied: the spread is unchanged by
-    translation and grows by (2K)^2 under scaling.  At L = 2 it is half the
-    squared distance of the two points, from differences that are exact
-    (both on the 2^-53 grid in [0, 1)); at L >= 3, sum u^2 - |sum_l u_l|^2/L.
-    With a float K it is taken on the coordinates of rng.uniform(-K, K),
-    -K + 2K u scaled in place, by the same two sums, with each list's
-    coordinate sums added point by point (the order of x.sum(axis=1), save
-    that numpy adds a one-coordinate block of L >= 8 points pairwise)."""
+    With K = None the statistic is taken on standard uniforms, no scale
+    applied: the spread is unchanged by translation and grows by (2K)^2
+    under scaling.  At L = 2 it is half the squared distance of the two
+    points, which depends only on the n gaps |u_1j - u_2j|; each gap has
+    the triangular density 2(1 - d) on [0, 1], so it is drawn as 1 - sqrt(v)
+    from one uniform v (inverse transform), one draw per coordinate, and the
+    statistic is (1/2) sum_j d_j^2.  At L >= 3 it is sum u^2 - |sum_l u_l|^2/L
+    on L uniforms per coordinate.  With a float K (L >= 3 only) it is taken
+    on the coordinates of rng.uniform(-K, K), -K + 2K u scaled in place, by
+    the same two sums, with each list's coordinate sums added point by point
+    (the order of x.sum(axis=1), save that numpy adds a one-coordinate block
+    of L >= 8 points pairwise)."""
     q = np.zeros(count)
     s2 = np.zeros(count)
     b = min(n, NBLOCK)
-    rows = max(1, SLICE // (L * b))
-    buf = np.empty(min(count, rows) * L * b)
-    pair = K is None and L == 2
-    if pair:
-        dbuf = np.empty(min(count, rows) * b)
+    pair = L == 2
+    width = 1 if pair else L
+    rows = max(1, SLICE // (width * b))
+    buf = np.empty(min(count, rows) * width * b)
     for j0 in range(0, n, NBLOCK):
         nb = min(NBLOCK, n - j0)
         for r0 in range(0, count, rows):
             r1 = min(count, r0 + rows)
-            x = buf[: (r1 - r0) * L * nb].reshape(r1 - r0, L, nb)
-            rng.random(out=x)
             if pair:
-                d = np.subtract(x[:, 0], x[:, 1], out=dbuf[: (r1 - r0) * nb].reshape(r1 - r0, nb))
+                d = buf[: (r1 - r0) * nb].reshape(r1 - r0, nb)
+                rng.random(out=d)
+                np.sqrt(d, out=d)
+                np.subtract(1.0, d, out=d)
                 q[r0:r1] += np.einsum("ij,ij->i", d, d)
                 continue
+            x = buf[: (r1 - r0) * L * nb].reshape(r1 - r0, L, nb)
+            rng.random(out=x)
             if K is not None:
                 x *= 2.0 * K
                 x -= K
@@ -343,8 +348,8 @@ def _spreads(L, n, rng, count, K=None):
 
 
 def _tail_delta(L, n, K):
-    """A bound delta, exact, on |(2K)^2 s_u - s_x| for every list of L points
-    in n dimensions, where s_u is _spreads' statistic on the standard
+    """A bound delta, exact, on |(2K)^2 s_u - s_x| for every list of L >= 3
+    points in n dimensions, where s_u is _spreads' statistic on the standard
     uniforms u and s_x the one it computes at a float K, on the coordinates
     x = fl(fl(2K u) - K) that rng.uniform(-K, K) gives.
 
@@ -368,11 +373,10 @@ def _tail_delta(L, n, K):
     value is then the sum of the terms, each times some 1 + theta_k with
     |theta_k| <= gamma_k, so it is within gamma_k (sum y^2 + sum_j
     (sum_l |y_lj|)^2 / L) <= 2 gamma_k L n max|y|^2 of S(y).  For u in
-    [0, 1) that is 2 gamma_k L n, and it holds at L = 2 too, where the
-    statistic is the exact differences' squares halved: b + m - 1
-    roundings.  No product of uniforms underflows (u = 0 or u >= 2^-53).  For
-    x, with |x| <= K, it is 2 gamma_k L n K^2, plus (L n + n + 1)(1 + gamma_k)
-    eta for the underflows of the L n + n products and the division.
+    [0, 1) that is 2 gamma_k L n; no product of uniforms underflows (u = 0
+    or u >= 2^-53).  For x, with |x| <= K, it is 2 gamma_k L n K^2, plus
+    (L n + n + 1)(1 + gamma_k) eta for the underflows of the L n + n
+    products and the division.
 
     (ii) 2K is exact, fl(2K u) = 2K u (1 + e1) + eta1 and x = fl(fl(2K u) - K)
     = (fl(2K u) - K)(1 + e2), so |x - x^| <= K u (3 + 2u) + 2 eta; as A is
@@ -393,38 +397,52 @@ def _tail_delta(L, n, K):
             + eta * (4 * L * n * K + (L * n + n + 1) * (1 + g)))
 
 
+def _round_toward(x, toward):
+    """The double nearest the rational x on the side of ``toward`` (-inf:
+    the largest double at most x; inf: the smallest double at least x), with
+    x first clamped to the finite doubles, which compare alike with every
+    finite statistic."""
+    from fractions import Fraction
+
+    big = Fraction(sys.float_info.max)
+    x = min(max(x, -big), big)
+    f = float(x)
+    if (Fraction(f) > x) if toward < 0 else (Fraction(f) < x):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def _scaled_threshold(K, threshold):
+    """threshold/(2K)^2 in exact rationals: the threshold on the statistic
+    of the standard uniforms.  An infinite threshold, where L*n*N
+    overflowed, is taken as the largest double."""
+    from fractions import Fraction
+
+    return Fraction(min(threshold, sys.float_info.max)) / (4 * Fraction(K) ** 2)
+
+
 def _tail_band(L, n, K, threshold):
-    """The floats (lo, hi) outside which _spreads' statistic s_u on the
-    standard uniforms decides a list as its statistic s_x on
+    """The floats (lo, hi), for L >= 3, outside which _spreads' statistic
+    s_u on the standard uniforms decides a list as its statistic s_x on
     rng.uniform(-K, K)'s coordinates does, s_x <= threshold: s_u <= lo is a
     hit and s_u > hi a miss, since lo <= (threshold - delta)/(2K)^2 and
     hi >= (threshold + delta)/(2K)^2 exactly (_tail_delta); a list between
     them is in the rounding band.  The edges are rounded outward from exact
-    rationals and clamped to the finite doubles, which compare alike with
-    every finite s_u; an infinite threshold, where L*n*N overflowed, is
-    clamped the same way."""
+    rationals (_round_toward)."""
     from fractions import Fraction
 
-    big = Fraction(sys.float_info.max)
-    scale = 4 * Fraction(K) ** 2
-    t = Fraction(min(threshold, sys.float_info.max)) / scale
-    d = _tail_delta(L, n, K) / scale
-    lo, hi = (min(max(v, -big), big) for v in (t - d, t + d))
-    flo, fhi = float(lo), float(hi)
-    if Fraction(flo) > lo:
-        flo = math.nextafter(flo, -math.inf)
-    if Fraction(fhi) < hi:
-        fhi = math.nextafter(fhi, math.inf)
-    return flo, fhi
+    t = _scaled_threshold(K, threshold)
+    d = _tail_delta(L, n, K) / (4 * Fraction(K) ** 2)
+    return _round_toward(t - d, -math.inf), _round_toward(t + d, math.inf)
 
 
 def _tail_chunk(L, n, K, threshold, band, rng, count):
     """Hits, lists whose spread is at most ``threshold``, in one chunk of
-    ``count`` lists drawn from ``rng``, as rng.uniform(-K, K)'s coordinates
-    give them.  The lists are decided on the standard uniforms against
-    ``band`` (_tail_band); a chunk holding any list in the rounding band is
-    drawn again from the generator's state at its start and counted on
-    rng.uniform(-K, K)'s coordinates."""
+    ``count`` lists of L >= 3 points drawn from ``rng``, as
+    rng.uniform(-K, K)'s coordinates give them.  The lists are decided on
+    the standard uniforms against ``band`` (_tail_band); a chunk holding any
+    list in the rounding band is drawn again from the generator's state at
+    its start and counted on rng.uniform(-K, K)'s coordinates."""
     lo, hi = band
     state = rng.bit_generator.state
     s = _spreads(L, n, rng, count)
@@ -447,11 +465,17 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstim
     the hit count is a pure function of (seed, sample index) and
     bit-identical for every worker count and slice size.
 
-    Each list is decided on the standard uniforms behind its coordinates,
-    and a chunk holding a list within the rounding bound delta of the
-    threshold (_tail_delta) is counted again with rng.uniform(-K, K)'s
-    coordinates, so the hits are those of that arithmetic.  K above 2^400,
-    where squared coordinates overflow, is refused.
+    At L = 2 a list is drawn as its n coordinate gaps, one uniform each
+    (_spreads), and is a hit when half its squared distance on the unit
+    scale is at most the largest double at or below threshold/(2K)^2, taken
+    in exact rationals: a single float comparison, with no band and no
+    recount.  The hits follow the law of two uniform points; they are not
+    those of any one draw of the points' coordinates.  At L >= 3 each list
+    is decided on the standard uniforms behind its coordinates, and a chunk
+    holding a list within the rounding bound delta of the threshold
+    (_tail_delta) is counted again with rng.uniform(-K, K)'s coordinates,
+    so the hits are those of that arithmetic, bit for bit.  K above 2^400,
+    where squared coordinates overflow, is refused for every L.
     """
     L, n = check_count("L", L, 2), check_count("n", n, 1)
     K, N = check_positive("K", K), check_positive("N", N)
@@ -460,8 +484,12 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstim
     samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
     threshold = L * n * N
-    band = _tail_band(L, n, K, threshold)
-    hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, threshold, band, rng, m))
+    if L == 2:
+        edge = _round_toward(_scaled_threshold(K, threshold), -math.inf)
+        hits = chunk_sum(seed, samples, lambda rng, m: int((_spreads(L, n, rng, m) <= edge).sum()))
+    else:
+        band = _tail_band(L, n, K, threshold)
+        hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, threshold, band, rng, m))
     p_hat = hits / samples
     ci_low, ci_high = _clopper_pearson(hits, samples)
     # with no hits the exponent is the lower bound the interval's ceiling gives

@@ -20,8 +20,11 @@ coordinate sums per tail block, the away step over the active indices, the
 mean in rad_p, a tree query for every coverage sample) do the same
 arithmetic as the production kernels, or as the first-order radius solvers,
 and must match them exactly (the tail block in its hits, which mc_tail
-decides on the standard uniforms and recounts near the threshold with
-rng.uniform's coordinates); so must the lattice scan, whose cross-tile
+decides at L >= 3 on the standard uniforms and recounts near the threshold
+with rng.uniform's coordinates); so must the L = 2 tail oracle, which sums
+each list's squared coordinate gaps correctly rounded and compares them
+with the threshold in rationals, on every list outside the rounding bound
+of mc_tail's float sums, and the lattice scan, whose cross-tile
 minimum the verifier's base-translate search reproduces.  The window
 oracles bound the verifier from the other side: a finite window holds only
 some of the constellation's lists and pairs.
@@ -29,9 +32,11 @@ some of the constellation's lists and pairs.
 
 import itertools
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -610,6 +615,33 @@ def tail_hits_two_sums(L, n, K, N, samples, seed):
         count = min(CHUNK, samples - chunk * CHUNK)
         hits += int((tail_chunk_spreads(L, n, K, philox_chunk_rng(seed, chunk), count) <= L * n * N).sum())
     return hits
+
+
+def tail_hits_difference(n, K, N, samples, seed):
+    """mc_tail's hit count at L = 2, chunk by chunk on one thread, and the
+    number of lists near the threshold.  Each chunk's blocks are drawn whole,
+    one standard uniform v per coordinate as rng.random((count, nb)), and
+    taken to the gap d = 1 - sqrt(v) between the two points' coordinates;
+    a list hits when half its math.fsum of d^2 is at most threshold/(2K)^2
+    in exact rationals.  With u = 2^-53, mc_tail's float sum of a list's
+    squares is within gamma_k of the exact sum of the d^2, k = b + m - 1
+    roundings (b = min(n, NBLOCK) coordinates in each of m blocks), and the
+    correctly rounded sum within 2u + u^2 of it; so a list whose halved sum
+    s lies more than (k + 3) 2^-52 s from the edge is decided alike by both,
+    and one that does not is near.  With no near list the two hit counts
+    must be equal."""
+    t = Fraction(min(2 * n * N, sys.float_info.max)) / (4 * Fraction(K) ** 2)
+    slack = (min(n, NBLOCK) - (-n // NBLOCK) + 2) * Fraction(1, 2**52)
+    hits = near = 0
+    for chunk in range((samples + CHUNK - 1) // CHUNK):
+        count = min(CHUNK, samples - chunk * CHUNK)
+        rng = philox_chunk_rng(seed, chunk)
+        d = np.hstack([1.0 - np.sqrt(rng.random((count, min(NBLOCK, n - j0)))) for j0 in range(0, n, NBLOCK)])
+        for row in d * d:
+            s = Fraction(math.fsum(row)) / 2
+            hits += s <= t
+            near += abs(s - t) <= slack * s
+    return hits, near
 
 
 def chebyshev_radius_active(pl, tol: float = 1e-9):

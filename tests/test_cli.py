@@ -319,6 +319,16 @@ class TestTailRatefn:
         assert demo["main"](["--n", "8", "--L", "2", "--seed", "1", "--mc-samples", "1000"]) == 0
         assert f"  accounting target {target:.6f} nats\n" in capsys.readouterr().out
 
+    def test_exponent_table_names_its_parameters(self, tmp_path):
+        # the figure script's docstring promises every file a manifest or an
+        # inline comment header; the exponent table's header names L, N and
+        # the quadrature order its rates were taken at
+        fig = runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "make_figure_data.py"))
+        fig["write_exponent_table"](tmp_path / "exponent_K.csv", L=2, N=0.01)
+        lines = (tmp_path / "exponent_K.csv").read_text().splitlines()
+        assert lines[:2] == ["# L=2 N=0.01 quad_order=96", "K,exponent_E,rate_function,lambda_opt,rel_gap"]
+        assert len(lines) == 8
+
     def test_explicit_size_over_the_budget_exits_2(self, capsys, tmp_path):
         # an explicit --M is refused like a computed one, before any point
         # is drawn

@@ -31,6 +31,7 @@ from oracles import (
     rate_function_golden,
     shoulder_integral_panels,
     tail_chunk_spreads,
+    tail_hits_difference,
     tail_hits_two_sums,
 )
 
@@ -440,13 +441,17 @@ class TestMcTail:
     def test_hits_match_two_sum_oracle(self, L, n, monkeypatch):
         # N at the mean of the form puts p near 1/2, so every sample counts;
         # n = 300 spans three coordinate blocks, 9000 samples three chunks;
-        # the sampler adds each list's points one by one, the oracle takes
-        # numpy's sum over the list axis
+        # at L >= 3 the sampler adds each list's points one by one, the
+        # oracle takes numpy's sum over the list axis; at L = 2 the sampler
+        # draws the coordinate gaps, and its oracle is the gaps' fsum
         monkeypatch.setenv("MULTIPACK_THREADS", "2")
         N = cube_form_mean(L, 1.0) / L
         est = mc_tail(L=L, n=n, K=1.0, N=N, samples=9000, seed=3)
         assert 0 < est.hits < est.samples
-        assert est.hits == tail_hits_two_sums(L, n, 1.0, N, 9000, 3)
+        if L == 2:
+            assert (est.hits, 0) == tail_hits_difference(n, 1.0, N, 9000, 3)
+        else:
+            assert est.hits == tail_hits_two_sums(L, n, 1.0, N, 9000, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hits_match_two_sum_oracle_at_other_K(self, workers, monkeypatch):
@@ -455,10 +460,50 @@ class TestMcTail:
         # 2; one thread reuses its buffers for all three chunks, the last
         # partial
         monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
-        N = cube_form_mean(2, 0.7) / 2
-        est = mc_tail(L=2, n=300, K=0.7, N=N, samples=9000, seed=5)
+        N = cube_form_mean(3, 0.7) / 3
+        est = mc_tail(L=3, n=300, K=0.7, N=N, samples=9000, seed=5)
         assert 0 < est.hits < est.samples
-        assert est.hits == tail_hits_two_sums(2, 300, 0.7, N, 9000, 5)
+        assert est.hits == tail_hits_two_sums(3, 300, 0.7, N, 9000, 5)
+
+    @pytest.mark.parametrize("K", [0.7, 2.0**400, 5e-324])
+    def test_hits_match_difference_oracle_at_other_K(self, K, monkeypatch):
+        # the L = 2 edge is threshold/(2K)^2 rounded down from rationals: at
+        # a K whose 2K is not a power of 2, at the largest K allowed, and at
+        # the smallest double, where (2K)^2 underflows in floats and every
+        # list hits; no list is within the sums' rounding bound of the edge,
+        # so the counts are equal, on one worker and on two
+        N = cube_form_mean(2, K) / 2 or 1e-3
+        for n in (1, 8, 129, 300):
+            hits, near = tail_hits_difference(n, K, N, 9000, 5)
+            assert near == 0
+            assert 0 < hits < 9000 if K > 1e-300 else hits == 9000
+            for workers in (1, 2):
+                monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
+                assert mc_tail(L=2, n=n, K=K, N=N, samples=9000, seed=5).hits == hits
+
+    @pytest.mark.parametrize("N, K, seed", [(0.04, 1.0, 3), (0.3, 0.8, 11)])
+    def test_two_point_closed_form(self, N, K, seed):
+        # at n = 2 the scaled gaps D_j of two uniform points have density
+        # 2(1 - d) on [0, 1], and a hit is D_1^2 + D_2^2 <= rho^2 = 2N/K^2;
+        # for rho <= 1 the quarter disc lies in the unit square, so
+        # P = 4 int (1 - d1)(1 - d2) = pi rho^2 - 8 rho^3/3 + rho^4/2;
+        # |z| > 4.5 has probability 6.8e-6 for each case
+        r2 = 2 * N / K**2
+        p = math.pi * r2 - 8 * r2**1.5 / 3 + r2 * r2 / 2
+        est = mc_tail(L=2, n=2, K=K, N=N, samples=10**6, seed=seed)
+        assert abs(est.hits - 10**6 * p) <= 4.5 * math.sqrt(10**6 * p * (1 - p))
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    def test_two_sample_against_two_sums(self, n):
+        # the gap draw and the two-coordinate draw have one law: their hit
+        # counts, at the bench's N = 0.14 on independent seeds, pass a pooled
+        # two-binomial z-test at |z| <= 4.5 (false-failure rate 6.8e-6 each)
+        m = 50_000
+        a = mc_tail(L=2, n=n, K=1.0, N=0.14, samples=m, seed=21).hits
+        b = tail_hits_two_sums(2, n, 1.0, 0.14, m, 22)
+        p = (a + b) / (2 * m)
+        assert a + b >= 40
+        assert abs(a - b) <= 4.5 * math.sqrt(2 * m * p * (1 - p))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_stays_within_slices(self, workers, monkeypatch):
@@ -487,7 +532,11 @@ class TestMcTail:
         N = cube_form_mean(2, K) / 2
         est = mc_tail(L=2, n=4, K=K, N=N, samples=5000, seed=0)
         assert 0 < est.hits < est.samples
-        assert est.hits == tail_hits_two_sums(2, 4, K, N, 5000, 0)
+        assert (est.hits, 0) == tail_hits_difference(4, K, N, 5000, 0)
+        N = cube_form_mean(3, K) / 3
+        est = mc_tail(L=3, n=4, K=K, N=N, samples=5000, seed=0)
+        assert 0 < est.hits < est.samples
+        assert est.hits == tail_hits_two_sums(3, 4, K, N, 5000, 0)
 
 
 # the analysis bench's tail cases (perfbench/workloads.py), at K = 1
@@ -511,11 +560,11 @@ class TestTailKernel:
         monkeypatch.setattr(deviation, "_spreads", counting)
         return calls
 
-    @pytest.mark.parametrize("L, n", [(2, 8), (3, 16), (2, 300)])
+    @pytest.mark.parametrize("L, n", [(3, 16), (3, 129), (4, 300)])
     def test_threshold_at_a_spread_recounts(self, L, n, monkeypatch):
         # the threshold is one list's spread as rng.uniform(-K, K)'s
-        # coordinates give it, so that list is within delta of it; n = 300
-        # spans three coordinate blocks
+        # coordinates give it, so that list is within delta of it; n = 129
+        # crosses a coordinate block, and n = 300 spans three
         K, count = 0.7, 1000
         spreads = tail_chunk_spreads(L, n, K, philox_chunk_rng(11, 0), count)
         threshold = float(np.sort(spreads)[count // 2])
@@ -531,7 +580,7 @@ class TestTailKernel:
         # every shape; delta is below 1e-11 of the form's range L*n*K^2, so
         # the band is narrow
         scale = 4 * Fraction(K) ** 2
-        for L in range(2, 9):
+        for L in range(3, 9):
             for n in (1, 8, 128, 129, 300):
                 rng = philox_chunk_rng(1000 * L + n, 0)
                 state = rng.bit_generator.state
@@ -541,6 +590,21 @@ class TestTailKernel:
                 delta = deviation._tail_delta(L, n, K)
                 assert max(abs(scale * Fraction(a) - Fraction(b)) for a, b in zip(su, sx)) <= delta
                 assert delta <= Fraction(1, 10**11) * L * n * Fraction(K) ** 2
+
+    @pytest.mark.parametrize("n", [129, 300])
+    def test_pairs_never_recount(self, n, monkeypatch):
+        # at L = 2 the threshold on the gaps is one float edge, with no band:
+        # a threshold within rounding of a list's own spread (at K = 1/2,
+        # where (2K)^2 = 1) is drawn once, like any other; the band and the
+        # recount are never reached
+        s = deviation._spreads(2, n, philox_chunk_rng(11, 0), 1000)
+        N = float(np.sort(s)[500]) / (2 * n)
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(deviation, "_tail_chunk", None)
+        monkeypatch.setattr(deviation, "_tail_band", None)
+        hits = mc_tail(L=2, n=n, K=0.5, N=N, samples=1000, seed=11).hits
+        assert calls == [None]
+        assert hits == int((s <= 2 * n * N).sum())
 
     def test_band_edges(self):
         # the edges are the floats just outside (threshold -+ delta)/(2K)^2,
