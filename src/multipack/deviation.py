@@ -298,24 +298,22 @@ def rate_function(L: int, K: float, N: float, quad_order: int = 64) -> RateFunct
     )
 
 
-def _spreads(L, n, rng, count, K=None):
-    """Each list's spread sum_j sum_l (x_lj - xbar_j)^2 for ``count`` lists
-    drawn from ``rng``.  Each coordinate block is filled sample-major, in
-    slices of at most SLICE floats (or one sample's block, if longer), so the
-    stream is consumed in the same order as one fill of the whole block.
+def _spreads(L, n, rng, count):
+    """Each list's spread sum_j sum_l (u_lj - ubar_j)^2 on the standard
+    uniforms, for ``count`` lists drawn from ``rng``.  Each coordinate block
+    is filled sample-major, in slices of at most SLICE floats (or one
+    sample's block, if longer), so the stream is consumed in the same order
+    as one fill of the whole block.
 
-    With K = None the statistic is taken on standard uniforms, no scale
-    applied: the spread is unchanged by translation and grows by (2K)^2
-    under scaling.  At L = 2 it is half the squared distance of the two
-    points, which depends only on the n gaps |u_1j - u_2j|; each gap has
-    the triangular density 2(1 - d) on [0, 1], so it is drawn as 1 - sqrt(v)
-    from one uniform v (inverse transform), one draw per coordinate, and the
-    statistic is (1/2) sum_j d_j^2.  At L >= 3 it is sum u^2 - |sum_l u_l|^2/L
-    on L uniforms per coordinate.  With a float K (L >= 3 only) it is taken
-    on the coordinates of rng.uniform(-K, K), -K + 2K u scaled in place, by
-    the same two sums, with each list's coordinate sums added point by point
-    (the order of x.sum(axis=1), save that numpy adds a one-coordinate block
-    of L >= 8 points pairwise)."""
+    No scale is applied: the spread is unchanged by translation and grows by
+    (2K)^2 under scaling, so mc_tail scales the threshold instead.  At L = 2
+    it is half the squared distance of the two points, which depends only on
+    the n gaps |u_1j - u_2j|; each gap has the triangular density 2(1 - d)
+    on [0, 1], so it is drawn as 1 - sqrt(v) from one uniform v (inverse
+    transform), one draw per coordinate, and the statistic is
+    (1/2) sum_j d_j^2.  At L >= 3 it is sum u^2 - |sum_l u_l|^2/L on L
+    uniforms per coordinate, with each list's coordinate sums added point
+    by point."""
     q = np.zeros(count)
     s2 = np.zeros(count)
     b = min(n, NBLOCK)
@@ -336,9 +334,6 @@ def _spreads(L, n, rng, count, K=None):
                 continue
             x = buf[: (r1 - r0) * L * nb].reshape(r1 - r0, L, nb)
             rng.random(out=x)
-            if K is not None:
-                x *= 2.0 * K
-                x -= K
             q[r0:r1] += np.einsum("ilj,ilj->i", x, x)
             s = x[:, 0] + x[:, 1]
             for l in range(2, L):
@@ -347,68 +342,16 @@ def _spreads(L, n, rng, count, K=None):
     return 0.5 * q if pair else q - s2 / L
 
 
-def _tail_delta(L, n, K):
-    """A bound delta, exact, on |(2K)^2 s_u - s_x| for every list of L >= 3
-    points in n dimensions, where s_u is _spreads' statistic on the standard
-    uniforms u and s_x the one it computes at a float K, on the coordinates
-    x = fl(fl(2K u) - K) that rng.uniform(-K, K) gives.
-
-    Notation (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed.: the model of arithmetic of section 2.2, Lemmas 3.1 and 3.3, and the
-    error of a sum in any order, chapter 4): u = 2^-53 is the unit roundoff,
-    gamma_k = k u/(1 - k u), and eta = 2^-1075 bounds the absolute error a
-    product or quotient adds when it underflows; sums and differences never
-    do.  S(y) = ||A y||^2,
-    with A = I - J/L the centering projection applied coordinate by
-    coordinate, is the exact spread, so S(x^) = (2K)^2 S(u) for the exact
-    uniforms x^ = 2K(u - 1/2).
-
-    (i) Each kernel forms q - s2/L, q the sum of squares and s2 the sum over
-    coordinates of the squared list sums.  With b = min(n, NBLOCK) and m
-    blocks, a term x_l x_l' of the expansion passes through at most
-    k = L b + 2L + m roundings whatever order numpy adds in: a square, L b - 1
-    adds in its block's einsum, m - 1 across blocks and the final subtraction
-    for q; 2(L - 1) list adds, the square, b - 1 and m - 1 adds, the division
-    by L and the subtraction for s2.  By Lemmas 3.1 and 3.3 the computed
-    value is then the sum of the terms, each times some 1 + theta_k with
-    |theta_k| <= gamma_k, so it is within gamma_k (sum y^2 + sum_j
-    (sum_l |y_lj|)^2 / L) <= 2 gamma_k L n max|y|^2 of S(y).  For u in
-    [0, 1) that is 2 gamma_k L n; no product of uniforms underflows (u = 0
-    or u >= 2^-53).  For x, with |x| <= K, it is 2 gamma_k L n K^2, plus
-    (L n + n + 1)(1 + gamma_k) eta for the underflows of the L n + n
-    products and the division.
-
-    (ii) 2K is exact, fl(2K u) = 2K u (1 + e1) + eta1 and x = fl(fl(2K u) - K)
-    = (fl(2K u) - K)(1 + e2), so |x - x^| <= K u (3 + 2u) + 2 eta; as A is
-    an orthogonal projection, |S(x) - S(x^)| <= ||x - x^|| (||x|| + ||x^||)
-    <= 2 L n K^2 u (3 + 2u) + 4 L n K eta.
-
-    Adding (2K)^2 times (i) for u, (i) for x and (ii):
-        delta = L n K^2 (10 gamma_k + 6u + 4u^2)
-                + eta (4 L n K + (L n + n + 1)(1 + gamma_k)).
-    k u < 1 for every L whose one list of one block fits in memory.
-    """
-    from fractions import Fraction
-
-    u, eta, K = Fraction(1, 2**53), Fraction(1, 2**1075), Fraction(K)
-    k = L * min(n, NBLOCK) + 2 * L + -(-n // NBLOCK)
-    g = k * u / (1 - k * u)
-    return (L * n * K * K * (10 * g + 6 * u + 4 * u * u)
-            + eta * (4 * L * n * K + (L * n + n + 1) * (1 + g)))
-
-
-def _round_toward(x, toward):
-    """The double nearest the rational x on the side of ``toward`` (-inf:
-    the largest double at most x; inf: the smallest double at least x), with
-    x first clamped to the finite doubles, which compare alike with every
-    finite statistic."""
+def _round_toward(x):
+    """The largest double at most the rational x, with x first clamped to
+    the finite doubles, which compare alike with every finite statistic."""
     from fractions import Fraction
 
     big = Fraction(sys.float_info.max)
     x = min(max(x, -big), big)
     f = float(x)
-    if (Fraction(f) > x) if toward < 0 else (Fraction(f) < x):
-        f = math.nextafter(f, toward)
+    if Fraction(f) > x:
+        f = math.nextafter(f, -math.inf)
     return f
 
 
@@ -419,37 +362,6 @@ def _scaled_threshold(K, threshold):
     from fractions import Fraction
 
     return Fraction(min(threshold, sys.float_info.max)) / (4 * Fraction(K) ** 2)
-
-
-def _tail_band(L, n, K, threshold):
-    """The floats (lo, hi), for L >= 3, outside which _spreads' statistic
-    s_u on the standard uniforms decides a list as its statistic s_x on
-    rng.uniform(-K, K)'s coordinates does, s_x <= threshold: s_u <= lo is a
-    hit and s_u > hi a miss, since lo <= (threshold - delta)/(2K)^2 and
-    hi >= (threshold + delta)/(2K)^2 exactly (_tail_delta); a list between
-    them is in the rounding band.  The edges are rounded outward from exact
-    rationals (_round_toward)."""
-    from fractions import Fraction
-
-    t = _scaled_threshold(K, threshold)
-    d = _tail_delta(L, n, K) / (4 * Fraction(K) ** 2)
-    return _round_toward(t - d, -math.inf), _round_toward(t + d, math.inf)
-
-
-def _tail_chunk(L, n, K, threshold, band, rng, count):
-    """Hits, lists whose spread is at most ``threshold``, in one chunk of
-    ``count`` lists of L >= 3 points drawn from ``rng``, as
-    rng.uniform(-K, K)'s coordinates give them.  The lists are decided on
-    the standard uniforms against ``band`` (_tail_band); a chunk holding any
-    list in the rounding band is drawn again from the generator's state at
-    its start and counted on rng.uniform(-K, K)'s coordinates."""
-    lo, hi = band
-    state = rng.bit_generator.state
-    s = _spreads(L, n, rng, count)
-    if np.any((s > lo) & (s <= hi)):
-        rng.bit_generator.state = state
-        return int((_spreads(L, n, rng, count, K) <= threshold).sum())
-    return int((s <= lo).sum())
 
 
 def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstimate:
@@ -465,16 +377,13 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstim
     the hit count is a pure function of (seed, sample index) and
     bit-identical for every worker count and slice size.
 
-    At L = 2 a list is drawn as its n coordinate gaps, one uniform each
-    (_spreads), and is a hit when half its squared distance on the unit
-    scale is at most the largest double at or below threshold/(2K)^2, taken
-    in exact rationals: a single float comparison, with no band and no
-    recount.  The hits follow the law of two uniform points; they are not
-    those of any one draw of the points' coordinates.  At L >= 3 each list
-    is decided on the standard uniforms behind its coordinates, and a chunk
-    holding a list within the rounding bound delta of the threshold
-    (_tail_delta) is counted again with rng.uniform(-K, K)'s coordinates,
-    so the hits are those of that arithmetic, bit for bit.  K above 2^400,
+    Every L has one rule: a list is a hit when _spreads' statistic on the
+    standard uniforms (at L = 2 drawn as the n coordinate gaps, one uniform
+    each) is at most the largest double at or below threshold/(2K)^2, taken
+    in exact rationals, so no float division by (2K)^2 can underflow.  That
+    is a single float comparison per list.  The hits follow the law of
+    uniform points on [-K, K]^n; they are not those of any one arithmetic
+    on scaled coordinates such as rng.uniform(-K, K)'s.  K above 2^400,
     where squared coordinates overflow, is refused for every L.
     """
     L, n = check_count("L", L, 2), check_count("n", n, 1)
@@ -483,13 +392,8 @@ def mc_tail(L: int, n: int, K: float, N: float, samples: int, seed) -> TailEstim
         raise ValueError(f"K must be at most 2^400, where squared coordinates overflow, got {K!r}")
     samples = check_count("samples", samples, 1000)
     seed = check_seed(seed)
-    threshold = L * n * N
-    if L == 2:
-        edge = _round_toward(_scaled_threshold(K, threshold), -math.inf)
-        hits = chunk_sum(seed, samples, lambda rng, m: int((_spreads(L, n, rng, m) <= edge).sum()))
-    else:
-        band = _tail_band(L, n, K, threshold)
-        hits = chunk_sum(seed, samples, lambda rng, m: _tail_chunk(L, n, K, threshold, band, rng, m))
+    edge = _round_toward(_scaled_threshold(K, L * n * N))
+    hits = chunk_sum(seed, samples, lambda rng, m: int((_spreads(L, n, rng, m) <= edge).sum()))
     p_hat = hits / samples
     ci_low, ci_high = _clopper_pearson(hits, samples)
     # with no hits the exponent is the lower bound the interval's ceiling gives

@@ -19,12 +19,14 @@ removal, one quadrature per order and panel, two
 coordinate sums per tail block, the away step over the active indices, the
 mean in rad_p, a tree query for every coverage sample) do the same
 arithmetic as the production kernels, or as the first-order radius solvers,
-and must match them exactly (the tail block in its hits, which mc_tail
-decides at L >= 3 on the standard uniforms and recounts near the threshold
-with rng.uniform's coordinates); so must the L = 2 tail oracle, which sums
-each list's squared coordinate gaps correctly rounded and compares them
-with the threshold in rationals, on every list outside the rounding bound
-of mc_tail's float sums, and the lattice scan, whose cross-tile
+and must match them exactly (the two-sum tail block in its hits on
+rng.uniform(-K, K)'s coordinates, on inputs where tail_hits_uniform finds
+no list near the threshold);
+so must the tail oracles, which compare each list's statistic with the
+threshold in rationals, on every list outside the rounding bound of
+mc_tail's float sums: at L = 2 the squared coordinate gaps summed
+correctly rounded, at L >= 3 the spread of the standard uniforms in an
+order of sums of its own; and so must the lattice scan, whose cross-tile
 minimum the verifier's base-translate search reproduces.  The window
 oracles bound the verifier from the other side: a finite window holds only
 some of the constellation's lists and pairs.
@@ -595,13 +597,14 @@ def clopper_pearson_beta_ppf(hits: int, samples: int) -> tuple[float, float]:
 
 def tail_chunk_spreads(L, n, K, rng, count):
     """Each list's spread in one chunk of mc_tail, as rng.uniform(-K, K)'s
-    coordinates give it, with the coordinate sum of each block taken once
-    per factor of its square."""
+    coordinates give it, or the standard uniforms rng.random gives with
+    K = None, with the coordinate sum of each block taken once per factor of
+    its square."""
     q = np.zeros(count)
     s2 = np.zeros(count)
     for j0 in range(0, n, NBLOCK):
-        nb = min(NBLOCK, n - j0)
-        x = rng.uniform(-K, K, size=(count, L, nb))
+        shape = (count, L, min(NBLOCK, n - j0))
+        x = rng.random(shape) if K is None else rng.uniform(-K, K, size=shape)
         q += np.einsum("ilj,ilj->i", x, x)
         s2 += np.einsum("ij,ij->i", x.sum(axis=1), x.sum(axis=1))
     return q - s2 / L
@@ -617,6 +620,13 @@ def tail_hits_two_sums(L, n, K, N, samples, seed):
     return hits
 
 
+def _scaled_edge(threshold, K):
+    """threshold/(2K)^2 in exact rationals, an infinite threshold taken as
+    the largest double, and the nearest double to it, at most the largest."""
+    t = Fraction(min(threshold, sys.float_info.max)) / (4 * Fraction(K) ** 2)
+    return t, float(min(t, Fraction(sys.float_info.max)))
+
+
 def tail_hits_difference(n, K, N, samples, seed):
     """mc_tail's hit count at L = 2, chunk by chunk on one thread, and the
     number of lists near the threshold.  Each chunk's blocks are drawn whole,
@@ -629,18 +639,81 @@ def tail_hits_difference(n, K, N, samples, seed):
     correctly rounded sum within 2u + u^2 of it; so a list whose halved sum
     s lies more than (k + 3) 2^-52 s from the edge is decided alike by both,
     and one that does not is near.  With no near list the two hit counts
-    must be equal."""
-    t = Fraction(min(2 * n * N, sys.float_info.max)) / (4 * Fraction(K) ** 2)
+    must be equal.
+
+    Only lists whose numpy row sum lies within 1e-9 of the edge, relatively,
+    are summed with fsum and compared in rationals: a float sum of at most
+    10^5 nonnegative terms is within 1e-11 of the exact sum, relatively, so
+    the others are decided alike by their row sums and are not near."""
+    t, tf = _scaled_edge(2 * n * N, K)
     slack = (min(n, NBLOCK) - (-n // NBLOCK) + 2) * Fraction(1, 2**52)
     hits = near = 0
     for chunk in range((samples + CHUNK - 1) // CHUNK):
         count = min(CHUNK, samples - chunk * CHUNK)
         rng = philox_chunk_rng(seed, chunk)
         d = np.hstack([1.0 - np.sqrt(rng.random((count, min(NBLOCK, n - j0)))) for j0 in range(0, n, NBLOCK)])
-        for row in d * d:
+        d *= d
+        r = d.sum(axis=1) / 2
+        close = np.abs(r - tf) <= 1e-9 * tf
+        hits += int((r[~close] <= tf).sum())
+        for row in d[close]:
             s = Fraction(math.fsum(row)) / 2
             hits += s <= t
             near += abs(s - t) <= slack * s
+    return hits, near
+
+
+def tail_spread_bound(L, n):
+    """A bound, exact, on |s - S(u)| for the spread s of a list of L >= 3
+    standard uniforms u in [0, 1)^n as mc_tail's kernel or tail_chunk_spreads
+    computes it, S(u) = sum u^2 - sum_j (sum_l u_lj)^2 / L the exact spread.
+
+    Notation (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed.: the model of arithmetic of section 2.2, Lemmas 3.1 and 3.3, and the
+    error of a sum in any order, chapter 4): u = 2^-53 is the unit roundoff
+    and gamma_k = k u/(1 - k u).  Each computation forms q - s2/L, q the sum
+    of squares and s2 the sum over coordinates of the squared list sums.
+    With b = min(n, NBLOCK) and m blocks, a term u_l u_l' of the expansion
+    passes through at most k = L b + 2L + m roundings whatever order the
+    sums are taken in: a square, L b - 1 adds in its block's einsum, m - 1
+    across blocks and the final subtraction for q; 2(L - 1) list adds, the
+    square, b - 1 and m - 1 adds, the division by L and the subtraction for
+    s2.  By Lemmas 3.1 and 3.3 the computed value is then the sum of the
+    terms, each times some 1 + theta_k with |theta_k| <= gamma_k, so it is
+    within gamma_k (sum u^2 + sum_j (sum_l u_lj)^2 / L) <= 2 gamma_k L n of
+    S(u).  No product underflows: each uniform is 0 or at least 2^-53.
+    k u < 1 for every L whose one list of one block fits in memory."""
+    u = Fraction(1, 2**53)
+    k = L * min(n, NBLOCK) + 2 * L + -(-n // NBLOCK)
+    return 2 * k * u / (1 - k * u) * L * n
+
+
+def tail_hits_uniform(L, n, K, N, samples, seed):
+    """mc_tail's hit count at L >= 3, chunk by chunk on one thread, and the
+    number of lists near the threshold.  Each chunk's blocks are drawn whole
+    as rng.random((count, L, nb)); each list's spread is taken by
+    tail_chunk_spreads, with its own order of sums (x.sum(axis=1)), and a
+    list hits when that spread is at most threshold/(2K)^2 in exact
+    rationals.  mc_tail's spread and this one are each within
+    tail_spread_bound(L, n) of the exact spread, so a list more than twice
+    that bound from the edge is decided alike by both, and one that is not
+    is near.  With no near list the two hit counts must be equal.
+
+    Only lists whose spread lies within 2 slack + 2^-50 |e| of the edge's
+    nearest double e, in floats, slack the near distance, are compared in
+    rationals; the others lie on the same side of the edge as of e, more
+    than slack from it."""
+    t, tf = _scaled_edge(L * n * N, K)
+    slack = 2 * tail_spread_bound(L, n)
+    hits = near = 0
+    for chunk in range((samples + CHUNK - 1) // CHUNK):
+        count = min(CHUNK, samples - chunk * CHUNK)
+        s = tail_chunk_spreads(L, n, None, philox_chunk_rng(seed, chunk), count)
+        close = np.abs(s - tf) <= 2 * float(slack) + 2.0**-50 * tf
+        hits += int((s[~close] <= tf).sum())
+        for v in map(Fraction, s[close]):
+            hits += v <= t
+            near += abs(v - t) <= slack
     return hits, near
 
 

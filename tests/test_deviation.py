@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from multipack import (
 )
 from multipack import deviation
 from multipack.bounds import BoundQuery
-from multipack.deviation import _mgf_log_derivatives, _shoulder_derivatives, cube_form_mean
+from multipack.deviation import NBLOCK, _mgf_log_derivatives, _shoulder_derivatives, cube_form_mean
 from multipack.rng import CHUNK
 from oracles import (
     mgf_log_panels,
@@ -33,6 +34,8 @@ from oracles import (
     tail_chunk_spreads,
     tail_hits_difference,
     tail_hits_two_sums,
+    tail_hits_uniform,
+    tail_spread_bound,
 )
 
 # the analysis bench's rate_function grid
@@ -442,8 +445,9 @@ class TestMcTail:
         # N at the mean of the form puts p near 1/2, so every sample counts;
         # n = 300 spans three coordinate blocks, 9000 samples three chunks;
         # at L >= 3 the sampler adds each list's points one by one, the
-        # oracle takes numpy's sum over the list axis; at L = 2 the sampler
-        # draws the coordinate gaps, and its oracle is the gaps' fsum
+        # oracles take numpy's sum over the list axis, on the uniforms and
+        # on rng.uniform(-K, K)'s coordinates; at L = 2 the sampler draws
+        # the coordinate gaps, and its oracle is the gaps' fsum
         monkeypatch.setenv("MULTIPACK_THREADS", "2")
         N = cube_form_mean(L, 1.0) / L
         est = mc_tail(L=L, n=n, K=1.0, N=N, samples=9000, seed=3)
@@ -451,18 +455,20 @@ class TestMcTail:
         if L == 2:
             assert (est.hits, 0) == tail_hits_difference(n, 1.0, N, 9000, 3)
         else:
+            assert (est.hits, 0) == tail_hits_uniform(L, n, 1.0, N, 9000, 3)
             assert est.hits == tail_hits_two_sums(L, n, 1.0, N, 9000, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_hits_match_two_sum_oracle_at_other_K(self, workers, monkeypatch):
-        # the hits decided on the standard uniforms must be those of
-        # rng.uniform(-K, K)'s coordinates at a K whose 2K is not a power of
-        # 2; one thread reuses its buffers for all three chunks, the last
-        # partial
+        # at a K whose 2K is not a power of 2 the hits decided on the
+        # standard uniforms are those of the exact spreads, with no list near
+        # the edge, and those of rng.uniform(-K, K)'s coordinates; one thread
+        # reuses its buffers for all three chunks, the last partial
         monkeypatch.setenv("MULTIPACK_THREADS", str(workers))
         N = cube_form_mean(3, 0.7) / 3
         est = mc_tail(L=3, n=300, K=0.7, N=N, samples=9000, seed=5)
         assert 0 < est.hits < est.samples
+        assert (est.hits, 0) == tail_hits_uniform(3, 300, 0.7, N, 9000, 5)
         assert est.hits == tail_hits_two_sums(3, 300, 0.7, N, 9000, 5)
 
     @pytest.mark.parametrize("K", [0.7, 2.0**400, 5e-324])
@@ -536,6 +542,7 @@ class TestMcTail:
         N = cube_form_mean(3, K) / 3
         est = mc_tail(L=3, n=4, K=K, N=N, samples=5000, seed=0)
         assert 0 < est.hits < est.samples
+        assert (est.hits, 0) == tail_hits_uniform(3, 4, K, N, 5000, 0)
         assert est.hits == tail_hits_two_sums(3, 4, K, N, 5000, 0)
 
 
@@ -544,87 +551,89 @@ BENCH_TAIL_CASES = [(2, n) for n in (8, 16, 32, 64, 128)] + [(3, 8), (3, 16)]
 
 
 class TestTailKernel:
-    """The statistic on the standard uniforms, its rounding bound delta and
-    the recount of a chunk with a list in the band."""
+    """The statistic on the standard uniforms against one float edge, and
+    the rounding bound of the L >= 3 oracle."""
 
-    @staticmethod
-    def spy(monkeypatch):
-        """The K of every _spreads call: None on the uniforms, K in a recount."""
+    @pytest.mark.parametrize("L, n", [(L, n) for L in (2, 3, 4) for n in (16, 129, 300)])
+    def test_threshold_at_a_spread_is_drawn_once(self, L, n, monkeypatch):
+        # the threshold is one list's own statistic at K = 1/2, where
+        # (2K)^2 = 1, so the edge is the threshold: that list hits, and the
+        # chunk is drawn once, like any other; n = 129 crosses a coordinate
+        # block, and n = 300 spans three
+        count = 1000
+        s = np.sort(deviation._spreads(L, n, philox_chunk_rng(11, 0), count))
+        N = float(s[count // 2]) / (L * n)
+        while L * n * N < s[count // 2]:
+            N = math.nextafter(N, math.inf)
         calls = []
         spreads = deviation._spreads
+        monkeypatch.setattr(deviation, "_spreads", lambda *a: calls.append(a) or spreads(*a))
+        hits = mc_tail(L=L, n=n, K=0.5, N=N, samples=count, seed=11).hits
+        assert len(calls) == 1
+        assert hits == int((s <= L * n * N).sum()) > count // 2
 
-        def counting(L, n, rng, count, K=None):
-            calls.append(K)
-            return spreads(L, n, rng, count, K)
-
-        monkeypatch.setattr(deviation, "_spreads", counting)
-        return calls
-
-    @pytest.mark.parametrize("L, n", [(3, 16), (3, 129), (4, 300)])
-    def test_threshold_at_a_spread_recounts(self, L, n, monkeypatch):
-        # the threshold is one list's spread as rng.uniform(-K, K)'s
-        # coordinates give it, so that list is within delta of it; n = 129
-        # crosses a coordinate block, and n = 300 spans three
-        K, count = 0.7, 1000
-        spreads = tail_chunk_spreads(L, n, K, philox_chunk_rng(11, 0), count)
-        threshold = float(np.sort(spreads)[count // 2])
-        calls = self.spy(monkeypatch)
-        band = deviation._tail_band(L, n, K, threshold)
-        hits = deviation._tail_chunk(L, n, K, threshold, band, philox_chunk_rng(11, 0), count)
-        assert calls == [None, K]
-        assert hits == int((spreads <= threshold).sum()) == count // 2 + 1
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def spreads_and_exact(L, n):
+        """_spreads' and tail_chunk_spreads' statistics of 64 lists of L
+        standard uniforms in n dimensions, and their exact spreads: the
+        uniforms are multiples of 2^-53, so their integer numerators give
+        L 2^106 S(u) exactly."""
+        seed = 1000 * L + n
+        rng = philox_chunk_rng(seed, 0)
+        u = np.concatenate([rng.random((64, L, min(NBLOCK, n - j0))) for j0 in range(0, n, NBLOCK)], axis=2)
+        m = u * 2.0**53
+        assert np.array_equal(m, np.floor(m))
+        m = m.astype(np.int64).astype(object)
+        exact = L * (m * m).sum(axis=(1, 2)) - (m.sum(axis=1) ** 2).sum(axis=1)
+        return (deviation._spreads(L, n, philox_chunk_rng(seed, 0), 64),
+                tail_chunk_spreads(L, n, None, philox_chunk_rng(seed, 0), 64),
+                [Fraction(int(e), L * 2**106) for e in exact])
 
     @pytest.mark.parametrize("K", [2.0**-20, 0.7, 1.0, 3.0, 2.0**300])
     def test_rounding_bound(self, K):
-        # |(2K)^2 s_u - s_x| <= delta, exactly in rationals, on 64 lists for
-        # every shape; delta is below 1e-11 of the form's range L*n*K^2, so
-        # the band is narrow
+        # each computed spread is within the oracle's bound of the exact one,
+        # in rationals, on 64 lists for every shape; twice the bound, the
+        # near distance, is below 1e-11 of the form's range L*n*K^2 once
+        # scaled by (2K)^2; at thresholds (2K)^2 (S -+ 2 near), just outside
+        # it, the one edge decides every list as the exact spread does
         scale = 4 * Fraction(K) ** 2
         for L in range(3, 9):
             for n in (1, 8, 128, 129, 300):
-                rng = philox_chunk_rng(1000 * L + n, 0)
-                state = rng.bit_generator.state
-                su = deviation._spreads(L, n, rng, 64)
-                rng.bit_generator.state = state
-                sx = deviation._spreads(L, n, rng, 64, K)
-                delta = deviation._tail_delta(L, n, K)
-                assert max(abs(scale * Fraction(a) - Fraction(b)) for a, b in zip(su, sx)) <= delta
-                assert delta <= Fraction(1, 10**11) * L * n * Fraction(K) ** 2
+                bound = tail_spread_bound(L, n)
+                near = 2 * bound
+                assert scale * near <= Fraction(1, 10**11) * L * n * Fraction(K) ** 2
+                su, so, exact = self.spreads_and_exact(L, n)
+                for a, b, e in zip(su, so, exact):
+                    assert abs(Fraction(a) - e) <= bound and abs(Fraction(b) - e) <= bound
+                    for sign in (-1, 1):
+                        threshold = float(scale * (e + 2 * sign * near))
+                        edge = deviation._round_toward(deviation._scaled_threshold(K, threshold))
+                        assert (a <= edge) == (sign > 0)
 
-    @pytest.mark.parametrize("n", [129, 300])
-    def test_pairs_never_recount(self, n, monkeypatch):
-        # at L = 2 the threshold on the gaps is one float edge, with no band:
-        # a threshold within rounding of a list's own spread (at K = 1/2,
-        # where (2K)^2 = 1) is drawn once, like any other; the band and the
-        # recount are never reached
-        s = deviation._spreads(2, n, philox_chunk_rng(11, 0), 1000)
-        N = float(np.sort(s)[500]) / (2 * n)
-        calls = self.spy(monkeypatch)
-        monkeypatch.setattr(deviation, "_tail_chunk", None)
-        monkeypatch.setattr(deviation, "_tail_band", None)
-        hits = mc_tail(L=2, n=n, K=0.5, N=N, samples=1000, seed=11).hits
-        assert calls == [None]
-        assert hits == int((s <= 2 * n * N).sum())
-
-    def test_band_edges(self):
-        # the edges are the floats just outside (threshold -+ delta)/(2K)^2,
-        # and an overflowed threshold puts lo above every spread of L
-        # uniforms in n dimensions, at most L*n
+    def test_edge(self):
+        # the edge is the largest double at or below threshold/(2K)^2 in
+        # rationals; an overflowed threshold, or a K so small that (2K)^2
+        # underflows in floats, puts it above every spread of L uniforms in n
+        # dimensions, at most L*n
         L, n, K, threshold = 3, 16, 0.7, 1.9
-        lo, hi = deviation._tail_band(L, n, K, threshold)
-        scale, delta = 4 * Fraction(K) ** 2, deviation._tail_delta(L, n, K)
-        threshold = Fraction(threshold)
-        assert Fraction(lo) <= (threshold - delta) / scale < Fraction(math.nextafter(lo, math.inf))
-        assert Fraction(math.nextafter(hi, -math.inf)) < (threshold + delta) / scale <= Fraction(hi)
-        lo, hi = deviation._tail_band(L, n, K, math.inf)
-        assert L * n < lo <= hi
+        edge = deviation._round_toward(deviation._scaled_threshold(K, threshold))
+        t = Fraction(threshold) / (4 * Fraction(K) ** 2)
+        assert Fraction(edge) <= t < Fraction(math.nextafter(edge, math.inf))
+        assert L * n < deviation._round_toward(deviation._scaled_threshold(K, math.inf))
+        assert L * n < deviation._round_toward(deviation._scaled_threshold(5e-324, threshold))
 
-    def test_bench_cases_never_recount(self, monkeypatch):
+    def test_bench_cases_have_no_near_list(self):
         # each case's seed as perfbench/workloads.py derives it from the
-        # bench seed, at the bench's N = 0.14 and 100,000 samples
-        calls = self.spy(monkeypatch)
+        # bench seed, at the bench's N = 0.14 and 100,000 samples: no list
+        # lies within the oracles' rounding bounds of the edge, so their
+        # counts are mc_tail's
         for seed in (1, 2, 3):
             seeds = np.random.default_rng(seed).integers(0, 2**63, size=len(BENCH_TAIL_CASES))
             for (L, n), s in zip(BENCH_TAIL_CASES, seeds):
-                mc_tail(L, n, 1.0, 0.14, 100_000, int(s))
-        assert calls and set(calls) == {None}
+                if L == 2:
+                    hits, near = tail_hits_difference(n, 1.0, 0.14, 100_000, int(s))
+                else:
+                    hits, near = tail_hits_uniform(L, n, 1.0, 0.14, 100_000, int(s))
+                assert near == 0
+                assert hits == mc_tail(L, n, 1.0, 0.14, 100_000, int(s)).hits
